@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+from operator import mul
 
 from . import linalg
 from .lattice import Lattice, Sublattice, genus_of, disc_equivalent
@@ -36,10 +37,6 @@ def gram_of(obj):
     if isinstance(obj, Sublattice):
         return [list(r) for r in obj.gram()]
     raise TypeError("expected a Lattice or Sublattice")
-
-
-def rank_of(obj):
-    return obj.rank
 
 
 @dataclass(frozen=True)
@@ -191,8 +188,10 @@ def short_vectors(gram, norm):
     x = [0] * n
 
     def bound_sqrt(val):
-        # floor of sqrt of a nonnegative Fraction
-        return Fraction(isqrt(val.numerator * val.denominator), val.denominator)
+        # upper bound on the sqrt of a nonnegative Fraction p/q:
+        # (isqrt(pq) + 1) / q > sqrt(pq) / q; the used <= remaining test
+        # drops the extra vectors it admits
+        return Fraction(isqrt(val.numerator * val.denominator) + 1, val.denominator)
 
     def rec(i, remaining):
         if i < 0:
@@ -247,10 +246,15 @@ def _search(g1, g2, bound, period_data):
 
     Rows are assigned in natural order and candidates per row are tried
     in lexicographic order, so the first complete solution is the
-    row-major lexicographically least one. Pruning: exact norm pools per
-    row (Fincke-Pohst pools for definite targets), partial inner-product
-    constraints, and period-proportionality checks on every symbol
-    column whose support is already fully assigned.
+    row-major lexicographically least one. Pruning is forward checking
+    over candidate domains: every row starts from the exact norm pool of
+    its diagonal entry (Fincke-Pohst pools for definite targets), and
+    assigning v to row i filters each later row's domain down to the
+    candidates w with w.G2.v == g1[k][i], dropping the branch as soon as
+    a domain empties. Filtering keeps each domain in lexicographic order
+    and removes only candidates that no completion could use, so the
+    first witness is the same as in a plain scan. Period proportionality
+    is checked on every symbol column whose support is fully assigned.
     """
     n = len(g1)
     if len(g2) != n:
@@ -262,7 +266,10 @@ def _search(g1, g2, bound, period_data):
     for i in range(n):
         norm = g1[i][i]
         if norm not in pools:
-            pools[norm] = _candidate_pool(g2, norm, bound, sign)
+            pools[norm] = [
+                (v, linalg.vec_times_mat(v, g2))
+                for v in _candidate_pool(g2, norm, bound, sign)
+            ]
     if period_data is not None:
         src_cols, tgt_cols = period_data
         last_support = []
@@ -309,26 +316,28 @@ def _search(g1, g2, bound, period_data):
             return False  # nothing pins a nonzero scalar
         return True
 
-    def extend(i):
-        for v in pools[g1[i][i]]:
-            ok = True
-            for j in range(i):
-                if linalg.pair_with(g2, v, rows[j]) != g1[i][j]:
-                    ok = False
+    def extend(i, domains):
+        # domains[0] is row i's; each entry pairs v with v.G2
+        for v, vg in domains[0]:
+            narrowed = []
+            for k, dom in enumerate(domains[1:], i + 1):
+                target = g1[k][i]
+                dom = [c for c in dom if sum(map(mul, vg, c[0])) == target]
+                if not dom:
                     break
-            if not ok:
-                continue
-            rows.append(v)
-            if period_data is None or period_ok():
-                if i == n - 1:
-                    return [list(r) for r in rows]
-                found = extend(i + 1)
-                if found is not None:
-                    return found
-            rows.pop()
+                narrowed.append(dom)
+            else:
+                rows.append(v)
+                if period_data is None or period_ok():
+                    if i == n - 1:
+                        return [list(r) for r in rows]
+                    found = extend(i + 1, narrowed)
+                    if found is not None:
+                        return found
+                rows.pop()
         return None
 
-    return extend(0) if n else None
+    return extend(0, [pools[g1[i][i]] for i in range(n)]) if n else None
 
 
 def find_isometry(l1, l2, bound):
@@ -339,7 +348,7 @@ def find_isometry(l1, l2, bound):
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if rank_of(l1) != rank_of(l2):
+    if l1.rank != l2.rank:
         return None
     g1, g2 = gram_of(l1), gram_of(l2)
     m = _search(g1, g2, bound, None)

@@ -239,6 +239,10 @@ def snf_with_transforms(rows):
                     if a[i][k]:
                         swap_rows(k, i)
                         dirty = True
+            if dirty:
+                # clear column k first: sweeping row k now would multiply
+                # the entries left below the pivot into the trailing block
+                continue
             for j in range(k + 1, n):
                 if a[k][j]:
                     q = a[k][j] // a[k][k]

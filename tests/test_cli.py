@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +163,16 @@ class TestExample43Command:
         assert len(data["checks"]) == 10
         names = [c["name"] for c in data["checks"]]
         assert "twisted-equivalence" in names
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_report_bytes_match_golden(self, n, tmp_path, capsys):
+        # digests recorded with the benchmark; report bytes must never drift
+        golden = Path(__file__).resolve().parent.parent / "bench" / "golden_example43.json"
+        digest = json.loads(golden.read_text())["sha256"][str(n)]
+        report = tmp_path / "rep.json"
+        main(["example43", "--n", str(n), "--bound", "3", "--quiet", "--report", str(report)])
+        capsys.readouterr()
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
     def test_invalid_n(self, capsys):
         assert main(["example43", "--n", "0"]) == 3

@@ -26,7 +26,8 @@ from kummerlat import (
 )
 from kummerlat import linalg
 from kummerlat.construction import base_abelian_model, quotient_surface_hodge
-from util import random_symmetric_lattice_gram, random_unimodular
+from kummerlat.isometry import _search
+from util import random_symmetric_lattice_gram, random_unimodular, reference_search
 
 U = make_standard("U")
 
@@ -78,6 +79,8 @@ class TestShortVectors:
             ([[2, 1], [1, 2]], 6),
             ([[-2, -1], [-1, -2]], -2),
             ([[2, 0, 0], [0, 4, 1], [0, 1, 4]], 4),
+            ([[9, 6, 1], [6, 12, -2], [1, -2, 3]], 3),
+            ([[6, 6, -5], [6, 9, -4], [-5, -4, 5]], 2),
         ]
         for gram, norm in cases:
             assert short_vectors(gram, norm) == self.brute(gram, norm)
@@ -192,6 +195,98 @@ class TestFindHodgeIsometry:
         s2 = period_from_columns(U, sb, {"w2": (1, 0)})
         assert find_isometry(U, U, 2) is not None
         assert find_hodge_isometry(hodge_lattice(U, s1), hodge_lattice(U, s2), 2) is None
+
+
+def _conjugate(rng, gram):
+    p = random_unimodular(rng, len(gram), shears=4, cap=3)
+    return p, linalg.matmul(linalg.matmul(p, gram), linalg.transpose(p))
+
+
+def _random_definite_gram(rng, n):
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if linalg.det(m) != 0:
+            return linalg.matmul(m, linalg.transpose(m))
+
+
+def _random_indefinite_gram(rng, n):
+    while True:
+        gram = random_symmetric_lattice_gram(rng, n, bound=3)
+        pos, neg = Lattice(tuple(tuple(r) for r in gram)).signature()
+        if pos and neg:
+            return gram
+
+
+class TestSearchAgainstReference:
+    """The forward-checked _search returns exactly the plain backtracker's witness."""
+
+    def assert_same(self, g1, g2, bounds, period_data=None):
+        found = 0
+        for bound in bounds:
+            got = _search(g1, g2, bound, period_data)
+            assert got == reference_search(g1, g2, bound, period_data)
+            found += got is not None
+        return found
+
+    def test_definite_conjugate_pairs(self):
+        rng = random.Random(71)
+        found = 0
+        for _ in range(16):
+            gram = _random_definite_gram(rng, rng.randint(1, 4))
+            found += self.assert_same(gram, _conjugate(rng, gram)[1], (1, 2))
+        assert found > 0
+
+    def test_indefinite_conjugate_pairs(self):
+        rng = random.Random(73)
+        found = 0
+        for _ in range(16):
+            gram = _random_indefinite_gram(rng, rng.randint(2, 4))
+            found += self.assert_same(gram, _conjugate(rng, gram)[1], (1, 2))
+        assert found > 0
+
+    def test_non_isometric_pairs(self):
+        odd_u = [[1, 0], [0, -1]]
+        a2 = [[2, 1], [1, 2]]
+        diag13 = [[1, 0], [0, 3]]
+        u = [list(r) for r in U.gram]
+        pairs = [(u, odd_u), (a2, diag13), (odd_u, u)]
+        rng = random.Random(79)
+        for g1, g2 in list(pairs):
+            pairs.append((g1, _conjugate(rng, g2)[1]))
+        for g1, g2 in pairs:
+            assert self.assert_same(g1, g2, (1, 2)) == 0
+        # independent forms sharing rank and determinant, isometric or not
+        by_det = {}
+        for _ in range(60):
+            gram = random_symmetric_lattice_gram(rng, rng.randint(2, 3), bound=2)
+            by_det.setdefault((len(gram), linalg.det(gram)), []).append(gram)
+        for grams in by_det.values():
+            for g1, g2 in zip(grams, grams[1:]):
+                self.assert_same(g1, g2, (1, 2))
+
+    def test_period_pinned_pairs(self):
+        rng = random.Random(83)
+        found = 0
+        sources = [base_abelian_model(n).transcendental_hodge() for n in (1, 2, 3)]
+        for n in (2, 3):
+            s = quotient_surface_hodge(n)
+            t_s = transcendental_lattice(s)
+            sources.append(hodge_lattice(t_s.as_lattice(), restrict_period(t_s, s.period)))
+        for h in sources:
+            g = [list(r) for r in h.lattice.gram]
+            p, conj = _conjugate(rng, g)
+            target = Lattice(tuple(tuple(r) for r in conj))
+            period = h.period.map_by(linalg.invert_unimodular(p), target)
+            for factor in (1, 2):
+                h2 = hodge_lattice(target, period.scaled(factor))
+                src = [list(c) for c in h.period.columns()]
+                tgt = [list(c) for c in h2.period.columns()]
+                for bound in (1, 2):
+                    iso = find_hodge_isometry(h, h2, bound)
+                    ref = reference_search(g, conj, bound, (src, tgt))
+                    assert (None if iso is None else [list(r) for r in iso.matrix]) == ref
+                    found += iso is not None
+        assert found > 0
 
 
 class TestVerifier:

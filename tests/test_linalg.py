@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form
 
 from kummerlat import linalg
 from util import brute_det, random_unimodular
@@ -91,6 +93,36 @@ def test_snf_transforms(rows):
             assert b % a == 0
         if a == 0:
             assert b == 0
+
+
+def test_snf_terminates_without_coefficient_growth():
+    # the row sweep must clear the pivot column before the column sweep,
+    # or the pivot row of this Gram matrix grows to millions of bits
+    gram = [
+        [36, -23, 0, 0, 22, -13],
+        [-23, 23, 0, 0, -16, 13],
+        [0, 0, 3, 3, 0, 0],
+        [0, 0, 3, 5, 0, 0],
+        [22, -16, 0, 0, 20, -11],
+        [-13, 13, 0, 0, -11, 8],
+    ]
+    d, s, t = linalg.snf_with_transforms(gram)
+    assert [d[i][i] for i in range(6)] == [1, 1, 1, 3, 3, 30]
+    assert linalg.mat_eq(linalg.matmul(linalg.matmul(s, gram), t), d)
+    assert abs(linalg.det(s)) == 1 and abs(linalg.det(t)) == 1
+
+
+def test_snf_against_sympy():
+    rng = random.Random(17)
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            rows = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+        d, s, t = linalg.snf_with_transforms(rows)
+        ref = smith_normal_form(Matrix(rows), domain=ZZ)
+        assert [d[i][i] for i in range(n)] == [abs(int(ref[i, i])) for i in range(n)]
+        assert linalg.mat_eq(linalg.matmul(linalg.matmul(s, rows), t), d)
 
 
 @settings(max_examples=60)

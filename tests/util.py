@@ -211,3 +211,65 @@ def simple_full_rank_period(lattice):
         vec[i] = 1
         columns["s%d" % (i + 1)] = vec
     return period_from_columns(lattice, symbols, columns)
+
+
+def reference_search(g1, g2, bound, period_data):
+    """Plain backtracking isometry search: the oracle for isometry._search.
+
+    Rows are assigned in natural order from lexicographic norm pools, and
+    each candidate is checked with a full pair_with against every row
+    already assigned. No forward checking, so the first complete solution
+    is the row-major lexicographically least witness by construction.
+    """
+    from kummerlat import linalg
+    from kummerlat.isometry import _candidate_pool, _definite_sign
+
+    n = len(g1)
+    if len(g2) != n or linalg.det(g1) != linalg.det(g2):
+        return None
+    sign = _definite_sign(g2)
+    pools = {}
+    for i in range(n):
+        if g1[i][i] not in pools:
+            pools[g1[i][i]] = _candidate_pool(g2, g1[i][i], bound, sign)
+    rows = []
+
+    def period_ok():
+        # every source column supported on the assigned rows must map to
+        # one common nonzero multiple of its target column
+        src_cols, tgt_cols = period_data
+        depth = len(rows)
+        ratios = set()
+        complete = 0
+        for col, tgt in zip(src_cols, tgt_cols):
+            if any(col[depth:]):
+                continue
+            complete += 1
+            image = [sum(col[i] * rows[i][j] for i in range(depth)) for j in range(n)]
+            if not any(image) and not any(tgt):
+                continue
+            if not any(image) or not any(tgt):
+                return False
+            lam = next(Fraction(a, b) for a, b in zip(image, tgt) if b)
+            if [Fraction(a) for a in image] != [lam * b for b in tgt]:
+                return False
+            ratios.add(lam)
+        if len(ratios) > 1:
+            return False
+        return complete < len(src_cols) or bool(ratios)
+
+    def extend(i):
+        for v in pools[g1[i][i]]:
+            if any(linalg.pair_with(g2, v, rows[j]) != g1[i][j] for j in range(i)):
+                continue
+            rows.append(v)
+            if period_data is None or period_ok():
+                if i == n - 1:
+                    return [list(r) for r in rows]
+                found = extend(i + 1)
+                if found is not None:
+                    return found
+            rows.pop()
+        return None
+
+    return extend(0) if n else None
