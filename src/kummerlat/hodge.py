@@ -164,14 +164,18 @@ def period_pairing(sigma, tau):
         raise LatticeError("periods live on different lattices")
     if sigma.symbols != tau.symbols:
         raise LatticeError("periods use different symbol bases")
+    # one integer product C_sigma * G * C_tau^T of the denominator-cleared
+    # symbol columns gives every lattice pairing of a column pair
+    left, left_dens = zip(*map(linalg.clear_denominators, sigma.columns()))
+    right, right_dens = zip(*map(linalg.clear_denominators, tau.columns()))
+    gram = linalg.matmul(linalg.matmul(left, sigma.lattice.gram), linalg.transpose(right))
     out = {}
     names = sigma.symbols.symbols
-    for i, si in enumerate(names):
-        vi = sigma.column(i)
-        for j, sj in enumerate(names):
-            c = sigma.lattice.pair(vi, tau.column(j))
-            if c == 0:
+    for si, row, di in zip(names, gram, left_dens):
+        for sj, p, dj in zip(names, row, right_dens):
+            if p == 0:
                 continue
+            c = Fraction(p, di * dj)
             for sym, coeff in sigma.symbols.product(si, sj).items():
                 out[sym] = out.get(sym, Fraction(0)) + c * coeff
     return {k: v for k, v in out.items() if v != 0}
@@ -296,8 +300,7 @@ def transcendental_lattice(h):
     for col in h.period.columns():
         if all(x == 0 for x in col):
             continue
-        den = linalg.lcm_all([x.denominator for x in col])
-        rows.append([int(x * den) for x in col])
+        rows.append(linalg.clear_denominators(col)[0])
     span = linalg.saturation(rows, h.lattice.rank)
     return Sublattice(h.lattice, tuple(tuple(r) for r in span))
 

@@ -221,24 +221,48 @@ def short_vectors(gram, norm):
     return sorted(canonical)
 
 
-def _box_vectors(n, bound):
-    """All vectors in [-bound, bound]^n in lexicographic order."""
-    return product(range(-bound, bound + 1), repeat=n)
-
-
 def _candidate_pool(gram, norm, bound, definite_sign):
-    """Candidate image vectors of a given norm, in lexicographic order."""
+    """Candidate image vectors of a given norm, in lexicographic order.
+
+    Definite targets take every vector of the norm (Fincke-Pohst).
+    Indefinite targets take the vectors with entries in [-bound, bound]:
+    for each prefix of all coordinates but the last, in lexicographic
+    order, the norm equation g t^2 + 2 b t + c = 0 is solved exactly for
+    the last coordinate t, whose solutions are listed in ascending order.
+    """
     if definite_sign != 0:
-        halved = short_vectors(gram, norm) if norm != 0 else []
-        full = [tuple(-c for c in v) for v in halved] + list(halved)
-        if norm == 0:
-            full = []
-        return sorted(full)
+        halved = short_vectors(gram, norm)
+        return sorted(halved + [tuple(-c for c in v) for v in halved])
+    head = [row[:-1] for row in gram[:-1]]
+    last_col = [row[-1] for row in gram[:-1]]
+    g = gram[-1][-1]
     pool = []
-    for v in _box_vectors(len(gram), bound):
-        if linalg.pair_with(gram, v, v) == norm:
-            pool.append(v)
+    for prefix in product(range(-bound, bound + 1), repeat=len(gram) - 1):
+        b = sum(map(mul, last_col, prefix))
+        c = sum(map(mul, prefix, [sum(map(mul, row, prefix)) for row in head])) - norm
+        pool.extend(prefix + (t,) for t in _norm_roots(g, b, c, bound))
     return pool
+
+
+def _norm_roots(g, b, c, bound):
+    """Integer roots t in [-bound, bound] of g t^2 + 2 b t + c, ascending."""
+    if g == 0:
+        if b == 0:
+            return range(-bound, bound + 1) if c == 0 else ()
+        t, r = divmod(-c, 2 * b)
+        return (t,) if r == 0 and -bound <= t <= bound else ()
+    disc = b * b - g * c
+    if disc < 0:
+        return ()
+    s = isqrt(disc)
+    if s * s != disc:
+        return ()
+    roots = set()
+    for num in (-b - s, -b + s):
+        t, r = divmod(num, g)
+        if r == 0 and -bound <= t <= bound:
+            roots.add(t)
+    return sorted(roots)
 
 
 def _search(g1, g2, bound, period_data):

@@ -18,7 +18,6 @@ from .brauer import (
     BField,
     brauer_class_of,
     exp_b_embedding,
-    generalized_transcendental,
     kernel_with_coords,
     twisted_period,
 )
@@ -192,9 +191,8 @@ class TwistedModel:
 
 def twisted_transcendental_model(h2_hodge, bfield):
     """T(X, B) inside the Mukai extension, as an abstract Hodge lattice."""
-    sigma = h2_hodge.period
-    sub = generalized_transcendental(sigma, bfield)
-    phi = twisted_period(sigma, bfield)
+    phi = twisted_period(h2_hodge.period, bfield)
+    sub = transcendental_lattice(hodge_lattice(phi.lattice, phi))
     period = restrict_period(sub, phi)
     return TwistedModel(sub=sub, hodge=hodge_lattice(period.lattice, period))
 
@@ -266,16 +264,13 @@ def transport_isometry(model1, b1, model2, b2, g):
     sides = []
     for model, bfield in ((model1, b1), (model2, b2)):
         km = kummer_transcendental(model)
-        alpha = brauer_class_of(bfield, model.T)
-        kernel, _ = kernel_with_coords(alpha)
-        tw = twisted_transcendental_model(model.h2, bfield)
-        embed = exp_b_embedding(kernel, bfield, k=2, target=tw.sub)
+        # f_map certifies both twist kernels: its source and its target
         f_map = induced_kummer_isometry(model, bfield, km)
+        tw = twisted_transcendental_model(model.h2, bfield)
+        embed = exp_b_embedding(f_map.source, bfield, k=2, target=tw.sub)
         b_km = kummer_bfield(model, km, bfield)
-        beta = kummer_brauer_class(model, bfield, km)
-        km_kernel, _ = kernel_with_coords(beta)
         km_tw = twisted_transcendental_model(km.hodge, b_km)
-        km_embed = exp_b_embedding(km_kernel, b_km, k=1, target=km_tw.sub)
+        km_embed = exp_b_embedding(f_map.target, b_km, k=1, target=km_tw.sub)
         sides.append(
             {
                 "embed": embed,

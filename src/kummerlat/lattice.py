@@ -14,9 +14,13 @@ Conventions fixed once and used everywhere:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
+from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 
@@ -309,8 +313,10 @@ def discriminant_form(lattice):
         if d[i][i] > 1:
             divisors.append(d[i][i])
             v = [s_inv[j][i] for j in range(n)]  # column i of s^-1
-            dual = linalg.vec_times_mat(v, [[Fraction(x) for x in row] for row in g_inv])
-            gens.append(tuple(Fraction(x) for x in dual))
+            dual = linalg.vec_times_mat(v, g_inv)
+            # L = Z^n in these coordinates, so the fractional part is the
+            # same class of dual/L with small entries
+            gens.append(tuple(x % 1 for x in dual))
     q_values = tuple(
         linalg.frac_mod(linalg.pair_with(lattice.gram, g, g), modulus) for g in gens
     )
@@ -335,23 +341,26 @@ def discriminant_form(lattice):
 
 
 def _value_profile(lattice, divisors, gens, modulus):
-    """Sorted multiset of (order, q) over every element of the group."""
-    from itertools import product
-    from math import gcd
+    """Sorted multiset of (order, q) over every element of the group.
 
-    gram = lattice.gram
-    entries = []
+    With den the common denominator of the generators and Q their Gram
+    scaled by den^2, q(sum a_k g_k) is the integer form a Q a^T over den^2;
+    its numerator is reduced modulo modulus * den^2.
+    """
+    n = lattice.rank
+    flat, den = linalg.clear_denominators([x for g in gens for x in g])
+    scaled = [flat[k:k + n] for k in range(0, len(flat), n)]
+    form = linalg.matmul(linalg.matmul(scaled, lattice.gram), linalg.transpose(scaled))
+    wrap = modulus * den * den
+    orders = [[d // gcd(a, d) for a in range(d)] for d in divisors]
+    counts = Counter()
     for coeffs in product(*(range(d) for d in divisors)):
-        vec = [Fraction(0)] * lattice.rank
-        for a, g in zip(coeffs, gens):
-            for j in range(lattice.rank):
-                vec[j] += a * g[j]
-        order = 1
-        for a, d in zip(coeffs, divisors):
-            order = linalg.lcm_all([order, d // gcd(a, d)])
-        q = linalg.frac_mod(linalg.pair_with(gram, vec, vec), modulus)
-        entries.append((order, q))
-    return tuple(sorted(entries))
+        num = sum(map(mul, coeffs, [sum(map(mul, row, coeffs)) for row in form]))
+        counts[lcm(*map(list.__getitem__, orders, coeffs)), num % wrap] += 1
+    entries = []
+    for (order, num), count in sorted(counts.items()):
+        entries += [(order, Fraction(num, den * den))] * count
+    return tuple(entries)
 
 
 @dataclass(frozen=True)

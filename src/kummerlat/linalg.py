@@ -12,7 +12,8 @@ the ambient dimension is passed explicitly where it cannot be inferred.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 def xgcd(a, b):
@@ -54,8 +55,28 @@ def dot(v, w):
 
 
 def pair_with(gram, v, w):
-    """v * gram * w^T for row vectors v, w."""
-    return sum(v[i] * gram[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
+    """v * gram * w^T for row vectors v, w of ints or Fractions.
+
+    Integer arithmetic throughout: an argument holding Fractions is
+    scaled once by the lcm of its denominators, zero entries of v are
+    skipped, and the integer pairing is divided by the scales at the
+    end. The result is an int for integer vectors and a Fraction when v
+    or w holds one.
+    """
+    den = None
+    if Fraction in map(type, v):
+        v, den = clear_denominators(v)
+    if Fraction in map(type, w):
+        w, w_den = clear_denominators(w)
+        den = w_den if den is None else den * w_den
+    total = sum(x * sum(map(mul, gram[i], w)) for i, x in enumerate(v) if x)
+    return total if den is None else Fraction(total, den)
+
+
+def clear_denominators(v):
+    """(integer vector, den) with v == vector / den, den the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
 
 
 def is_zero_row(row):

@@ -26,8 +26,14 @@ from kummerlat import (
 )
 from kummerlat import linalg
 from kummerlat.construction import base_abelian_model, quotient_surface_hodge
-from kummerlat.isometry import _search
-from util import random_symmetric_lattice_gram, random_unimodular, reference_search
+from kummerlat.isometry import _candidate_pool, _search
+from util import (
+    box_pool,
+    naive_pair,
+    random_symmetric_lattice_gram,
+    random_unimodular,
+    reference_search,
+)
 
 U = make_standard("U")
 
@@ -62,7 +68,7 @@ class TestShortVectors:
         for v in product(range(-box, box + 1), repeat=n):
             if not any(v):
                 continue
-            if linalg.pair_with(gram, v, v) == norm:
+            if naive_pair(gram, v, v) == norm:
                 first = next(c for c in v if c)
                 if first > 0:
                     out.append(v)
@@ -88,6 +94,29 @@ class TestShortVectors:
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError):
             short_vectors([[0, 1], [1, 0]], 2)
+
+
+class TestCandidatePool:
+    def test_indefinite_pool_against_box_scan(self):
+        # random symmetric Grams, singular ones and zero diagonals included,
+        # so the norm equation also meets g = 0 and g = b = 0
+        rng = random.Random(89)
+        for _ in range(800):
+            n = rng.randint(1, 5)
+            bound = rng.randint(1, 3 if n < 5 else 2)
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = rng.choice((0, 0, rng.randint(-4, 4)))
+            norm = rng.randint(-6, 6)
+            assert _candidate_pool(gram, norm, bound, 0) == box_pool(gram, norm, bound)
+
+    def test_degenerate_last_coordinate(self):
+        # g = 0 with b != 0, and g = b = 0 where every t in the range solves
+        assert _candidate_pool([[1, 1], [1, 0]], 3, 2, 0) == box_pool([[1, 1], [1, 0]], 3, 2)
+        assert _candidate_pool([[1, 0], [0, 0]], 1, 1, 0) == [
+            (-1, -1), (-1, 0), (-1, 1), (1, -1), (1, 0), (1, 1)
+        ]
 
 
 class TestFindIsometry:

@@ -20,7 +20,14 @@ from kummerlat import (
     sublattice_quotient,
 )
 from kummerlat import linalg
-from util import brute_det, random_symmetric_lattice_gram, random_unimodular, signature_oracle
+from util import (
+    brute_det,
+    fraction_value_profile,
+    naive_pair,
+    random_symmetric_lattice_gram,
+    random_unimodular,
+    signature_oracle,
+)
 
 U = make_standard("U")
 
@@ -256,9 +263,56 @@ class TestDiscriminantForm:
                 dual = linalg.vec_times_mat([Fraction(x) for x in z], ginv)
                 # order of the coset: least m with m*dual integral
                 m = linalg.lcm_all([x.denominator for x in dual] or [1])
-                q = linalg.frac_mod(linalg.pair_with(gram, dual, dual), modulus)
+                q = linalg.frac_mod(naive_pair(gram, dual, dual), modulus)
                 profile.append((m, q))
             assert tuple(sorted(profile)) == d.profile
+
+    def test_value_profile_against_fraction_enumeration(self):
+        rng = random.Random(137)
+        checked = 0
+        while checked < 60:
+            n = rng.randint(1, 6)
+            gram = random_symmetric_lattice_gram(rng, n, bound=4)
+            if abs(brute_det(gram)) > 1500:
+                continue
+            checked += 1
+            d = discriminant_form(Lattice(tuple(tuple(r) for r in gram)))
+            assert d.profile == fraction_value_profile(
+                gram, d.elementary_divisors, d.generators, d.modulus
+            )
+
+    def test_generators_are_reduced_and_data_unchanged(self):
+        # the SNF transform of this Gram has huge entries; generators read
+        # off it directly give the same q values, pairings and profile as
+        # their fractional parts
+        gram = [
+            [36, -23, 0, 0, 22, -13],
+            [-23, 23, 0, 0, -16, 13],
+            [0, 0, 3, 3, 0, 0],
+            [0, 0, 3, 5, 0, 0],
+            [22, -16, 0, 0, 20, -11],
+            [-13, 13, 0, 0, -11, 8],
+        ]
+        lat = Lattice(tuple(tuple(r) for r in gram))
+        d = discriminant_form(lat)
+        assert all(0 <= x < 1 for g in d.generators for x in g)
+        diag, s, _ = linalg.snf_with_transforms(gram)
+        s_inv = linalg.invert_unimodular(s)
+        g_inv = linalg.invert(gram)
+        raw = [
+            linalg.vec_times_mat([row[i] for row in s_inv], g_inv)
+            for i in range(6)
+            if diag[i][i] > 1
+        ]
+        assert max(abs(x) for g in raw for x in g) > 1
+        modulus = 2 if lat.is_even() else 1
+        assert d.q_values == tuple(
+            linalg.frac_mod(naive_pair(gram, g, g), modulus) for g in raw
+        )
+        assert d.pairings == tuple(
+            tuple(linalg.frac_mod(naive_pair(gram, gi, gj), 1) for gj in raw) for gi in raw
+        )
+        assert d.profile == fraction_value_profile(gram, d.elementary_divisors, raw, modulus)
 
     def test_large_group_skips_profile_but_stays_sound(self):
         # |det| above the enumeration cap: divisors alone still compare

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
-from sympy.matrices.normalforms import smith_normal_form
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from kummerlat import linalg
-from util import brute_det, random_unimodular
+from util import brute_det, naive_pair, random_rational_vector, random_unimodular
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -43,6 +43,23 @@ def test_det_against_brute_force():
         assert linalg.det(m) == brute_det(m)
 
 
+def test_pair_with_against_double_sum():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        gram = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        ints = [tuple(rng.choice((0, rng.randint(-4, 4))) for _ in range(n)) for _ in range(2)]
+        fracs = [random_rational_vector(rng, n) for _ in range(2)]
+        for v, w in ((ints[0], ints[1]), (fracs[0], fracs[1]),
+                     (fracs[0], ints[1]), (ints[0], fracs[1])):
+            got = linalg.pair_with(gram, v, w)
+            assert got == naive_pair(gram, v, w)
+            expect_type = Fraction if Fraction in map(type, v + w) else int
+            assert type(got) is expect_type
+    # integral Fractions still give a Fraction
+    assert type(linalg.pair_with([[1]], (Fraction(2),), (3,))) is Fraction
+
+
 def test_det_rational_entries():
     m = [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]
     assert linalg.det(m) == Fraction(1, 6) - 1
@@ -64,6 +81,27 @@ def test_hnf_transform_and_shape(rows):
         assert row[piv] > 0
         for k in range(i):
             assert 0 <= nonzero[k][piv] < row[piv]
+
+
+def test_hnf_against_sympy():
+    rng = random.Random(19)
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+        h = linalg.hnf(rows)
+        # row-style shape: echelon, positive pivots, reduced above pivots
+        pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+        assert pivots == sorted(set(pivots))
+        for i, (row, p) in enumerate(zip(h, pivots)):
+            assert row[p] > 0
+            assert all(0 <= h[k][p] < row[p] for k in range(i))
+        # sympy's column-style HNF is canonical for the column lattice, so
+        # equal forms of the transposes mean equal row lattices
+        ref = hermite_normal_form(Matrix(rows).T)
+        if h:
+            assert hermite_normal_form(Matrix(h).T) == ref
+        else:
+            assert ref.cols == 0
 
 
 @settings(max_examples=60)

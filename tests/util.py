@@ -2,12 +2,14 @@
 
 Oracles here deliberately avoid the library's own code paths: brute
 determinants by permutation expansion, signatures via the characteristic
-polynomial and Descartes' rule (exact for symmetric matrices), and
+polynomial and Descartes' rule (exact for symmetric matrices), pairings
+as plain double sums, norm pools by scanning the whole box, and
 membership checks by direct enumeration.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 
 from kummerlat import (
     AbelianSurfaceModel,
@@ -35,6 +37,41 @@ def brute_det(rows):
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def naive_pair(gram, v, w):
+    """v * gram * w^T as the plain double sum; independent of linalg."""
+    return sum(v[i] * gram[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
+
+
+def box_pool(gram, norm, bound):
+    """Every vector of [-bound, bound]^n with the given norm, lexicographic."""
+    return [
+        v for v in product(range(-bound, bound + 1), repeat=len(gram))
+        if naive_pair(gram, v, v) == norm
+    ]
+
+
+def fraction_value_profile(gram, divisors, gens, modulus):
+    """Sorted (order, q) over the discriminant group, in Fraction arithmetic.
+
+    Builds every element as a rational vector from its coefficients and
+    pairs it with itself: the oracle for lattice._value_profile.
+    """
+    n = len(gram)
+    entries = []
+    for coeffs in product(*(range(d) for d in divisors)):
+        vec = [Fraction(0)] * n
+        for a, g in zip(coeffs, gens):
+            for j in range(n):
+                vec[j] += a * g[j]
+        order = 1
+        for a, d in zip(coeffs, divisors):
+            part = d // gcd(a, d)
+            order = order * part // gcd(order, part)
+        q = Fraction(naive_pair(gram, vec, vec))
+        entries.append((order, q - (q / modulus).__floor__() * modulus))
+    return tuple(sorted(entries))
 
 
 def char_poly(gram):
@@ -137,18 +174,14 @@ def _u3_block_isometries():
 def _eichler(gram, e_idx, x):
     """Transvection v -> v + (v.e) x - (v.x) e - (x.x/2)(v.e) e as rows."""
     n = len(gram)
-
-    def pair(a, b):
-        return sum(a[i] * gram[i][j] * b[j] for i in range(n) for j in range(n))
-
     e = [0] * n
     e[e_idx] = 1
-    half = pair(x, x) // 2
+    half = naive_pair(gram, x, x) // 2
     rows = []
     for i in range(n):
         v = [0] * n
         v[i] = 1
-        ve, vx = pair(v, e), pair(v, x)
+        ve, vx = naive_pair(gram, v, e), naive_pair(gram, v, x)
         img = [
             v[t] + ve * x[t] - vx * e[t] - half * ve * e[t]
             for t in range(n)
@@ -217,21 +250,28 @@ def reference_search(g1, g2, bound, period_data):
     """Plain backtracking isometry search: the oracle for isometry._search.
 
     Rows are assigned in natural order from lexicographic norm pools, and
-    each candidate is checked with a full pair_with against every row
+    each candidate is checked with a naive pairing against every row
     already assigned. No forward checking, so the first complete solution
     is the row-major lexicographically least witness by construction.
+    Pools come from short_vectors for definite targets and from a scan of
+    the whole box for indefinite ones.
     """
-    from kummerlat import linalg
-    from kummerlat.isometry import _candidate_pool, _definite_sign
+    from kummerlat.isometry import short_vectors
 
     n = len(g1)
-    if len(g2) != n or linalg.det(g1) != linalg.det(g2):
+    if len(g2) != n or brute_det(g1) != brute_det(g2):
         return None
-    sign = _definite_sign(g2)
+    definite = 0 in signature_oracle(g2)
     pools = {}
     for i in range(n):
-        if g1[i][i] not in pools:
-            pools[g1[i][i]] = _candidate_pool(g2, g1[i][i], bound, sign)
+        norm = g1[i][i]
+        if norm in pools:
+            continue
+        if definite:
+            halved = short_vectors(g2, norm)
+            pools[norm] = sorted(halved + [tuple(-c for c in v) for v in halved])
+        else:
+            pools[norm] = box_pool(g2, norm, bound)
     rows = []
 
     def period_ok():
@@ -260,7 +300,7 @@ def reference_search(g1, g2, bound, period_data):
 
     def extend(i):
         for v in pools[g1[i][i]]:
-            if any(linalg.pair_with(g2, v, rows[j]) != g1[i][j] for j in range(i)):
+            if any(naive_pair(g2, v, rows[j]) != g1[i][j] for j in range(i)):
                 continue
             rows.append(v)
             if period_data is None or period_ok():
