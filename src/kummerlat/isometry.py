@@ -147,13 +147,45 @@ def genus_equal(l1, l2):
     return MATCH_OR_UNKNOWN
 
 
+def _bareiss(gram):
+    """Fraction-free (Bareiss 1968) elimination rows of a square matrix.
+
+    Row i holds, for j >= i, the minor on rows 0..i and columns
+    0..i-1, j, so a[i][i] is the i-th leading principal minor M_i; the
+    entries left of the diagonal are stale. Elimination stops before
+    dividing by a zero leading minor: then fewer rows come back than
+    the matrix has.
+    """
+    n = len(gram)
+    a = [list(r) for r in gram]
+    prev = 1
+    for k in range(n):
+        piv = a[k][k]
+        if piv == 0:
+            return a[:k]
+        row_k = a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (piv * row[j] - f * row_k[j]) // prev
+        prev = piv
+    return a
+
+
 def _definite_sign(gram):
-    """+1 / -1 for positive/negative definite, 0 for indefinite."""
-    lat = Lattice(tuple(tuple(r) for r in gram))
-    pos, neg = lat.signature()
-    if neg == 0:
+    """+1 / -1 for positive/negative definite, 0 otherwise.
+
+    Sylvester's criterion on the Bareiss leading minors: all positive
+    for +1, alternating from a negative M_0 for -1. A zero leading minor
+    means the form is not definite.
+    """
+    a = _bareiss(gram)
+    if len(a) < len(gram):
+        return 0
+    minors = [row[i] for i, row in enumerate(a)]
+    if all(m > 0 for m in minors):
         return 1
-    if pos == 0:
+    if all((m > 0) == (i % 2 == 1) for i, m in enumerate(minors)):
         return -1
     return 0
 
@@ -161,7 +193,14 @@ def _definite_sign(gram):
 def short_vectors(gram, norm):
     """All integer vectors of exact given norm for a definite Gram matrix.
 
-    Exact Fincke-Pohst enumeration: no entry bound, no floats. Returns a
+    Exact Fincke-Pohst enumeration in integers: no entry bound, no floats,
+    no fractions. With the Bareiss rows a of the (sign-corrected) Gram
+    matrix and M_i = a[i][i], M_-1 = 1,
+        Q(x) = sum_i (M_i x_i + s_i)^2 / (M_i M_{i-1}),
+        s_i = sum_{j>i} a[i][j] x_j,
+    and scaling by P = prod M_i makes every weight P / (M_i M_{i-1}) an
+    integer, so each x_i ranges exactly over
+    |M_i x_i + s_i| <= isqrt(remaining // weight). Returns a
     lexicographically sorted list; only vectors whose first nonzero entry
     is positive are listed (the rest are the negatives of these).
     """
@@ -169,56 +208,34 @@ def short_vectors(gram, norm):
     sign = _definite_sign(gram)
     if sign == 0:
         raise ValueError("short_vectors needs a definite Gram matrix")
-    g = [[Fraction(sign * x) for x in row] for row in gram]
     target = sign * norm
-    if target < 0:
+    if target <= 0:
         return []
-    if target == 0:
-        return []
-    # Cholesky-style decomposition: q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2
-    q = [row[:] for row in g]
-    for i in range(n):
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
+    a = _bareiss([[sign * x for x in row] for row in gram])
+    minors = [a[i][i] for i in range(n)]
+    scale = 1
+    for m in minors:
+        scale *= m
+    weights = [scale // (m * prev) for m, prev in zip(minors, [1] + minors)]
     out = []
     x = [0] * n
-
-    def bound_sqrt(val):
-        # upper bound on the sqrt of a nonnegative Fraction p/q:
-        # (isqrt(pq) + 1) / q > sqrt(pq) / q; the used <= remaining test
-        # drops the extra vectors it admits
-        return Fraction(isqrt(val.numerator * val.denominator) + 1, val.denominator)
 
     def rec(i, remaining):
         if i < 0:
             if remaining == 0 and any(x):
                 out.append(tuple(x))
             return
-        center = sum(q[i][j] * x[j] for j in range(i + 1, n))
-        limit = remaining / q[i][i]
-        s = bound_sqrt(limit)
-        lo = -s - center
-        hi = s - center
-        lo_i = -int((-lo).__floor__())  # ceil
-        hi_i = int(hi.__floor__())
-        for xi in range(lo_i, hi_i + 1):
+        m, w, row = minors[i], weights[i], a[i]
+        s = sum(row[j] * x[j] for j in range(i + 1, n))
+        r = isqrt(remaining // w)
+        for xi in range(-((r + s) // m), (r - s) // m + 1):
             x[i] = xi
-            used = q[i][i] * (xi + center) ** 2
-            if used <= remaining:
-                rec(i - 1, remaining - used)
+            y = m * xi + s
+            rec(i - 1, remaining - w * y * y)
         x[i] = 0
 
-    rec(n - 1, Fraction(target))
-    canonical = []
-    for v in out:
-        first = next(c for c in v if c)
-        if first > 0:
-            canonical.append(v)
-    return sorted(canonical)
+    rec(n - 1, scale * target)
+    return sorted(v for v in out if next(c for c in v if c) > 0)
 
 
 def _candidate_pool(gram, norm, bound, definite_sign):
@@ -265,6 +282,43 @@ def _norm_roots(g, b, c, bound):
     return sorted(roots)
 
 
+def _period_ok(rows, columns):
+    """Whether the assigned rows can still transport the period at one scalar.
+
+    columns holds (source column, target column, last support index).
+    Every source column supported on the assigned rows must map to
+    lam * its target column for one common rational lam != 0; once all
+    columns are complete, something must pin lam. The image is compared
+    with the target by cross-multiplication against the first nonzero
+    target entry, and lam is kept as that integer pair.
+    """
+    depth = len(rows)
+    lam = None
+    complete = 0
+    for col, tgt, last in columns:
+        if last >= depth:
+            continue
+        complete += 1
+        image = [sum(map(mul, col, r)) for r in zip(*rows)]
+        if not any(image):
+            if any(tgt):
+                return False  # forces lam = 0
+            continue
+        p = next((j for j, b in enumerate(tgt) if b), None)
+        if p is None:
+            return False
+        a0, b0 = image[p], tgt[p]
+        if any(a * b0 != a0 * b for a, b in zip(image, tgt)):
+            return False
+        if lam is None:
+            lam = (a0, b0)
+        elif a0 * lam[1] != lam[0] * b0:
+            return False
+    if complete == len(columns) and lam is None:
+        return False  # nothing pins a nonzero scalar
+    return True
+
+
 def _search(g1, g2, bound, period_data):
     """Backtracking core; returns the first (= lex-least) witness matrix.
 
@@ -295,50 +349,11 @@ def _search(g1, g2, bound, period_data):
                 for v in _candidate_pool(g2, norm, bound, sign)
             ]
     if period_data is not None:
-        src_cols, tgt_cols = period_data
-        last_support = []
-        for col in src_cols:
-            last = -1
-            for idx, val in enumerate(col):
-                if val != 0:
-                    last = idx
-            last_support.append(last)
+        columns = [
+            (col, tgt, max((idx for idx, val in enumerate(col) if val), default=-1))
+            for col, tgt in zip(*period_data)
+        ]
     rows = []
-
-    def period_ok():
-        # check all source columns fully supported on assigned rows
-        depth = len(rows)
-        lam = None
-        complete = 0
-        for col, tgt, last in zip(src_cols, tgt_cols, last_support):
-            if last >= depth:
-                continue
-            complete += 1
-            image = [sum(col[i] * rows[i][j] for i in range(depth)) for j in range(n)]
-            if all(v == 0 for v in image):
-                if any(tgt):
-                    return False  # forces lam = 0
-                continue
-            if not any(tgt):
-                return False
-            ratio = None
-            for a, b in zip(image, tgt):
-                if b == 0:
-                    if a != 0:
-                        return False
-                    continue
-                r = Fraction(a, b)
-                if ratio is None:
-                    ratio = r
-                elif ratio != r:
-                    return False
-            if lam is None:
-                lam = ratio
-            elif lam != ratio:
-                return False
-        if complete == len(src_cols) and lam is None:
-            return False  # nothing pins a nonzero scalar
-        return True
 
     def extend(i, domains):
         # domains[0] is row i's; each entry pairs v with v.G2
@@ -352,7 +367,7 @@ def _search(g1, g2, bound, period_data):
                 narrowed.append(dom)
             else:
                 rows.append(v)
-                if period_data is None or period_ok():
+                if period_data is None or _period_ok(rows, columns):
                     if i == n - 1:
                         return [list(r) for r in rows]
                     found = extend(i + 1, narrowed)

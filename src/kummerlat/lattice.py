@@ -301,22 +301,24 @@ def disc_equivalent(d1, d2):
 
 
 def discriminant_form(lattice):
-    """Compute dual/lattice with q values and pairings of SNF generators."""
+    """Compute dual/lattice with q values and pairings of SNF generators.
+
+    With D = S G T the Smith form of the Gram matrix G (S, T unimodular),
+    the dual basis vectors e_i S^-1 G^-1 generate dual/L. Since G is
+    symmetric, G^-1 = T D^-1 S, so that vector is column i of T divided
+    by d_i: no matrix is inverted. L = Z^n in these coordinates, so each
+    generator is stored as its fractional part, the same class with
+    entries in [0, 1).
+    """
     n = lattice.rank
-    d, s, _ = linalg.snf_with_transforms([list(r) for r in lattice.gram])
-    s_inv = linalg.invert_unimodular(s)
-    g_inv = linalg.invert([list(r) for r in lattice.gram])
+    d, _, t = linalg.snf_with_transforms([list(r) for r in lattice.gram])
     modulus = 2 if lattice.is_even() else 1
     divisors = []
     gens = []
     for i in range(n):
         if d[i][i] > 1:
             divisors.append(d[i][i])
-            v = [s_inv[j][i] for j in range(n)]  # column i of s^-1
-            dual = linalg.vec_times_mat(v, g_inv)
-            # L = Z^n in these coordinates, so the fractional part is the
-            # same class of dual/L with small entries
-            gens.append(tuple(x % 1 for x in dual))
+            gens.append(tuple(Fraction(t[j][i], d[i][i]) % 1 for j in range(n)))
     q_values = tuple(
         linalg.frac_mod(linalg.pair_with(lattice.gram, g, g), modulus) for g in gens
     )
@@ -345,18 +347,36 @@ def _value_profile(lattice, divisors, gens, modulus):
 
     With den the common denominator of the generators and Q their Gram
     scaled by den^2, q(sum a_k g_k) is the integer form a Q a^T over den^2;
-    its numerator is reduced modulo modulus * den^2.
+    its numerator is reduced modulo modulus * den^2. The divisors divide
+    each other, so the last one is the largest: for each prefix a of
+    coefficients over the other factors, with c = a Q a^T and b the last
+    entry of a Q, the numerators over the last factor are the one
+    progression c + t (2b + g t), g the last diagonal entry of Q, and
+    the element orders are lcm(order of a, d_last / gcd(t, d_last)).
+    The profile still enumerates the whole group.
     """
+    if not divisors:
+        return ((1, Fraction(0)),)
     n = lattice.rank
     flat, den = linalg.clear_denominators([x for g in gens for x in g])
     scaled = [flat[k:k + n] for k in range(0, len(flat), n)]
     form = linalg.matmul(linalg.matmul(scaled, lattice.gram), linalg.transpose(scaled))
     wrap = modulus * den * den
-    orders = [[d // gcd(a, d) for a in range(d)] for d in divisors]
+    *head, last = divisors
+    cols = list(zip(*form))
+    g = form[-1][-1]
+    last_orders = [last // gcd(t, last) for t in range(last)]
+    orders_by_prefix = {}
     counts = Counter()
-    for coeffs in product(*(range(d) for d in divisors)):
-        num = sum(map(mul, coeffs, [sum(map(mul, row, coeffs)) for row in form]))
-        counts[lcm(*map(list.__getitem__, orders, coeffs)), num % wrap] += 1
+    for prefix in product(*(range(d) for d in head)):
+        order = lcm(*(d // gcd(a, d) for a, d in zip(prefix, head)))
+        orders = orders_by_prefix.get(order)
+        if orders is None:
+            orders = orders_by_prefix[order] = [lcm(order, o) for o in last_orders]
+        row = [sum(map(mul, prefix, col)) for col in cols]  # prefix * Q
+        c = sum(map(mul, prefix, row))
+        b2 = 2 * row[-1]
+        counts.update(zip(orders, [(c + t * (b2 + g * t)) % wrap for t in range(last)]))
     entries = []
     for (order, num), count in sorted(counts.items()):
         entries += [(order, Fraction(num, den * den))] * count

@@ -26,13 +26,15 @@ from kummerlat import (
 )
 from kummerlat import linalg
 from kummerlat.construction import base_abelian_model, quotient_surface_hodge
-from kummerlat.isometry import _candidate_pool, _search
+from kummerlat.isometry import _candidate_pool, _definite_sign, _period_ok, _search
 from util import (
     box_pool,
+    fraction_short_vectors,
     naive_pair,
     random_symmetric_lattice_gram,
     random_unimodular,
     reference_search,
+    signature_oracle,
 )
 
 U = make_standard("U")
@@ -94,6 +96,114 @@ class TestShortVectors:
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError):
             short_vectors([[0, 1], [1, 0]], 2)
+
+    def test_singular_and_indefinite_rejected(self):
+        grams = [
+            [[0]],
+            [[1, 0], [0, 0]],
+            [[1, 2], [2, 4]],
+            [[2, 1, 3], [1, 2, 3], [3, 3, 6]],
+            [[1, 0], [0, -1]],
+            [[2, 3], [3, 2]],
+            [[-2, 0, 0], [0, 1, 0], [0, 0, -1]],
+        ]
+        for gram in grams:
+            for norm in (-2, 1, 2):
+                with pytest.raises(ValueError):
+                    short_vectors(gram, norm)
+                with pytest.raises(ValueError):
+                    fraction_short_vectors(gram, norm)
+
+    def test_against_fraction_oracle(self):
+        # seeded random definite Grams of rank 1-6, both signs, norms 1-12,
+        # and the Gram whose (0, 0, 1) at norm 3 a rounded-down bound dropped
+        rng = random.Random(97)
+        grams = [[[9, 6, 1], [6, 12, -2], [1, -2, 3]]]
+        for n in range(1, 7):
+            for _ in range(8):
+                sign = rng.choice((1, -1))
+                grams.append([[sign * x for x in row] for row in _random_definite_gram(rng, n)])
+        for gram in grams:
+            sign = 1 if gram[0][0] > 0 else -1
+            for norm in range(1, 13):
+                assert short_vectors(gram, sign * norm) == fraction_short_vectors(
+                    gram, sign * norm
+                )
+                assert short_vectors(gram, -sign * norm) == []
+        assert (0, 0, 1) in short_vectors(grams[0], 3)
+
+    def test_large_leading_minors(self):
+        # the scale P = prod of the leading minors runs to many digits here
+        rng = random.Random(101)
+        largest = 0
+        for n in range(2, 7):
+            for _ in range(4):
+                while True:
+                    m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                    if linalg.det(m) != 0:
+                        break
+                sign = rng.choice((1, -1))
+                gram = [[sign * x for x in row] for row in linalg.matmul(m, linalg.transpose(m))]
+                scale = 1
+                for k in range(1, n + 1):
+                    scale *= abs(linalg.det([row[:k] for row in gram[:k]]))
+                largest = max(largest, scale)
+                for norm in sorted({gram[i][i] for i in range(n)})[:3]:
+                    got = short_vectors(gram, norm)
+                    assert got == fraction_short_vectors(gram, norm)
+                    assert got
+        assert largest > 10 ** 20
+
+    def test_definite_sign_against_signature_oracle(self):
+        rng = random.Random(103)
+        for _ in range(300):
+            gram = random_symmetric_lattice_gram(rng, rng.randint(1, 5), bound=4)
+            pos, neg = signature_oracle(gram)
+            assert _definite_sign(gram) == (1 if not neg else -1 if not pos else 0)
+        assert _definite_sign([[0, 1], [1, 0]]) == 0  # zero leading minor
+        assert _definite_sign([[1, 1], [1, 1]]) == 0  # singular
+
+
+class TestPeriodOk:
+    """One case per branch of the integer period check.
+
+    The assigned rows are the identity, so each column's image is the
+    column itself.
+    """
+
+    ROWS = [(1, 0), (0, 1)]
+
+    def ok(self, *pairs):
+        return _period_ok(self.ROWS, [(c, t, 1) for c, t in pairs])
+
+    def test_incomplete_columns_are_skipped(self):
+        assert _period_ok([(1, 0)], [([1, 1], [5, 7], 1)])
+
+    def test_zero_image(self):
+        assert not self.ok(([0, 0], [1, 0]))  # would force lam = 0
+        assert not self.ok(([0, 0], [0, 0]))  # nothing pins lam
+        assert self.ok(([0, 0], [0, 0]), ([2, 4], [1, 2]))
+
+    def test_zero_target(self):
+        assert not self.ok(([1, 0], [0, 0]))
+
+    def test_target_with_zero_entries(self):
+        assert self.ok(([0, 6], [0, 3]))
+        assert not self.ok(([1, 6], [0, 3]))
+        # the first nonzero target entry meets a zero image entry
+        assert not self.ok(([0, 3], [1, 1]))
+
+    def test_not_proportional(self):
+        assert not self.ok(([2, 3], [1, 1]))
+
+    def test_negative_and_fractional_scalars(self):
+        assert self.ok(([-2, -4], [1, 2]), ([2, 0], [-1, 0]))
+        assert self.ok(([1, 2], [2, 4]), ([-1, 0], [-2, 0]))
+        assert self.ok(([3, 6], [-2, -4]), ([0, -3], [0, 2]))
+
+    def test_scalars_differ_between_columns(self):
+        assert not self.ok(([-2, -4], [1, 2]), ([2, 0], [1, 0]))
+        assert not self.ok(([1, 2], [2, 4]), ([1, 0], [1, 0]))
 
 
 class TestCandidatePool:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from sympy import Matrix
 
 from kummerlat import (
     Lattice,
@@ -30,6 +31,11 @@ from util import (
 )
 
 U = make_standard("U")
+
+
+def _congruent(rng, gram):
+    p = random_unimodular(rng, len(gram), shears=4, cap=3)
+    return linalg.matmul(linalg.matmul(p, gram), linalg.transpose(p))
 
 
 class TestConstruction:
@@ -313,6 +319,66 @@ class TestDiscriminantForm:
             tuple(linalg.frac_mod(naive_pair(gram, gi, gj), 1) for gj in raw) for gi in raw
         )
         assert d.profile == fraction_value_profile(gram, d.elementary_divisors, raw, modulus)
+
+    def test_value_profile_edge_cases(self):
+        # trivial group, odd lattices, non-cyclic groups with a large last
+        # factor, and a cyclic group just under the enumeration cap
+        rng = random.Random(139)
+        cases = [
+            ([[0, 1], [1, 0]], ()),
+            ([[1, 0], [0, 3]], (3,)),
+            ([[3, 1], [1, 5]], (14,)),
+            ([[2, 0, 0], [0, 2, 0], [0, 0, 1066]], (2, 2, 1066)),
+            ([[3, 0, 0], [0, 3, 0], [0, 0, 15]], (3, 3, 15)),
+            ([[1, 0, 0], [0, 4, 0], [0, 0, 12]], (4, 12)),
+        ]
+        cases += [(_congruent(rng, gram), divisors) for gram, divisors in cases]
+        cases.append(([[2, 1], [1, 10000]], (19999,)))
+        for gram, divisors in cases:
+            lat = Lattice(tuple(tuple(r) for r in gram))
+            d = discriminant_form(lat)
+            assert d.elementary_divisors == divisors
+            assert d.profile == fraction_value_profile(
+                gram, d.elementary_divisors, d.generators, d.modulus
+            )
+        assert discriminant_form(U).profile == ((1, 0),)
+        assert discriminant_form(Lattice(((1, 0), (0, 3)))).modulus == 1
+
+    def test_generators_against_sympy_inverses(self):
+        # column i of S^-1 times G^-1, with both inverses taken by sympy
+        rng = random.Random(149)
+        grams = [[
+            [36, -23, 0, 0, 22, -13],
+            [-23, 23, 0, 0, -16, 13],
+            [0, 0, 3, 3, 0, 0],
+            [0, 0, 3, 5, 0, 0],
+            [22, -16, 0, 0, 20, -11],
+            [-13, 13, 0, 0, -11, 8],
+        ]]
+        while len(grams) < 31:
+            gram = random_symmetric_lattice_gram(rng, rng.randint(1, 6), bound=4)
+            if abs(brute_det(gram)) <= 1500:
+                grams.append(gram)
+        for gram in grams:
+            n = len(gram)
+            lat = Lattice(tuple(tuple(r) for r in gram))
+            d = discriminant_form(lat)
+            diag, s, _ = linalg.snf_with_transforms(gram)
+            s_inv, g_inv = Matrix(s).inv(), Matrix(gram).inv()
+            raw = []
+            for i in range(n):
+                if diag[i][i] > 1:
+                    v = s_inv[:, i].T * g_inv
+                    raw.append([Fraction(int(x.p), int(x.q)) for x in v])
+            assert d.generators == tuple(tuple(x % 1 for x in g) for g in raw)
+            modulus = 2 if lat.is_even() else 1
+            assert d.q_values == tuple(naive_pair(gram, g, g) % modulus for g in raw)
+            assert d.pairings == tuple(
+                tuple(naive_pair(gram, gi, gj) % 1 for gj in raw) for gi in raw
+            )
+            assert d.profile == fraction_value_profile(
+                gram, d.elementary_divisors, raw, modulus
+            )
 
     def test_large_group_skips_profile_but_stays_sound(self):
         # |det| above the enumeration cap: divisors alone still compare

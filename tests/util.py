@@ -9,7 +9,7 @@ membership checks by direct enumeration.
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import gcd, isqrt
 
 from kummerlat import (
     AbelianSurfaceModel,
@@ -72,6 +72,58 @@ def fraction_value_profile(gram, divisors, gens, modulus):
         q = Fraction(naive_pair(gram, vec, vec))
         entries.append((order, q - (q / modulus).__floor__() * modulus))
     return tuple(sorted(entries))
+
+
+def fraction_short_vectors(gram, norm):
+    """Fincke-Pohst in Fraction arithmetic: the oracle for isometry.short_vectors.
+
+    Cholesky-style decomposition over Q, the definite sign from
+    signature_oracle; singular and indefinite Grams raise ValueError.
+    Same output convention: sorted, first nonzero entry positive.
+    """
+    n = len(gram)
+    if brute_det(gram) == 0:
+        raise ValueError("singular Gram matrix")
+    pos, neg = signature_oracle(gram)
+    if pos and neg:
+        raise ValueError("indefinite Gram matrix")
+    sign = 1 if neg == 0 else -1
+    target = sign * norm
+    if target <= 0:
+        return []
+    # q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2
+    q = [[Fraction(sign * x) for x in row] for row in gram]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] -= q[k][i] * q[i][l]
+    out = []
+    x = [0] * n
+
+    def bound_sqrt(val):
+        # (isqrt(pq) + 1) / q > sqrt(p / q)
+        return Fraction(isqrt(val.numerator * val.denominator) + 1, val.denominator)
+
+    def rec(i, remaining):
+        if i < 0:
+            if remaining == 0 and any(x):
+                out.append(tuple(x))
+            return
+        center = sum(q[i][j] * x[j] for j in range(i + 1, n))
+        s = bound_sqrt(remaining / q[i][i])
+        lo, hi = -s - center, s - center
+        for xi in range(-((-lo).__floor__()), hi.__floor__() + 1):
+            x[i] = xi
+            used = q[i][i] * (xi + center) ** 2
+            if used <= remaining:
+                rec(i - 1, remaining - used)
+        x[i] = 0
+
+    rec(n - 1, Fraction(target))
+    return sorted(v for v in out if next(c for c in v if c) > 0)
 
 
 def char_poly(gram):
