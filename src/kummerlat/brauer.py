@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .hodge import PeriodVector, transcendental_lattice, hodge_lattice
@@ -85,7 +86,7 @@ def mukai_lattice(h2):
     labels = None
     if h2.labels is not None:
         labels = ("h0",) + h2.labels + ("h4",)
-    return Lattice(tuple(tuple(r) for r in gram), labels)
+    return Lattice(gram, labels)
 
 
 def mukai_pair(h2, a, b):
@@ -105,7 +106,7 @@ def brauer_class_of(bfield, T):
 
 def order_of(alpha):
     """Order in Hom(T, Q/Z): lcm of value denominators; 1 iff trivial."""
-    return linalg.lcm_all([v.denominator for v in alpha.values] or [1])
+    return lcm(*(v.denominator for v in alpha.values))
 
 
 def kernel_with_coords(alpha):
@@ -122,9 +123,8 @@ def kernel_with_coords(alpha):
         c = [int(v * n) for v in alpha.values]
         aug = linalg.right_kernel([c + [n]], k + 1)
         coords = linalg.hnf([row[:k] for row in aug])
-    basis = linalg.matmul(coords, [list(r) for r in alpha.T.basis]) if coords else []
-    sub = Sublattice(alpha.T.ambient, tuple(tuple(r) for r in basis))
-    return sub, tuple(tuple(r) for r in coords)
+    sub = Sublattice(alpha.T.ambient, linalg.matmul(coords, alpha.T.basis))
+    return sub, coords
 
 
 def kernel_lattice(alpha):
@@ -188,7 +188,7 @@ def exp_b_embedding(kernel, bfield, k=1, target=None):
                 "vector %r pairs with B to %s, not an integer" % (list(row), h4)
             )
         image_rows.append([0] + list(row) + [int(h4)])
-    image = Sublattice(mukai, tuple(tuple(r) for r in image_rows))
+    image = Sublattice(mukai, image_rows)
     if target is None:
         target = saturate(image)
     if not saturate(image).same_span(saturate(target)):
@@ -200,7 +200,7 @@ def exp_b_embedding(kernel, bfield, k=1, target=None):
             raise CertificationError("exp(B) image is not integral over the target basis")
         matrix.append([int(c) for c in coords])
     iso = IsometryMap(source=kernel, target=target,
-                      matrix=tuple(tuple(r) for r in matrix), scale=Fraction(1))
+                      matrix=matrix, scale=Fraction(1))
     verify_isometry(iso)
     return iso
 
@@ -214,7 +214,7 @@ def pushforward_brauer(g, alpha):
     verify_isometry(g)
     if not (isinstance(g.source, Sublattice) or isinstance(g.source, Lattice)):
         raise LatticeError("isometry endpoints must be lattices or sublattices")
-    inv = linalg.invert_unimodular([list(r) for r in g.matrix])
+    inv = linalg.invert_unimodular(g.matrix)
     values = []
     for j in range(len(inv)):
         pre = inv[j]
@@ -234,7 +234,7 @@ def lift_to_bfield(alpha):
     """
     T = alpha.T
     amb = T.ambient
-    m = linalg.matmul([list(r) for r in T.basis], [list(r) for r in amb.gram])
+    m = linalg.matmul(T.basis, amb.gram)
     x = linalg.solve(m, [Fraction(v) for v in alpha.values])
     if x is None:
         raise LatticeError("class admits no B-field lift on this ambient")

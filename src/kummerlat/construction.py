@@ -176,9 +176,8 @@ def inclusion_into_u_plus_u(n):
 
 def embedding_preserves_form(matrix, source_gram, target_gram):
     """Exact check that matrix * target * matrix^T equals the source form."""
-    m = [list(r) for r in matrix]
-    lhs = linalg.matmul(linalg.matmul(m, [list(r) for r in target_gram]), linalg.transpose(m))
-    return linalg.mat_eq(lhs, [list(r) for r in source_gram])
+    lhs = linalg.matmul(linalg.matmul(matrix, target_gram), linalg.transpose(matrix))
+    return linalg.mat_eq(lhs, source_gram)
 
 
 def u_plus_u_period(n):

@@ -126,7 +126,7 @@ class PeriodVector:
 
     def map_by(self, matrix, target_lattice):
         """Push the period through a row-vector map into target_lattice."""
-        cols = [linalg.vec_times_mat(list(c), matrix) for c in self.columns()]
+        cols = [linalg.vec_times_mat(c, matrix) for c in self.columns()]
         coeffs = tuple(tuple(col[i] for col in cols) for i in range(target_lattice.rank))
         return PeriodVector(target_lattice, self.symbols, coeffs)
 
@@ -274,7 +274,6 @@ def wedge_square_map(theta):
     the output rows are images of the source wedge basis (pairs in
     lexicographic order) in the target wedge basis.
     """
-    theta = [list(r) for r in theta]
     if len(theta) != 4 or any(len(r) != 4 for r in theta):
         raise LatticeError("theta must be 4x4")
     if linalg.det(theta) == 0:
@@ -302,7 +301,7 @@ def transcendental_lattice(h):
             continue
         rows.append(linalg.clear_denominators(col)[0])
     span = linalg.saturation(rows, h.lattice.rank)
-    return Sublattice(h.lattice, tuple(tuple(r) for r in span))
+    return Sublattice(h.lattice, span)
 
 
 def ns_and_picard(h):

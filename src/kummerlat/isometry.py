@@ -33,9 +33,9 @@ class CertificationError(Exception):
 
 def gram_of(obj):
     if isinstance(obj, Lattice):
-        return [list(r) for r in obj.gram]
+        return obj.gram
     if isinstance(obj, Sublattice):
-        return [list(r) for r in obj.gram()]
+        return obj.gram()
     raise TypeError("expected a Lattice or Sublattice")
 
 
@@ -66,14 +66,13 @@ class IsometryMap:
             object.__setattr__(self, "lam", Fraction(self.lam))
 
     def apply(self, v):
-        return tuple(linalg.vec_times_mat(list(v), [list(r) for r in self.matrix]))
+        return tuple(linalg.vec_times_mat(v, self.matrix))
 
     def inverse(self):
-        inv = linalg.invert_unimodular([list(r) for r in self.matrix])
         return IsometryMap(
             source=self.target,
             target=self.source,
-            matrix=tuple(tuple(r) for r in inv),
+            matrix=linalg.invert_unimodular(self.matrix),
             scale=1 / self.scale,
             lam=None if self.lam is None else 1 / self.lam,
             source_period=self.target_period,
@@ -82,14 +81,13 @@ class IsometryMap:
 
     def then(self, other):
         """Composition: first self, then other."""
-        m = linalg.matmul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
         lam = None
         if self.lam is not None and other.lam is not None:
             lam = self.lam * other.lam
         return IsometryMap(
             source=self.source,
             target=other.target,
-            matrix=tuple(tuple(r) for r in m),
+            matrix=linalg.matmul(self.matrix, other.matrix),
             scale=self.scale * other.scale,
             lam=lam,
             source_period=self.source_period,
@@ -107,7 +105,7 @@ def verify_isometry(iso):
     g_s = gram_of(iso.source)
     g_t = gram_of(iso.target)
     n_s, n_t = len(g_s), len(g_t)
-    m = [list(r) for r in iso.matrix]
+    m = iso.matrix
     if len(m) != n_s or any(len(r) != n_t for r in m):
         raise CertificationError("matrix shape does not match source/target ranks")
     if n_s != n_t:
@@ -124,7 +122,7 @@ def verify_isometry(iso):
         src_cols = iso.source_period.columns()
         tgt_cols = iso.target_period.columns()
         for cs, ct in zip(src_cols, tgt_cols):
-            image = linalg.vec_times_mat(list(cs), m)
+            image = linalg.vec_times_mat(cs, m)
             if [Fraction(x) for x in image] != [iso.lam * Fraction(x) for x in ct]:
                 raise CertificationError("period is not transported at scalar %s" % iso.lam)
         if iso.lam == 0:
@@ -147,40 +145,16 @@ def genus_equal(l1, l2):
     return MATCH_OR_UNKNOWN
 
 
-def _bareiss(gram):
-    """Fraction-free (Bareiss 1968) elimination rows of a square matrix.
-
-    Row i holds, for j >= i, the minor on rows 0..i and columns
-    0..i-1, j, so a[i][i] is the i-th leading principal minor M_i; the
-    entries left of the diagonal are stale. Elimination stops before
-    dividing by a zero leading minor: then fewer rows come back than
-    the matrix has.
-    """
-    n = len(gram)
-    a = [list(r) for r in gram]
-    prev = 1
-    for k in range(n):
-        piv = a[k][k]
-        if piv == 0:
-            return a[:k]
-        row_k = a[k]
-        for row in a[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (piv * row[j] - f * row_k[j]) // prev
-        prev = piv
-    return a
-
-
 def _definite_sign(gram):
     """+1 / -1 for positive/negative definite, 0 otherwise.
 
-    Sylvester's criterion on the Bareiss leading minors: all positive
-    for +1, alternating from a negative M_0 for -1. A zero leading minor
-    means the form is not definite.
+    Sylvester's criterion on the leading minors from linalg.echelon: all
+    positive for +1, alternating from a negative M_0 for -1. A row swap
+    or a missing pivot means a zero leading minor, so the form is not
+    definite.
     """
-    a = _bareiss(gram)
-    if len(a) < len(gram):
+    a, pivots, swaps, _ = linalg.echelon(gram)
+    if swaps or len(pivots) < len(gram):
         return 0
     minors = [row[i] for i, row in enumerate(a)]
     if all(m > 0 for m in minors):
@@ -194,8 +168,8 @@ def short_vectors(gram, norm):
     """All integer vectors of exact given norm for a definite Gram matrix.
 
     Exact Fincke-Pohst enumeration in integers: no entry bound, no floats,
-    no fractions. With the Bareiss rows a of the (sign-corrected) Gram
-    matrix and M_i = a[i][i], M_-1 = 1,
+    no fractions. With the rows a of linalg.echelon of the (sign-corrected)
+    Gram matrix and M_i = a[i][i], M_-1 = 1,
         Q(x) = sum_i (M_i x_i + s_i)^2 / (M_i M_{i-1}),
         s_i = sum_{j>i} a[i][j] x_j,
     and scaling by P = prod M_i makes every weight P / (M_i M_{i-1}) an
@@ -211,7 +185,7 @@ def short_vectors(gram, norm):
     target = sign * norm
     if target <= 0:
         return []
-    a = _bareiss([[sign * x for x in row] for row in gram])
+    a = linalg.echelon([[sign * x for x in row] for row in gram])[0]
     minors = [a[i][i] for i in range(n)]
     scale = 1
     for m in minors:
@@ -319,6 +293,21 @@ def _period_ok(rows, columns):
     return True
 
 
+def period_scalar(source_period, target_period, matrix):
+    """The lam with (source column) * matrix == lam * (target column), or None.
+
+    Read off the first column, in symbol order, whose target has a
+    nonzero entry: the image entry over the first such target entry.
+    Only verify_isometry certifies that lam fits every column.
+    """
+    for col, tgt in zip(source_period.columns(), target_period.columns()):
+        image = linalg.vec_times_mat(col, matrix)
+        for a, b in zip(image, tgt):
+            if b:
+                return Fraction(a, b)
+    return None
+
+
 def _search(g1, g2, bound, period_data):
     """Backtracking core; returns the first (= lex-least) witness matrix.
 
@@ -369,7 +358,7 @@ def _search(g1, g2, bound, period_data):
                 rows.append(v)
                 if period_data is None or _period_ok(rows, columns):
                     if i == n - 1:
-                        return [list(r) for r in rows]
+                        return tuple(rows)
                     found = extend(i + 1, narrowed)
                     if found is not None:
                         return found
@@ -393,7 +382,7 @@ def find_isometry(l1, l2, bound):
     m = _search(g1, g2, bound, None)
     if m is None:
         return None
-    iso = IsometryMap(source=l1, target=l2, matrix=tuple(tuple(r) for r in m))
+    iso = IsometryMap(source=l1, target=l2, matrix=m)
     verify_isometry(iso)
     return iso
 
@@ -411,25 +400,15 @@ def find_hodge_isometry(h1, h2, bound):
     l1, l2 = h1.lattice, h2.lattice
     if l1.rank != l2.rank:
         return None
-    src_cols = [list(c) for c in h1.period.columns()]
-    tgt_cols = [list(c) for c in h2.period.columns()]
-    m = _search(gram_of(l1), gram_of(l2), bound, (src_cols, tgt_cols))
+    period_data = (h1.period.columns(), h2.period.columns())
+    m = _search(gram_of(l1), gram_of(l2), bound, period_data)
     if m is None:
         return None
-    lam = None
-    for col, tgt in zip(src_cols, tgt_cols):
-        image = linalg.vec_times_mat(col, m)
-        for a, b in zip(image, tgt):
-            if b != 0:
-                lam = Fraction(a, b)
-                break
-        if lam is not None:
-            break
     iso = IsometryMap(
         source=l1,
         target=l2,
-        matrix=tuple(tuple(r) for r in m),
-        lam=lam,
+        matrix=m,
+        lam=period_scalar(h1.period, h2.period, m),
         source_period=h1.period,
         target_period=h2.period,
     )

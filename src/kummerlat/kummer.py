@@ -28,6 +28,7 @@ from .isometry import (
     IsometryMap,
     find_hodge_isometry,
     genus_equal,
+    period_scalar,
     verify_isometry,
 )
 from .lattice import LatticeError, Sublattice, genus_of, orthogonal_complement
@@ -84,7 +85,7 @@ def kummer_transcendental(model):
     pi_star = IsometryMap(
         source=model.T,
         target=t_km,
-        matrix=tuple(tuple(r) for r in linalg.identity(t_km.rank)),
+        matrix=linalg.identity(t_km.rank),
         scale=Fraction(2),
         lam=Fraction(1),
         source_period=period,
@@ -94,35 +95,26 @@ def kummer_transcendental(model):
     return KummerModel(source=model, hodge=hodge_lattice(t_km, km_period), pi_star=pi_star)
 
 
-def project_to_transcendental(model, bfield):
-    """Orthogonal projection of B to T(A) tensor Q, in ambient coordinates.
+def project_coords_on_T(model, bfield):
+    """The orthogonal projection p(B) of B to T(A) tensor Q, in T-coordinates.
 
     The unique p(B) in the span of T with B - p(B) orthogonal to T; needs
-    the form restricted to T to be nondegenerate.
+    B on the model's H2 lattice and the form restricted to T to be
+    nondegenerate.
     """
     if bfield.lattice != model.h2.lattice:
         raise LatticeError("B-field is not on the model's H2 lattice")
     t = model.T
-    gram_t = [list(r) for r in t.gram()]
-    if linalg.det(gram_t) == 0:
-        raise LatticeError("restricted form on T is degenerate")
-    rhs = [t.ambient.pair(row, bfield.coords) for row in t.basis]
-    y = linalg.solve(gram_t, rhs)
-    coords = [Fraction(0)] * t.ambient.rank
-    for yi, row in zip(y, t.basis):
-        for j, x in enumerate(row):
-            coords[j] += yi * x
-    return tuple(coords)
-
-
-def project_coords_on_T(model, bfield):
-    """p(B) written in the coordinates of T's basis."""
-    t = model.T
-    gram_t = [list(r) for r in t.gram()]
+    gram_t = t.gram()
     if linalg.det(gram_t) == 0:
         raise LatticeError("restricted form on T is degenerate")
     rhs = [t.ambient.pair(row, bfield.coords) for row in t.basis]
     return tuple(linalg.solve(gram_t, rhs))
+
+
+def project_to_transcendental(model, bfield):
+    """p(B) in ambient coordinates: its T-coordinates times T's basis."""
+    return tuple(linalg.vec_times_mat(project_coords_on_T(model, bfield), model.T.basis))
 
 
 def kummer_bfield(model, km, bfield):
@@ -161,20 +153,19 @@ def induced_kummer_isometry(model, bfield, km=None):
     k_km, coords_km = kernel_with_coords(beta)
     # the identity on T-coordinates should carry one kernel onto the other
     rows = []
-    inv_needed = [list(r) for r in coords_km]
     for row in coords_a:
-        x = linalg.solve(linalg.transpose(inv_needed), list(row))
+        x = linalg.solve(linalg.transpose(coords_km), row)
         if x is None or any(c.denominator != 1 for c in x):
             raise CertificationError(
                 "Kummer-side kernel does not contain the coordinate image"
             )
         rows.append([int(c) for c in x])
-    if linalg.hnf([list(r) for r in coords_a]) != linalg.hnf([list(r) for r in coords_km]):
+    if linalg.hnf(coords_a) != linalg.hnf(coords_km):
         raise CertificationError("kernel coordinate lattices disagree")
     iso = IsometryMap(
         source=k_a,
         target=k_km,
-        matrix=tuple(tuple(r) for r in rows),
+        matrix=rows,
         scale=Fraction(2),
     )
     verify_isometry(iso)
@@ -291,7 +282,7 @@ def transport_isometry(model1, b1, model2, b2, g):
         target=s2["km_tw"].hodge.lattice,
         matrix=f.matrix,
         scale=Fraction(1),
-        lam=_period_scalar(s1["km_tw"].hodge.period, s2["km_tw"].hodge.period, f.matrix),
+        lam=period_scalar(s1["km_tw"].hodge.period, s2["km_tw"].hodge.period, f.matrix),
         source_period=s1["km_tw"].hodge.period,
         target_period=s2["km_tw"].hodge.period,
     )
@@ -304,16 +295,6 @@ def transport_isometry(model1, b1, model2, b2, g):
         km_bfield1=s1["km_bfield"],
         km_bfield2=s2["km_bfield"],
     )
-
-
-def _period_scalar(src_period, tgt_period, matrix):
-    m = [list(r) for r in matrix]
-    for cs, ct in zip(src_period.columns(), tgt_period.columns()):
-        image = linalg.vec_times_mat(list(cs), m)
-        for a, b in zip(image, ct):
-            if b != 0:
-                return Fraction(a) / Fraction(b)
-    return None
 
 
 def is_square_ratio(h1_sq, h2_sq):

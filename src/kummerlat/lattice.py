@@ -81,7 +81,7 @@ class Lattice:
         m = int(m)
         if m == 0:
             raise LatticeError("twist by zero is degenerate")
-        return Lattice(tuple(tuple(m * x for x in row) for row in self.gram), self.labels)
+        return Lattice([[m * x for x in row] for row in self.gram], self.labels)
 
     def signature(self):
         """Exact inertia (positives, negatives) via symmetric reduction."""
@@ -116,7 +116,7 @@ class Lattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def full_sublattice(self):
-        return Sublattice(self, tuple(tuple(row) for row in linalg.identity(self.rank)))
+        return Sublattice(self, linalg.identity(self.rank))
 
 
 def make_standard(kind, param=None):
@@ -162,7 +162,7 @@ def direct_sum(l1, l2):
                 k += 1
             labels.append(new)
         labels = tuple(labels)
-    return Lattice(tuple(tuple(row) for row in gram), labels)
+    return Lattice(gram, labels)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class Sublattice:
         n = self.ambient.rank
         if any(len(row) != n for row in basis):
             raise LatticeError("basis rows must have length %d" % n)
-        if linalg.rank(list(basis)) != len(basis):
+        if linalg.rank(basis) != len(basis):
             raise LatticeError("basis rows must be linearly independent over Q")
 
     @property
@@ -187,12 +187,8 @@ class Sublattice:
 
     def gram(self):
         """Induced Gram matrix basis * ambient.gram * basis^T."""
-        b = [list(r) for r in self.basis]
-        if not b:
-            return ()
-        g = linalg.matmul(linalg.matmul(b, [list(r) for r in self.ambient.gram]),
-                          linalg.transpose(b))
-        return tuple(tuple(row) for row in g)
+        rows = linalg.matmul(self.basis, self.ambient.gram)
+        return tuple(tuple(sum(map(mul, r, b)) for b in self.basis) for r in rows)
 
     def as_lattice(self, labels=None):
         """The abstract lattice carried by this sublattice (nondegenerate only)."""
@@ -202,14 +198,14 @@ class Sublattice:
         """Whether the ambient vector v lies in the sublattice."""
         if not self.basis:
             return all(x == 0 for x in v)
-        x = linalg.solve(linalg.transpose([list(r) for r in self.basis]), list(v))
+        x = linalg.solve(linalg.transpose(self.basis), v)
         return x is not None and all(c.denominator == 1 for c in x)
 
     def coordinates_of(self, v):
         """Coordinates of ambient vector v in this basis (exact, rational)."""
         if not self.basis:
             raise LatticeError("rank-0 sublattice has no coordinates")
-        x = linalg.solve(linalg.transpose([list(r) for r in self.basis]), list(v))
+        x = linalg.solve(linalg.transpose(self.basis), v)
         if x is None:
             raise LatticeError("vector does not lie in the rational span")
         return tuple(x)
@@ -217,23 +213,20 @@ class Sublattice:
     def same_span(self, other):
         """Set equality of sublattices of one ambient (via canonical HNF)."""
         return (self.ambient == other.ambient
-                and linalg.hnf([list(r) for r in self.basis])
-                == linalg.hnf([list(r) for r in other.basis]))
+                and linalg.hnf(self.basis) == linalg.hnf(other.basis))
 
 
 def orthogonal_complement(s):
     """Saturated sublattice of everything pairing to zero with s."""
     if not s.basis:
         return s.ambient.full_sublattice()
-    m = linalg.matmul([list(r) for r in s.basis], [list(r) for r in s.ambient.gram])
-    ker = linalg.right_kernel(m, s.ambient.rank)
-    return Sublattice(s.ambient, tuple(tuple(r) for r in ker))
+    m = linalg.matmul(s.basis, s.ambient.gram)
+    return Sublattice(s.ambient, linalg.right_kernel(m, s.ambient.rank))
 
 
 def saturate(s):
     """Smallest primitive sublattice containing s: (s tensor Q) meet ambient."""
-    sat = linalg.saturation([list(r) for r in s.basis], s.ambient.rank)
-    return Sublattice(s.ambient, tuple(tuple(r) for r in sat))
+    return Sublattice(s.ambient, linalg.saturation(s.basis, s.ambient.rank))
 
 
 def sublattice_quotient(s):
@@ -246,7 +239,7 @@ def sublattice_quotient(s):
         if s.ambient.rank == 0:
             return 1, []
         return None, []
-    diag = linalg.snf_diagonal([list(r) for r in s.basis])
+    diag = linalg.snf_diagonal(s.basis)
     divisors = [d for d in diag if d > 1]
     if s.rank == s.ambient.rank:
         index = 1
@@ -311,7 +304,7 @@ def discriminant_form(lattice):
     entries in [0, 1).
     """
     n = lattice.rank
-    d, _, t = linalg.snf_with_transforms([list(r) for r in lattice.gram])
+    d, _, t = linalg.snf_with_transforms(lattice.gram)
     modulus = 2 if lattice.is_even() else 1
     divisors = []
     gens = []

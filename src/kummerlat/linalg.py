@@ -1,9 +1,11 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything below runs on Python ints and fractions.Fraction; no floating
-point. A matrix is a sequence of equal-length rows. Maps act on row
-vectors: the image of v under M is v*M, so compositions read left to
-right.
+point. A matrix is any sequence of equal-length rows, tuples and lists
+alike; no input is modified, and matrices come back as lists of lists.
+Maps act on row vectors: the image of v under M is v*M, so compositions
+read left to right. det, rank, solve and the inverses all run on one
+fraction-free elimination, echelon.
 
 Empty matrices are legitimate inputs for the kernel/saturation helpers;
 the ambient dimension is passed explicitly where it cannot be inferred.
@@ -12,7 +14,7 @@ the ambient dimension is passed explicitly where it cannot be inferred.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 
@@ -87,53 +89,81 @@ def mat_eq(a, b):
     return [list(r) for r in a] == [list(r) for r in b]
 
 
+def echelon(rows):
+    """Fraction-free (Bareiss 1968) row echelon form of a rational matrix.
+
+    Returns (a, pivots, swaps, den). Each row holding a Fraction is first
+    scaled by the lcm of its denominators, and den is the product of
+    those scales. Columns are scanned left to right: a column with no
+    nonzero entry at or below the current row is skipped, otherwise the
+    first such row is swapped up (swaps counts the swaps) and its
+    leading column is appended to pivots. Row k of the integer result a
+    is zero before pivots[k], and from there on a[k][j] is the minor of
+    the scaled, swapped matrix on rows 0..k and columns
+    pivots[:k] + [j]; rows from len(pivots) on are zero. So a square
+    matrix eliminated with no swap has its leading principal minors on
+    the diagonal, the last one being the scaled determinant.
+    """
+    a = []
+    den = 1
+    for row in rows:
+        if Fraction in map(type, row):
+            row, row_den = clear_denominators(row)
+            den *= row_den
+        a.append(list(row))
+    m = len(a)
+    ncols = len(a[0]) if m else 0
+    pivots = []
+    swaps = 0
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            swaps += 1
+        top = a[r][c + 1:]
+        piv = a[r][c]
+        for i in range(r + 1, m):
+            f = a[i][c]
+            a[i] = [0] * (c + 1) + [(piv * x - f * y) // prev for x, y in zip(a[i][c + 1:], top)]
+        pivots.append(c)
+        prev = piv
+    return a, pivots, swaps, den
+
+
+def _back_substitute(a, pivots, n, col):
+    """x in Q^n solving the echelon rows against their column col, free variables zero.
+
+    With d the last pivot, the minor on the pivot rows and columns,
+    Cramer's rule makes d * x integral, so the substitution runs in
+    integers with exact divisions.
+    """
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * n
+    for k in reversed(range(len(pivots))):
+        row, c = a[k], pivots[k]
+        y[c] = (d * row[col] - sum(row[j] * y[j] for j in pivots[k + 1:])) // row[c]
+    return [Fraction(v, d) for v in y]
+
+
 def det(rows):
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
+    """Exact determinant of a square matrix: an int when integral, else a Fraction."""
     n = len(rows)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in r] for r in rows]
-    sign = 1
-    prod = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        prod *= m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / inv
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-    val = sign * prod
-    return int(val) if val.denominator == 1 else val
+    a, pivots, swaps, den = echelon(rows)
+    if len(pivots) < n:
+        return 0
+    num = (-1) ** swaps * a[-1][-1] if n else 1
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def rank(rows):
     """Rank over Q."""
-    if not rows:
-        return 0
-    m = [[Fraction(x) for x in r] for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            if m[i][c]:
-                f = m[i][c] / m[r][c]
-                for j in range(c, ncols):
-                    m[i][j] -= f * m[r][j]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(echelon(rows)[1])
 
 
 def hnf_with_transform(rows):
@@ -307,52 +337,21 @@ def solve(a_rows, b):
 
     Free variables are set to zero, which makes the result deterministic.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
+    n = len(a_rows[0]) if a_rows else 0
+    a, pivots, _, _ = echelon([list(row) + [b[i]] for i, row in enumerate(a_rows)])
+    if n in pivots:
+        return None
+    return _back_substitute(a, pivots, n, n)
 
 
 def invert(rows):
     """Exact inverse of a nonsingular square matrix, as Fractions."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    a, pivots, _, _ = echelon([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return transpose(_back_substitute(a, pivots, n, n + j) for j in range(n))
 
 
 def invert_unimodular(rows):
@@ -363,13 +362,6 @@ def invert_unimodular(rows):
         if any(x.denominator != 1 for x in row):
             raise ValueError("matrix is not unimodular")
         out.append([int(x) for x in row])
-    return out
-
-
-def lcm_all(values):
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
     return out
 
 

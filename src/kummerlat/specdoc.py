@@ -178,7 +178,7 @@ def _build_lattice(doc, sec):
     if not rows:
         raise SpecParseError(sec["line"], "lattice %r has no gram rows" % sec["name"])
     try:
-        lat = Lattice(tuple(tuple(r) for r in rows), labels)
+        lat = Lattice(rows, labels)
     except LatticeError as exc:
         raise SpecParseError(sec["line"], "lattice %r: %s" % (sec["name"], exc))
     doc.lattices[sec["name"]] = lat
@@ -280,9 +280,7 @@ def _build_sublattice(doc, sec):
                 lineno, "row needs %d entries, got %d" % (ambient.rank, len(vec))
             )
     try:
-        doc.sublattices[sec["name"]] = Sublattice(
-            ambient, tuple(tuple(v) for v, _ in rows)
-        )
+        doc.sublattices[sec["name"]] = Sublattice(ambient, [v for v, _ in rows])
     except LatticeError as exc:
         raise SpecParseError(sec["line"], "sublattice %r: %s" % (sec["name"], exc))
 

@@ -58,7 +58,7 @@ def _random_class_fixtures(seed, count):
     while len(out) < count:
         rank = rng.randint(1, 4)
         gram = random_symmetric_lattice_gram(rng, rank, bound=5)
-        lat = Lattice(tuple(tuple(r) for r in gram))
+        lat = Lattice(gram)
         b = BField(lat, random_rational_vector(rng, rank, max_den=6))
         out.append((lat, b, brauer_class_of(b, lat.full_sublattice())))
     return out
@@ -96,7 +96,7 @@ def test_criterion_2_kernel_index_law():
     bad = 0
     for lat, b, alpha in fixtures:
         _, coords = kernel_with_coords(alpha)
-        index = abs(linalg.det([list(r) for r in coords]))
+        index = abs(linalg.det(coords))
         if index != order_of(alpha):
             bad += 1
     _line(2, bad == 0, "[T : ker] = order on %d fixtures (%d failures)" % (len(fixtures), bad))
@@ -128,7 +128,7 @@ def test_criterion_3_exp_b_isometry():
                         ok = False
         from kummerlat import Sublattice
 
-        image = Sublattice(mukai, tuple(tuple(r) for r in rows))
+        image = Sublattice(mukai, rows)
         if not saturate(image).same_span(target):
             ok = False
         if not ok:
@@ -218,12 +218,12 @@ def test_criterion_8_certification_and_fuzzing(tmp_path, capsys):
     for _ in range(25):
         n = rng.randint(1, 3)
         gram = random_symmetric_lattice_gram(rng, n, bound=4)
-        lat = Lattice(tuple(tuple(r) for r in gram))
+        lat = Lattice(gram)
         from util import random_unimodular
 
         p = random_unimodular(rng, n)
         conj = linalg.matmul(linalg.matmul(p, gram), linalg.transpose(p))
-        lat2 = Lattice(tuple(tuple(r) for r in conj))
+        lat2 = Lattice(conj)
         iso = find_isometry(lat, lat2, 3)
         if iso is not None:
             witnesses += 1

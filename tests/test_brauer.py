@@ -113,7 +113,7 @@ class TestKernel:
         rng = random.Random(43)
         for _ in range(15):
             rank = rng.randint(1, 3)
-            lat = Lattice(tuple(tuple(r) for r in random_symmetric_lattice_gram(rng, rank)))
+            lat = Lattice(random_symmetric_lattice_gram(rng, rank))
             t = lat.full_sublattice()
             b = BField(lat, random_rational_vector(rng, rank, max_den=4))
             alpha = brauer_class_of(b, t)
@@ -126,11 +126,11 @@ class TestKernel:
         rng = random.Random(61)
         for _ in range(60):
             rank = rng.randint(1, 4)
-            lat = Lattice(tuple(tuple(r) for r in random_symmetric_lattice_gram(rng, rank)))
+            lat = Lattice(random_symmetric_lattice_gram(rng, rank))
             b = BField(lat, random_rational_vector(rng, rank))
             alpha = brauer_class_of(b, lat.full_sublattice())
             _, coords = kernel_with_coords(alpha)
-            index = abs(linalg.det([list(r) for r in coords]))
+            index = abs(linalg.det(coords))
             assert index == order_of(alpha)
 
 
@@ -179,7 +179,7 @@ class TestGeneralizedTranscendental:
         rng = random.Random(67)
         for _ in range(20):
             rank = rng.randint(1, 4)
-            lat = Lattice(tuple(tuple(r) for r in random_symmetric_lattice_gram(rng, rank)))
+            lat = Lattice(random_symmetric_lattice_gram(rng, rank))
             sigma = simple_full_rank_period(lat)
             b = BField(lat, random_rational_vector(rng, rank))
             assert generalized_transcendental(sigma, b).rank == rank
@@ -219,7 +219,7 @@ class TestExpBEmbedding:
         rng = random.Random(71)
         for _ in range(30):
             rank = rng.randint(1, 4)
-            lat = Lattice(tuple(tuple(r) for r in random_symmetric_lattice_gram(rng, rank)))
+            lat = Lattice(random_symmetric_lattice_gram(rng, rank))
             sigma = simple_full_rank_period(lat)
             b = BField(lat, random_rational_vector(rng, rank))
             alpha = brauer_class_of(b, lat.full_sublattice())
@@ -264,7 +264,7 @@ class TestBrauerEqual:
         rng = random.Random(73)
         for _ in range(40):
             rank = rng.randint(1, 4)
-            lat = Lattice(tuple(tuple(r) for r in random_symmetric_lattice_gram(rng, rank)))
+            lat = Lattice(random_symmetric_lattice_gram(rng, rank))
             t = lat.full_sublattice()
             b1 = BField(lat, random_rational_vector(rng, rank))
             b2 = BField(lat, random_rational_vector(rng, rank))
@@ -297,14 +297,14 @@ class TestPushforward:
         for _ in range(40):
             rank = rng.randint(1, 4)
             gram = random_symmetric_lattice_gram(rng, rank)
-            lat = Lattice(tuple(tuple(r) for r in gram))
+            lat = Lattice(gram)
             p = random_unimodular(rng, rank)
             conj = linalg.matmul(linalg.matmul(p, gram), linalg.transpose(p))
-            lat2 = Lattice(tuple(tuple(r) for r in conj))
+            lat2 = Lattice(conj)
             g = IsometryMap(
                 source=lat2.full_sublattice(),
                 target=lat.full_sublattice(),
-                matrix=tuple(tuple(r) for r in p),
+                matrix=p,
             )
             verify_isometry(g)
             alpha = BrauerClass(
@@ -319,7 +319,7 @@ class TestLift:
         rng = random.Random(83)
         for _ in range(30):
             rank = rng.randint(1, 4)
-            lat = Lattice(tuple(tuple(r) for r in random_symmetric_lattice_gram(rng, rank)))
+            lat = Lattice(random_symmetric_lattice_gram(rng, rank))
             t = lat.full_sublattice()
             alpha = BrauerClass(t, random_rational_vector(rng, rank))
             lifted = lift_to_bfield(alpha)

@@ -253,7 +253,7 @@ class TestNeronSeveri:
 
         for _ in range(30):
             n = rng.randint(2, 4)
-            lat = Lattice(tuple(tuple(r) for r in random_symmetric_lattice_gram(rng, n)))
+            lat = Lattice(random_symmetric_lattice_gram(rng, n))
             k = rng.randint(1, n)
             sb = SymbolBasis(("1",) + tuple("s%d" % i for i in range(k)))
             cols = {}
@@ -267,7 +267,7 @@ class TestNeronSeveri:
             for t_row in t.basis:
                 for n_row in ns.basis:
                     assert lat.pair(t_row, n_row) == 0
-            if t.rank and linalg.det([list(r) for r in t.gram()]) != 0:
+            if t.rank and linalg.det(t.gram()) != 0:
                 assert t.rank + rho == n
 
 
@@ -309,7 +309,7 @@ class TestRestrictPeriod:
         model = base_abelian_model(3)
         restricted = restrict_period(model.T, model.h2.period)
         # pushing back through the basis reproduces the ambient columns
-        basis = [list(r) for r in model.T.basis]
+        basis = model.T.basis
         for s in range(4):
             col = list(restricted.column(s))
             ambient = linalg.vec_times_mat(col, basis)

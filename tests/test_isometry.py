@@ -26,7 +26,7 @@ from kummerlat import (
 )
 from kummerlat import linalg
 from kummerlat.construction import base_abelian_model, quotient_surface_hodge
-from kummerlat.isometry import _candidate_pool, _definite_sign, _period_ok, _search
+from kummerlat.isometry import _candidate_pool, _definite_sign, _period_ok, _search, period_scalar
 from util import (
     box_pool,
     fraction_short_vectors,
@@ -51,8 +51,8 @@ class TestGenusEqual:
             gram = random_symmetric_lattice_gram(rng, n)
             p = random_unimodular(rng, n)
             conj = linalg.matmul(linalg.matmul(p, gram), linalg.transpose(p))
-            l1 = Lattice(tuple(tuple(r) for r in gram))
-            l2 = Lattice(tuple(tuple(r) for r in conj))
+            l1 = Lattice(gram)
+            l2 = Lattice(conj)
             assert genus_equal(l1, l2) == MATCH_OR_UNKNOWN
 
     def test_twisted_sum_refutations(self):
@@ -206,6 +206,26 @@ class TestPeriodOk:
         assert not self.ok(([1, 2], [2, 4]), ([1, 0], [1, 0]))
 
 
+def test_period_scalar_reads_first_nonzero_target_entry():
+    lat = Lattice(((2, 1), (1, 2)))
+    symbols = SymbolBasis(("1", "s", "t"))
+
+    def period(columns):
+        return period_from_columns(lat, symbols, columns)
+
+    swap = ((0, 1), (1, 0))
+    # column "1" is zero on both sides and skipped; "s" gives the scalar
+    src = period({"s": (Fraction(3, 2), 1), "t": (5, 5)})
+    tgt = period({"s": (Fraction(-1, 2), Fraction(3, 4)), "t": (1, 2)})
+    assert period_scalar(src, tgt, swap) == -2
+    # a zero first target entry moves the read to the second one
+    tgt = period({"s": (0, 2)})
+    assert period_scalar(src, tgt, swap) == Fraction(3, 4)
+    assert period_scalar(src, period({"s": (0, 0), "t": (1, 0)}), swap) == 5
+    # a scalar that fits no column is still read off, not certified
+    assert period_scalar(src, period({"1": (1, 1)}), swap) == 0
+
+
 class TestCandidatePool:
     def test_indefinite_pool_against_box_scan(self):
         # random symmetric Grams, singular ones and zero diagonals included,
@@ -240,14 +260,14 @@ class TestFindIsometry:
         # brute force: first matrix in row-major lexicographic order
         bound = 2
         best = None
-        g = [list(r) for r in U.gram]
+        g = U.gram
         for entries in product(range(-bound, bound + 1), repeat=4):
-            m = [list(entries[:2]), list(entries[2:])]
+            m = (entries[:2], entries[2:])
             if linalg.mat_eq(linalg.matmul(linalg.matmul(m, g), linalg.transpose(m)), g):
                 best = m
                 break
         iso = find_isometry(U, U, bound)
-        assert [list(r) for r in iso.matrix] == best
+        assert iso.matrix == best
 
     def test_determinism(self):
         lat = direct_sum(U, hyperbolic_u(2))
@@ -267,8 +287,8 @@ class TestFindIsometry:
             gram = random_symmetric_lattice_gram(rng, n, bound=3)
             p = random_unimodular(rng, n)
             conj = linalg.matmul(linalg.matmul(p, gram), linalg.transpose(p))
-            l1 = Lattice(tuple(tuple(r) for r in gram))
-            l2 = Lattice(tuple(tuple(r) for r in conj))
+            l1 = Lattice(gram)
+            l2 = Lattice(conj)
             iso = find_isometry(l1, l2, 3)
             if iso is not None:
                 assert genus_equal(l1, l2) == MATCH_OR_UNKNOWN
@@ -280,8 +300,8 @@ class TestFindIsometry:
         # definite isometric pair found without large entries
         d1 = Lattice(((2, 1), (1, 2)))
         p = [[1, 1], [0, 1]]
-        conj = linalg.matmul(linalg.matmul(p, [list(r) for r in d1.gram]), linalg.transpose(p))
-        d2 = Lattice(tuple(tuple(r) for r in conj))
+        conj = linalg.matmul(linalg.matmul(p, d1.gram), linalg.transpose(p))
+        d2 = Lattice(conj)
         iso = find_isometry(d1, d2, 3)
         assert iso is not None and verify_isometry(iso)
 
@@ -293,7 +313,7 @@ class TestFindIsometry:
         rng = random.Random(59)
         for _ in range(15):
             n = rng.randint(1, 3)
-            lat = Lattice(tuple(tuple(r) for r in random_symmetric_lattice_gram(rng, n)))
+            lat = Lattice(random_symmetric_lattice_gram(rng, n))
             iso = find_isometry(lat, lat, 1)
             assert iso is not None and verify_isometry(iso)
 
@@ -351,7 +371,7 @@ def _random_definite_gram(rng, n):
 def _random_indefinite_gram(rng, n):
     while True:
         gram = random_symmetric_lattice_gram(rng, n, bound=3)
-        pos, neg = Lattice(tuple(tuple(r) for r in gram)).signature()
+        pos, neg = Lattice(gram).signature()
         if pos and neg:
             return gram
 
@@ -387,7 +407,7 @@ class TestSearchAgainstReference:
         odd_u = [[1, 0], [0, -1]]
         a2 = [[2, 1], [1, 2]]
         diag13 = [[1, 0], [0, 3]]
-        u = [list(r) for r in U.gram]
+        u = U.gram
         pairs = [(u, odd_u), (a2, diag13), (odd_u, u)]
         rng = random.Random(79)
         for g1, g2 in list(pairs):
@@ -412,9 +432,9 @@ class TestSearchAgainstReference:
             t_s = transcendental_lattice(s)
             sources.append(hodge_lattice(t_s.as_lattice(), restrict_period(t_s, s.period)))
         for h in sources:
-            g = [list(r) for r in h.lattice.gram]
+            g = h.lattice.gram
             p, conj = _conjugate(rng, g)
-            target = Lattice(tuple(tuple(r) for r in conj))
+            target = Lattice(conj)
             period = h.period.map_by(linalg.invert_unimodular(p), target)
             for factor in (1, 2):
                 h2 = hodge_lattice(target, period.scaled(factor))
@@ -423,7 +443,7 @@ class TestSearchAgainstReference:
                 for bound in (1, 2):
                     iso = find_hodge_isometry(h, h2, bound)
                     ref = reference_search(g, conj, bound, (src, tgt))
-                    assert (None if iso is None else [list(r) for r in iso.matrix]) == ref
+                    assert (None if iso is None else iso.matrix) == ref
                     found += iso is not None
         assert found > 0
 

@@ -57,14 +57,14 @@ def witness_between(model1, b1, model2, b2, q):
             mq[1 + i][1 + j] = q[i][j]
     rows = []
     for r in tw1.sub.basis:
-        image = linalg.vec_times_mat(list(r), mq)
+        image = linalg.vec_times_mat(r, mq)
         coords = tw2.sub.coordinates_of(image)
         assert all(c.denominator == 1 for c in coords)
         rows.append([int(c) for c in coords])
     iso = IsometryMap(
         source=tw1.hodge.lattice,
         target=tw2.hodge.lattice,
-        matrix=tuple(tuple(r) for r in rows),
+        matrix=rows,
         lam=Fraction(1),
         source_period=tw1.hodge.period,
         target_period=tw2.hodge.period,
@@ -96,7 +96,7 @@ class TestKummerTranscendental:
         for _ in range(10):
             u = [rng.randint(-3, 3) for _ in range(4)]
             v = [rng.randint(-3, 3) for _ in range(4)]
-            assert km.T_km.pair(u, v) == 2 * linalg.pair_with([list(r) for r in t_gram], u, v)
+            assert km.T_km.pair(u, v) == 2 * linalg.pair_with(t_gram, u, v)
 
     def test_pi_star_certified(self):
         km = kummer_transcendental(base_abelian_model(2))
@@ -118,8 +118,8 @@ class TestProjection:
     def test_linearity_on_random_splits(self):
         rng = random.Random(7)
         model = base_abelian_model(3)
-        t_rows = [list(r) for r in model.T.basis]
-        ns_rows = [list(r) for r in model.NS.basis]
+        t_rows = model.T.basis
+        ns_rows = model.NS.basis
         for _ in range(20):
             t_part = [Fraction(0)] * 6
             for row in t_rows:
@@ -134,6 +134,18 @@ class TestProjection:
 
 
 class TestKummerBrauerClass:
+    def test_bfield_on_another_lattice_rejected(self):
+        # same rank, other form: the projection refuses it on every path
+        model = base_abelian_model(2)
+        km = kummer_transcendental(model)
+        b = BField(model.h2.lattice.twist(-1), (Fraction(1, 3), 0, 0, 0, 0, 0))
+        with pytest.raises(LatticeError):
+            kummer_brauer_class(model, b)
+        with pytest.raises(LatticeError):
+            kummer_bfield(model, km, b)
+        with pytest.raises(LatticeError):
+            project_to_transcendental(model, b)
+
     def test_zero_field_trivial(self):
         model = base_abelian_model(2)
         beta = kummer_brauer_class(model, BField.zero(model.h2.lattice))
@@ -197,7 +209,7 @@ class TestInducedKummerIsometry:
     def test_zero_field_identity(self):
         model = base_abelian_model(2)
         iso = induced_kummer_isometry(model, BField.zero(model.h2.lattice))
-        assert iso.matrix == tuple(tuple(r) for r in linalg.identity(4))
+        assert linalg.mat_eq(iso.matrix, linalg.identity(4))
         assert iso.scale == 2
         assert verify_isometry(iso)
 
@@ -215,7 +227,7 @@ class TestInducedKummerIsometry:
             model = product_abelian_model(n)
             iso = induced_kummer_isometry(model, product_bfield(n))
             assert verify_isometry(iso)
-            index = abs(linalg.det([list(r) for r in iso.matrix]))
+            index = abs(linalg.det(iso.matrix))
             assert index == 1  # bases match one to one
 
 
@@ -226,7 +238,7 @@ class TestTransport:
         g = witness_between(model, b0, model, b0, linalg.identity(6))
         result = transport_isometry(model, b0, model, b0, g)
         assert result.paths_agree
-        assert result.map.matrix == tuple(tuple(r) for r in linalg.identity(4))
+        assert linalg.mat_eq(result.map.matrix, linalg.identity(4))
         assert verify_isometry(result.map)
 
     def test_randomized_octagon_fixtures(self):

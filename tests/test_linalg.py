@@ -235,6 +235,120 @@ def test_invert_unimodular_rejects_index():
     assert linalg.invert_unimodular([[1, 1], [0, 1]]) == [[1, -1], [0, 1]]
 
 
+def _sympy_value(x):
+    """An int or Fraction from a sympy rational."""
+    return int(x) if x.q == 1 else Fraction(int(x.p), int(x.q))
+
+
+def _random_entry(rng, fractions):
+    num = rng.choice((0, rng.randint(-9, 9)))
+    return Fraction(num, rng.randint(1, 6)) if fractions and rng.random() < 0.5 else num
+
+
+def _random_rows(rng, m, n, fractions=False):
+    """A seeded m x n matrix; about a third of them have rank below min(m, n)."""
+    if m and n and rng.random() < 0.35:
+        r = rng.randint(0, min(m, n) - 1)
+        left = [[_random_entry(rng, fractions) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if r else [0] * n
+                for row in left]
+    return [[_random_entry(rng, fractions) for _ in range(n)] for _ in range(m)]
+
+
+def _matrix(rows, m, n):
+    return Matrix(m, n, [x for row in rows for x in row])
+
+
+class TestEliminationAgainstSympy:
+    """det, rank, solve and invert against sympy on seeded matrices of size 0-6."""
+
+    CASES = 200
+
+    def cases(self, seed, square):
+        rng = random.Random(seed)
+        for k in range(self.CASES):
+            m = rng.randint(0, 6)
+            n = m if square else rng.randint(1, 6)
+            yield rng, m, n, _random_rows(rng, m, n, fractions=k % 3 == 2)
+
+    def test_det(self):
+        for _, n, _, rows in self.cases(101, True):
+            got = linalg.det(rows)
+            assert got == _sympy_value(_matrix(rows, n, n).det())
+            if all(type(x) is int for row in rows for x in row):
+                assert type(got) is int
+
+    def test_rank(self):
+        for _, m, n, rows in self.cases(103, False):
+            assert linalg.rank(rows) == _matrix(rows, m, n).rank()
+
+    def test_invert(self):
+        singular = 0
+        for _, n, _, rows in self.cases(107, True):
+            ref = _matrix(rows, n, n)
+            if ref.det() == 0:
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    linalg.invert(rows)
+                continue
+            inv = ref.inv()
+            expected = [[_sympy_value(inv[i, j]) for j in range(n)] for i in range(n)]
+            got = linalg.invert(rows)
+            assert got == expected
+            assert all(type(x) is Fraction for row in got for x in row)
+            if abs(ref.det()) == 1 and all(type(x) is int for row in rows for x in row):
+                assert linalg.invert_unimodular(rows) == expected
+        assert singular > 10
+
+    def test_solve_free_variables_zero(self):
+        inconsistent = underdetermined = 0
+        for rng, m, n, rows in self.cases(109, False):
+            if m == 0:
+                continue
+            a = _matrix(rows, m, n)
+            if rng.random() < 0.5:
+                x0 = [_random_entry(rng, True) for _ in range(n)]
+                b = [sum(r * x for r, x in zip(row, x0)) for row in rows]
+            else:
+                b = [_random_entry(rng, True) for _ in range(m)]
+            got = linalg.solve(rows, b)
+            try:
+                sol, params = a.gauss_jordan_solve(Matrix(b))
+            except ValueError:
+                inconsistent += 1
+                assert got is None
+                continue
+            underdetermined += bool(params)
+            sol = sol.subs({t: 0 for t in params})
+            assert got == [_sympy_value(sol[j]) for j in range(n)]
+            assert all(type(x) is Fraction for x in got)
+        assert inconsistent > 10 and underdetermined > 10
+
+
+def test_echelon_rows_are_minors():
+    # with no swap, entry (k, j) is the minor on rows 0..k and columns
+    # pivots[:k] + [j]; rows past the rank are zero
+    rng = random.Random(113)
+    checked = 0
+    for _ in range(120):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = _random_rows(rng, m, n)
+        a, pivots, swaps, den = linalg.echelon(rows)
+        assert den == 1 and len(pivots) == _matrix(rows, m, n).rank()
+        assert all(not any(row) for row in a[len(pivots):])
+        if swaps:
+            continue
+        checked += 1
+        for k, p in enumerate(pivots):
+            assert not any(a[k][:p])
+            for j in range(p, n):
+                cols = pivots[:k] + [j]
+                minor = Matrix([[rows[i][c] for c in cols] for i in range(k + 1)]).det()
+                assert a[k][j] == minor
+    assert checked > 40
+
+
 def test_frac_mod():
     assert linalg.frac_mod(Fraction(7, 2), 1) == Fraction(1, 2)
     assert linalg.frac_mod(Fraction(-1, 3), 1) == Fraction(2, 3)

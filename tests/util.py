@@ -246,7 +246,7 @@ def random_u3_isometry(rng, steps=3):
     """A random element of O(U^3) as a row-vector matrix."""
     from kummerlat import linalg
 
-    gram = [list(r) for r in u_cubed().gram]
+    gram = u_cubed().gram
     gens = _u3_block_isometries()
     m = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
     for _ in range(steps):
@@ -357,7 +357,7 @@ def reference_search(g1, g2, bound, period_data):
             rows.append(v)
             if period_data is None or period_ok():
                 if i == n - 1:
-                    return [list(r) for r in rows]
+                    return tuple(rows)
                 found = extend(i + 1)
                 if found is not None:
                     return found
