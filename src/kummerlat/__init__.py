@@ -33,7 +33,6 @@ from .hodge import (
     omega_symbols,
     period_from_columns,
     period_pairing,
-    proportionality,
     restrict_period,
     transcendental_lattice,
     wedge_square_lattice,
@@ -47,6 +46,7 @@ from .isometry import (
     find_hodge_isometry,
     find_isometry,
     genus_equal,
+    hodge_miss_reason,
     short_vectors,
     verify_isometry,
 )
@@ -73,6 +73,7 @@ from .kummer import (
     KummerModel,
     TEquivalenceVerdict,
     TransportResult,
+    hodge_verdict,
     induced_kummer_isometry,
     is_square_ratio,
     kummer_bfield,

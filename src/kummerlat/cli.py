@@ -5,7 +5,10 @@ Exit codes: 0 = overall verified, 1 = refuted, 2 = inconclusive,
 
 The default search bound is 3; it can be overridden per run with
 --bound or globally through the KUMMERLAT_BOUND environment variable.
-Reports print exact rationals only. FILE arguments accept "-" for stdin.
+The bound limits the entries of the example43 lattice witnesses; it no
+longer limits Hodge isometries between spanning periods, which covers
+every tequiv input, and tequiv keeps --bound K only because its reports
+print it. Reports print exact rationals only. FILE arguments accept "-" for stdin.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .brauer import brauer_class_of, kernel_with_coords, order_of
 from .construction import run_example43
@@ -41,7 +45,9 @@ def _read_file(path):
         return fh.read()
 
 
+@cache
 def _build_parser():
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="kummerlat",
         description="Exact lattice checks for twisted transcendental structures.",

@@ -310,27 +310,6 @@ def ns_and_picard(h):
     return ns, ns.rank
 
 
-def proportionality(sigma, tau):
-    """The nonzero rational lam with sigma = lam * tau, or None."""
-    if sigma.lattice != tau.lattice or sigma.symbols != tau.symbols:
-        return None
-    lam = None
-    for rs, rt in zip(sigma.coeffs, tau.coeffs):
-        for a, b in zip(rs, rt):
-            if b == 0:
-                if a != 0:
-                    return None
-                continue
-            ratio = Fraction(a, b)
-            if lam is None:
-                lam = ratio
-            elif lam != ratio:
-                return None
-    if lam == 0:
-        return None
-    return lam
-
-
 def restrict_period(sub, period, labels=None):
     """Rewrite an ambient period in the coordinates of a sublattice.
 

@@ -1,15 +1,19 @@
 """Certified isometry testing.
 
-Two complementary routes, both exact:
+Three routes, all exact:
 
   * refutation by cheap invariants (rank, inertia, parity, discriminant
     data) -- sound, never claims isometry;
   * bounded backtracking search for an explicit witness matrix -- sound,
-    never claims non-isometry.
+    never claims non-isometry;
+  * for Hodge lattices whose periods span, a closed form: a Hodge
+    isometry with rational scalar lam is +-lam M0 for the one rational
+    M0 carrying one period onto the other, so at most two candidates
+    exist and no bound applies.
 
 Every witness is revalidated from scratch by verify_isometry before it
-leaves this module; searches are deterministic and return the row-major
-lexicographically least witness within the bound.
+leaves this module; results are deterministic and return the row-major
+lexicographically least witness (within the bound, where one applies).
 """
 
 from __future__ import annotations
@@ -256,78 +260,23 @@ def _norm_roots(g, b, c, bound):
     return sorted(roots)
 
 
-def _period_ok(rows, columns):
-    """Whether the assigned rows can still transport the period at one scalar.
-
-    columns holds (source column, target column, last support index).
-    Every source column supported on the assigned rows must map to
-    lam * its target column for one common rational lam != 0; once all
-    columns are complete, something must pin lam. The image is compared
-    with the target by cross-multiplication against the first nonzero
-    target entry, and lam is kept as that integer pair.
-    """
-    depth = len(rows)
-    lam = None
-    complete = 0
-    for col, tgt, last in columns:
-        if last >= depth:
-            continue
-        complete += 1
-        image = [sum(map(mul, col, r)) for r in zip(*rows)]
-        if not any(image):
-            if any(tgt):
-                return False  # forces lam = 0
-            continue
-        p = next((j for j, b in enumerate(tgt) if b), None)
-        if p is None:
-            return False
-        a0, b0 = image[p], tgt[p]
-        if any(a * b0 != a0 * b for a, b in zip(image, tgt)):
-            return False
-        if lam is None:
-            lam = (a0, b0)
-        elif a0 * lam[1] != lam[0] * b0:
-            return False
-    if complete == len(columns) and lam is None:
-        return False  # nothing pins a nonzero scalar
-    return True
-
-
-def period_scalar(source_period, target_period, matrix):
-    """The lam with (source column) * matrix == lam * (target column), or None.
-
-    Read off the first column, in symbol order, whose target has a
-    nonzero entry: the image entry over the first such target entry.
-    Only verify_isometry certifies that lam fits every column.
-    """
-    for col, tgt in zip(source_period.columns(), target_period.columns()):
-        image = linalg.vec_times_mat(col, matrix)
-        for a, b in zip(image, tgt):
-            if b:
-                return Fraction(a, b)
-    return None
-
-
-def _search(g1, g2, bound, period_data):
-    """Backtracking core; returns the first (= lex-least) witness matrix.
+def _search(g1, g2, bound):
+    """Backtracking core; yields every witness matrix in row-major lex order.
 
     Rows are assigned in natural order and candidates per row are tried
-    in lexicographic order, so the first complete solution is the
-    row-major lexicographically least one. Pruning is forward checking
-    over candidate domains: every row starts from the exact norm pool of
-    its diagonal entry (Fincke-Pohst pools for definite targets), and
-    assigning v to row i filters each later row's domain down to the
-    candidates w with w.G2.v == g1[k][i], dropping the branch as soon as
-    a domain empties. Filtering keeps each domain in lexicographic order
-    and removes only candidates that no completion could use, so the
-    first witness is the same as in a plain scan. Period proportionality
-    is checked on every symbol column whose support is fully assigned.
+    in lexicographic order, so the witnesses come out row-major
+    lexicographically ordered and the first is the least one. Pruning is
+    forward checking over candidate domains: every row starts from the
+    exact norm pool of its diagonal entry (Fincke-Pohst pools for
+    definite targets), and assigning v to row i filters each later row's
+    domain down to the candidates w with w.G2.v == g1[k][i], dropping the
+    branch as soon as a domain empties. Filtering keeps each domain in
+    lexicographic order and removes only candidates that no completion
+    could use, so the witnesses are the same as in a plain scan.
     """
     n = len(g1)
-    if len(g2) != n:
-        return None
-    if linalg.det(g1) != linalg.det(g2):
-        return None
+    if len(g2) != n or not n or linalg.det(g1) != linalg.det(g2):
+        return
     sign = _definite_sign(g2)
     pools = {}
     for i in range(n):
@@ -337,11 +286,6 @@ def _search(g1, g2, bound, period_data):
                 (v, linalg.vec_times_mat(v, g2))
                 for v in _candidate_pool(g2, norm, bound, sign)
             ]
-    if period_data is not None:
-        columns = [
-            (col, tgt, max((idx for idx, val in enumerate(col) if val), default=-1))
-            for col, tgt in zip(*period_data)
-        ]
     rows = []
 
     def extend(i, domains):
@@ -356,16 +300,13 @@ def _search(g1, g2, bound, period_data):
                 narrowed.append(dom)
             else:
                 rows.append(v)
-                if period_data is None or _period_ok(rows, columns):
-                    if i == n - 1:
-                        return tuple(rows)
-                    found = extend(i + 1, narrowed)
-                    if found is not None:
-                        return found
+                if i == n - 1:
+                    yield tuple(rows)
+                else:
+                    yield from extend(i + 1, narrowed)
                 rows.pop()
-        return None
 
-    return extend(0, [pools[g1[i][i]] for i in range(n)]) if n else None
+    yield from extend(0, [pools[g1[i][i]] for i in range(n)])
 
 
 def find_isometry(l1, l2, bound):
@@ -378,8 +319,7 @@ def find_isometry(l1, l2, bound):
         raise ValueError("bound must be >= 1")
     if l1.rank != l2.rank:
         return None
-    g1, g2 = gram_of(l1), gram_of(l2)
-    m = _search(g1, g2, bound, None)
+    m = next(_search(gram_of(l1), gram_of(l2), bound), None)
     if m is None:
         return None
     iso = IsometryMap(source=l1, target=l2, matrix=m)
@@ -387,30 +327,86 @@ def find_isometry(l1, l2, bound):
     return iso
 
 
-def find_hodge_isometry(h1, h2, bound):
-    """Like find_isometry, with period transport pinned to a rational scalar.
+def _rational_sqrt(q):
+    """The positive rational square root of q, or None."""
+    num, den = isqrt(max(q.numerator, 0)), isqrt(q.denominator)
+    return Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else None
 
-    h1 and h2 are HodgeLattice values over a shared symbol basis. The
-    certificate records the scalar lam.
+
+def _hodge_witness(h1, h2, bound):
+    """(matrix, lam, None) for the lex-least Hodge isometry, or (None, None, why not).
+
+    With the symbol columns C_s and C_t of the two periods as rows, a
+    Hodge isometry M with rational scalar lam solves C_s M = lam C_t.
+    One elimination solves C_s M0 = C_t. When M0 is nonsingular, which
+    is exactly when both periods span Q^r, M0 is the only solution, so
+    M = +-lam M0, and M G2 M^T = G1 fixes lam^2 = G1 / (M0 G2 M0^T).
+    The lex-least of the two signs is the witness, at any entry size;
+    the reason names the first of these steps that fails. A period that
+    spans less takes the first plain witness within the bound, in lex
+    order, that carries it to a nonzero multiple of the other.
+    """
+    if h1.symbols != h2.symbols:
+        return None, None, "the periods use different symbol bases"
+    g1, g2 = gram_of(h1.lattice), gram_of(h2.lattice)
+    if len(g1) != len(g2):
+        return None, None, "the lattices have different ranks"
+    cs, ct = h1.period.columns(), h2.period.columns()
+    m0 = linalg.solve(cs, ct)
+    if m0 is None:
+        return None, None, "no rational map carries the source period onto the target period"
+    d = linalg.det(m0)
+    if d == 0:
+        for m in _search(g1, g2, bound):
+            lam = linalg.scalar_ratio(linalg.matmul(cs, m), ct)
+            if lam is not None:
+                return m, lam, None
+        return None, None, "no witness with entries bounded by %d" % bound
+    lam_sq = linalg.scalar_ratio(g1, linalg.matmul(linalg.matmul(m0, g2), linalg.transpose(m0)))
+    if lam_sq is None:
+        return None, None, ("the period map M0 pulls the target form back to no multiple"
+                            " of the source form")
+    lam = _rational_sqrt(lam_sq)
+    if lam is None:
+        return None, None, "lambda^2 = %s is not a rational square" % lam_sq
+    m = [[lam * x for x in row] for row in m0]
+    if any(x.denominator != 1 for row in m for x in row):
+        return None, None, "+-lambda*M0 is not integral for lambda = %s" % lam
+    det_m = lam ** len(m) * d
+    if abs(det_m) != 1:
+        return None, None, "+-lambda*M0 is not unimodular: det = %s" % det_m
+    m = tuple(tuple(int(x) for x in row) for row in m)
+    neg = tuple(tuple(-x for x in row) for row in m)
+    return (m, lam, None) if m < neg else (neg, -lam, None)
+
+
+def find_hodge_isometry(h1, h2, bound):
+    """Lex-least integer Hodge isometry h1 -> h2 with a rational period scalar.
+
+    h1 and h2 are HodgeLattice values over a shared symbol basis. Where
+    both periods span, the witness is found in closed form at any entry
+    size and bound plays no part; otherwise it is the first within
+    [-bound, bound]. None means no witness (hodge_miss_reason says
+    which step failed), not non-isometry. The certificate records the
+    scalar lam.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if h1.symbols != h2.symbols:
-        return None
-    l1, l2 = h1.lattice, h2.lattice
-    if l1.rank != l2.rank:
-        return None
-    period_data = (h1.period.columns(), h2.period.columns())
-    m = _search(gram_of(l1), gram_of(l2), bound, period_data)
+    m, lam, _ = _hodge_witness(h1, h2, bound)
     if m is None:
         return None
     iso = IsometryMap(
-        source=l1,
-        target=l2,
+        source=h1.lattice,
+        target=h2.lattice,
         matrix=m,
-        lam=period_scalar(h1.period, h2.period, m),
+        lam=lam,
         source_period=h1.period,
         target_period=h2.period,
     )
     verify_isometry(iso)
     return iso
+
+
+def hodge_miss_reason(h1, h2, bound):
+    """Why find_hodge_isometry(h1, h2, bound) returned None: the step that failed."""
+    return _hodge_witness(h1, h2, bound)[2]

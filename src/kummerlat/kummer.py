@@ -28,7 +28,7 @@ from .isometry import (
     IsometryMap,
     find_hodge_isometry,
     genus_equal,
-    period_scalar,
+    hodge_miss_reason,
     verify_isometry,
 )
 from .lattice import LatticeError, Sublattice, genus_of, orthogonal_complement
@@ -152,14 +152,10 @@ def induced_kummer_isometry(model, bfield, km=None):
     beta = kummer_brauer_class(model, bfield, km)
     k_km, coords_km = kernel_with_coords(beta)
     # the identity on T-coordinates should carry one kernel onto the other
-    rows = []
-    for row in coords_a:
-        x = linalg.solve(linalg.transpose(coords_km), row)
-        if x is None or any(c.denominator != 1 for c in x):
-            raise CertificationError(
-                "Kummer-side kernel does not contain the coordinate image"
-            )
-        rows.append([int(c) for c in x])
+    x = linalg.solve(linalg.transpose(coords_km), linalg.transpose(coords_a))
+    if x is None or any(c.denominator != 1 for col in x for c in col):
+        raise CertificationError("Kummer-side kernel does not contain the coordinate image")
+    rows = linalg.transpose(x)
     if linalg.hnf(coords_a) != linalg.hnf(coords_km):
         raise CertificationError("kernel coordinate lattices disagree")
     iso = IsometryMap(
@@ -193,8 +189,12 @@ class TEquivalenceVerdict:
     """Three-valued outcome of the twisted Hodge-isometry test.
 
     kind is one of "equivalent" (with a certified witness), "refuted"
-    (with the separating invariants) or "inconclusive" (bound exhausted);
-    incompleteness of the bounded search is surfaced, never hidden.
+    (with the separating invariants) or "inconclusive" (with the step at
+    which the witness construction failed). Generalized transcendental
+    lattices always have spanning periods, so the witness is found in
+    closed form and bound does not limit it; an inconclusive verdict
+    means no Hodge isometry with a rational scalar exists, which does not
+    rule out one with an irrational scalar, so it is never a refutation.
     """
 
     kind: str
@@ -203,18 +203,13 @@ class TEquivalenceVerdict:
     bound: int = None
 
 
-def t_equivalence(model1, b1, model2, b2, bound=3):
-    """Decide T-equivalence of two twisted surface models, with certificates.
+def hodge_verdict(h1, h2, bound=3):
+    """T-equivalence verdict for two Hodge lattices, with certificates.
 
-    Refutes via genus invariants of the generalized transcendental
-    lattices, proves via a bounded Hodge-isometry search, and reports an
-    exhausted bound honestly.
+    Refutes via genus invariants, proves via find_hodge_isometry, and
+    otherwise reports the step that failed.
     """
-    if bound < 1:
-        raise LatticeError("bound must be >= 1")
-    tw1 = twisted_transcendental_model(model1.h2, b1)
-    tw2 = twisted_transcendental_model(model2.h2, b2)
-    l1, l2 = tw1.hodge.lattice, tw2.hodge.lattice
+    l1, l2 = h1.lattice, h2.lattice
     if genus_equal(l1, l2) == DIFFER:
         g1, g2 = genus_of(l1), genus_of(l2)
         return TEquivalenceVerdict(
@@ -222,14 +217,27 @@ def t_equivalence(model1, b1, model2, b2, bound=3):
             reason="genus invariants differ: [%s] vs [%s]" % (g1.describe(), g2.describe()),
             bound=bound,
         )
-    witness = find_hodge_isometry(tw1.hodge, tw2.hodge, bound)
+    witness = find_hodge_isometry(h1, h2, bound)
     if witness is not None:
         return TEquivalenceVerdict(kind="equivalent", witness=witness, bound=bound)
     return TEquivalenceVerdict(
         kind="inconclusive",
-        reason="no witness with entries bounded by %d; not a proof of non-isometry" % bound,
+        reason="%s; not a proof of non-isometry" % hodge_miss_reason(h1, h2, bound),
         bound=bound,
     )
+
+
+def t_equivalence(model1, b1, model2, b2, bound=3):
+    """Decide T-equivalence of two twisted surface models, with certificates.
+
+    hodge_verdict on the generalized transcendental lattices T(A1, B1)
+    and T(A2, B2).
+    """
+    if bound < 1:
+        raise LatticeError("bound must be >= 1")
+    tw1 = twisted_transcendental_model(model1.h2, b1)
+    tw2 = twisted_transcendental_model(model2.h2, b2)
+    return hodge_verdict(tw1.hodge, tw2.hodge, bound)
 
 
 @dataclass(frozen=True)
@@ -277,12 +285,14 @@ def transport_isometry(model1, b1, model2, b2, g):
     down2 = s2["embed"].inverse().then(s2["f"]).then(s2["km_embed"])
     f = down1.inverse().then(g).then(down2)
     # periods are attached end to end for certification of the composite
+    src_cols = s1["km_tw"].hodge.period.columns()
+    tgt_cols = s2["km_tw"].hodge.period.columns()
     f = IsometryMap(
         source=s1["km_tw"].hodge.lattice,
         target=s2["km_tw"].hodge.lattice,
         matrix=f.matrix,
         scale=Fraction(1),
-        lam=period_scalar(s1["km_tw"].hodge.period, s2["km_tw"].hodge.period, f.matrix),
+        lam=linalg.scalar_ratio(linalg.matmul(src_cols, f.matrix), tgt_cols),
         source_period=s1["km_tw"].hodge.period,
         target_period=s2["km_tw"].hodge.period,
     )

@@ -4,8 +4,8 @@ Everything below runs on Python ints and fractions.Fraction; no floating
 point. A matrix is any sequence of equal-length rows, tuples and lists
 alike; no input is modified, and matrices come back as lists of lists.
 Maps act on row vectors: the image of v under M is v*M, so compositions
-read left to right. det, rank, solve and the inverses all run on one
-fraction-free elimination, echelon.
+read left to right. det, rank and solve run on one fraction-free
+elimination, echelon; invert is solve against the identity.
 
 Empty matrices are legitimate inputs for the kernel/saturation helpers;
 the ambient dimension is passed explicitly where it cannot be inferred.
@@ -333,25 +333,28 @@ def snf_diagonal(rows):
 
 
 def solve(a_rows, b):
-    """One exact solution x of A x = b, or None if inconsistent.
+    """One exact solution of A x = b, or None if inconsistent.
 
+    b is one right-hand side, a vector, or several: a matrix B, for which
+    the result is a matrix X with A X = B, from the same elimination.
     Free variables are set to zero, which makes the result deterministic.
     """
     n = len(a_rows[0]) if a_rows else 0
-    a, pivots, _, _ = echelon([list(row) + [b[i]] for i, row in enumerate(a_rows)])
-    if n in pivots:
+    several = bool(b) and isinstance(b[0], (list, tuple))
+    rhs = b if several else [[x] for x in b]
+    a, pivots, _, _ = echelon([list(row) + list(r) for row, r in zip(a_rows, rhs)])
+    if pivots and pivots[-1] >= n:
         return None
-    return _back_substitute(a, pivots, n, n)
+    cols = [_back_substitute(a, pivots, n, n + j) for j in range(len(rhs[0]) if several else 1)]
+    return transpose(cols) if several else cols[0]
 
 
 def invert(rows):
-    """Exact inverse of a nonsingular square matrix, as Fractions."""
-    n = len(rows)
-    a, pivots, _, _ = echelon([list(row) + [int(i == j) for j in range(n)]
-                               for i, row in enumerate(rows)])
-    if pivots != list(range(n)):
+    """Exact inverse of a nonsingular square matrix, as Fractions: A X = I."""
+    inv = solve(rows, identity(len(rows)))
+    if inv is None:
         raise ZeroDivisionError("matrix is singular")
-    return transpose(_back_substitute(a, pivots, n, n + j) for j in range(n))
+    return inv
 
 
 def invert_unimodular(rows):
@@ -363,6 +366,28 @@ def invert_unimodular(rows):
             raise ValueError("matrix is not unimodular")
         out.append([int(x) for x in row])
     return out
+
+
+def scalar_ratio(a, b):
+    """The rational lam != 0 with a == lam * b entry by entry, or None.
+
+    a and b are matrices of one shape. Entries that are zero on both
+    sides are skipped; a zero entry against a nonzero one, entries in
+    different ratios, or no nonzero entry at all give None.
+    """
+    lam = None
+    for row_a, row_b in zip(a, b):
+        for x, y in zip(row_a, row_b):
+            if not y:
+                if x:
+                    return None
+            elif lam is None:
+                lam = Fraction(x, y)
+                if not lam:
+                    return None
+            elif x != lam * y:
+                return None
+    return lam
 
 
 def frac_mod(x, modulus):

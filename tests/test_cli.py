@@ -1,14 +1,22 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from kummerlat import BField
+from kummerlat import AbelianSurfaceModel, BField, IsometryMap, hodge_lattice, verify_isometry
 from kummerlat.cli import main
-from kummerlat.construction import base_abelian_model, product_abelian_model, product_bfield
+from kummerlat.construction import (
+    base_abelian_model,
+    product_abelian_model,
+    product_bfield,
+    u_cubed,
+)
+from kummerlat.kummer import twisted_transcendental_model
 from kummerlat.specdoc import SpecDocument, render_spec
+from util import _eichler
 
 U_DOC = """\
 lattice U
@@ -134,6 +142,33 @@ class TestSurfaceCommands:
         assert "verdict = equivalent" in out
 
 
+    def test_tequiv_transvection_conjugate(self, tmp_path, capsys):
+        # A_2 conjugated by a transvection along e_1 against (E_2 x F, k2/2):
+        # the witness has an entry of size 4, past the old search bound 3
+        x = [0, 0, -1, -1, 1, -1]
+        base = base_abelian_model(2).h2.period
+        period = base.map_by(_eichler(u_cubed().gram, 1, x), base.lattice)
+        model1 = AbelianSurfaceModel.from_h2(hodge_lattice(period.lattice, period))
+        model2, b2 = product_abelian_model(2), product_bfield(2)
+        a = tmp_path / "a.doc"
+        a.write_text(doc_for_surface(model1))
+        b = tmp_path / "b.doc"
+        b.write_text(doc_for_surface(model2, b2))
+        report = tmp_path / "rep.json"
+        assert main(["tequiv", str(a), str(b), "--bound", "3", "--report", str(report)]) == 0
+        assert "verdict = equivalent" in capsys.readouterr().out
+        entry = json.loads(report.read_text())["checks"][0]
+        matrix = json.loads(entry["certificate"]["witness"])
+        assert max(abs(v) for row in matrix for v in row) > 3
+        source = twisted_transcendental_model(model1.h2, BField.zero(period.lattice)).hodge
+        target = twisted_transcendental_model(model2.h2, b2).hodge
+        assert verify_isometry(IsometryMap(
+            source=source.lattice, target=target.lattice, matrix=matrix,
+            lam=Fraction(entry["values"]["lambda"]),
+            source_period=source.period, target_period=target.period,
+        ))
+
+
 class TestExample43Command:
     def test_exit_codes(self, capsys):
         assert main(["example43", "--n", "1", "--quiet"]) == 0
@@ -191,6 +226,28 @@ class TestRobustness:
         assert main(["no-such-command"]) == 3
         assert main([]) == 3
         capsys.readouterr()
+
+    def test_commands_in_sequence_repeat_their_output(self, tmp_path, capsys):
+        # one process, one parser: tequiv, a usage error, example43 and
+        # tequiv again, twice over; every call gives the stdout, stderr,
+        # report bytes and exit code of the first call of its command
+        a = tmp_path / "a.doc"
+        a.write_text(doc_for_surface(base_abelian_model(2)))
+        b = tmp_path / "b.doc"
+        b.write_text(doc_for_surface(product_abelian_model(2), product_bfield(2)))
+        report = tmp_path / "rep.json"
+        tequiv = ["tequiv", str(a), str(b), "--report", str(report)]
+        usage = ["tequiv", str(a), "--bound"]
+        example = ["example43", "--n", "2", "--report", str(report)]
+        first = {}
+        for argv in [tequiv, usage, example, tequiv] * 2:
+            report.write_bytes(b"")
+            code = main(argv)
+            captured = capsys.readouterr()
+            seen = (code, captured.out, captured.err, report.read_bytes())
+            assert first.setdefault(tuple(argv), seen) == seen
+        assert [first[tuple(argv)][0] for argv in (tequiv, usage, example)] == [0, 3, 1]
+        assert first[tuple(usage)][2].startswith("usage: kummerlat tequiv")
 
     def test_missing_file(self, capsys):
         assert main(["lattice-info", "/nonexistent/x.doc", "--name", "U"]) == 3

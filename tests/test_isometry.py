@@ -15,6 +15,7 @@ from kummerlat import (
     find_isometry,
     genus_equal,
     hodge_lattice,
+    hodge_miss_reason,
     hyperbolic_u,
     make_standard,
     period_from_columns,
@@ -26,7 +27,8 @@ from kummerlat import (
 )
 from kummerlat import linalg
 from kummerlat.construction import base_abelian_model, quotient_surface_hodge
-from kummerlat.isometry import _candidate_pool, _definite_sign, _period_ok, _search, period_scalar
+from kummerlat.isometry import _candidate_pool, _definite_sign, _search
+from kummerlat.linalg import scalar_ratio
 from util import (
     box_pool,
     fraction_short_vectors,
@@ -165,30 +167,30 @@ class TestShortVectors:
 
 
 class TestPeriodOk:
-    """One case per branch of the integer period check.
+    """One case per branch of the period transport check, linalg.scalar_ratio.
 
-    The assigned rows are the identity, so each column's image is the
-    column itself.
+    A witness carries the period when the images of the source symbol
+    columns are one nonzero multiple lam of the target columns. Each case
+    lists (image, target) column pairs; the closed form reads lam^2 from
+    two Gram matrices with the same helper.
     """
 
-    ROWS = [(1, 0), (0, 1)]
+    def lam(self, *pairs):
+        return scalar_ratio([c for c, _ in pairs], [t for _, t in pairs])
 
     def ok(self, *pairs):
-        return _period_ok(self.ROWS, [(c, t, 1) for c, t in pairs])
-
-    def test_incomplete_columns_are_skipped(self):
-        assert _period_ok([(1, 0)], [([1, 1], [5, 7], 1)])
+        return self.lam(*pairs) is not None
 
     def test_zero_image(self):
         assert not self.ok(([0, 0], [1, 0]))  # would force lam = 0
         assert not self.ok(([0, 0], [0, 0]))  # nothing pins lam
-        assert self.ok(([0, 0], [0, 0]), ([2, 4], [1, 2]))
+        assert self.lam(([0, 0], [0, 0]), ([2, 4], [1, 2])) == 2
 
     def test_zero_target(self):
         assert not self.ok(([1, 0], [0, 0]))
 
     def test_target_with_zero_entries(self):
-        assert self.ok(([0, 6], [0, 3]))
+        assert self.lam(([0, 6], [0, 3])) == 2
         assert not self.ok(([1, 6], [0, 3]))
         # the first nonzero target entry meets a zero image entry
         assert not self.ok(([0, 3], [1, 1]))
@@ -197,33 +199,37 @@ class TestPeriodOk:
         assert not self.ok(([2, 3], [1, 1]))
 
     def test_negative_and_fractional_scalars(self):
-        assert self.ok(([-2, -4], [1, 2]), ([2, 0], [-1, 0]))
-        assert self.ok(([1, 2], [2, 4]), ([-1, 0], [-2, 0]))
-        assert self.ok(([3, 6], [-2, -4]), ([0, -3], [0, 2]))
+        assert self.lam(([-2, -4], [1, 2]), ([2, 0], [-1, 0])) == -2
+        assert self.lam(([1, 2], [2, 4]), ([-1, 0], [-2, 0])) == Fraction(1, 2)
+        assert self.lam(([3, 6], [-2, -4]), ([0, -3], [0, 2])) == Fraction(-3, 2)
 
     def test_scalars_differ_between_columns(self):
         assert not self.ok(([-2, -4], [1, 2]), ([2, 0], [1, 0]))
         assert not self.ok(([1, 2], [2, 4]), ([1, 0], [1, 0]))
 
 
-def test_period_scalar_reads_first_nonzero_target_entry():
+def test_period_scalar_checks_every_column():
     lat = Lattice(((2, 1), (1, 2)))
     symbols = SymbolBasis(("1", "s", "t"))
 
     def period(columns):
         return period_from_columns(lat, symbols, columns)
 
+    def transported(src, tgt, m):
+        return scalar_ratio(linalg.matmul(src.columns(), m), tgt.columns())
+
     swap = ((0, 1), (1, 0))
-    # column "1" is zero on both sides and skipped; "s" gives the scalar
-    src = period({"s": (Fraction(3, 2), 1), "t": (5, 5)})
-    tgt = period({"s": (Fraction(-1, 2), Fraction(3, 4)), "t": (1, 2)})
-    assert period_scalar(src, tgt, swap) == -2
-    # a zero first target entry moves the read to the second one
-    tgt = period({"s": (0, 2)})
-    assert period_scalar(src, tgt, swap) == Fraction(3, 4)
-    assert period_scalar(src, period({"s": (0, 0), "t": (1, 0)}), swap) == 5
-    # a scalar that fits no column is still read off, not certified
-    assert period_scalar(src, period({"1": (1, 1)}), swap) == 0
+    # column "1" is zero on both sides and skipped; the image of "s" is
+    # (0, 3/2), so the scalar is read at its second entry
+    src = period({"s": (Fraction(3, 2), 0), "t": (5, 5)})
+    tgt = period({"s": (0, Fraction(3, 4)), "t": (Fraction(5, 2), Fraction(5, 2))})
+    assert transported(src, tgt, swap) == 2
+    assert transported(src, tgt.scaled(-3), swap) == Fraction(-2, 3)
+    # a scalar read off one column must fit every other column too
+    assert transported(src, period({"s": (0, Fraction(3, 4)), "t": (1, 2)}), swap) is None
+    assert transported(src, period({"s": (0, Fraction(3, 4))}), swap) is None
+    # a nonzero target column under a zero image would force lam = 0
+    assert transported(src, period({"1": (1, 1)}), swap) is None
 
 
 class TestCandidatePool:
@@ -348,6 +354,23 @@ class TestFindHodgeIsometry:
         h2 = hodge_lattice(U, s2)
         assert find_hodge_isometry(h1, h2, 2) is None
 
+    def test_non_spanning_period_takes_first_transporting_witness(self):
+        # one column on a rank-2 lattice: the plain witnesses come in lex
+        # order, and -I fails before the negated swap carries (1, 0) to
+        # -(0, 1)
+        sb = SymbolBasis(("1", "s"))
+        h1 = hodge_lattice(U, period_from_columns(U, sb, {"s": (1, 0)}))
+        h2 = hodge_lattice(U, period_from_columns(U, sb, {"s": (0, 1)}))
+        data = (h1.period.columns(), h2.period.columns())
+        for bound in (1, 2):
+            iso = find_hodge_isometry(h1, h2, bound)
+            assert iso.matrix == ((0, -1), (-1, 0)) == reference_search(U.gram, U.gram, bound, data)
+            assert iso.lam == -1 and verify_isometry(iso)
+        # (1, 1) has norm 2, so no isometry reaches it at any bound
+        h3 = hodge_lattice(U, period_from_columns(U, sb, {"s": (1, 1)}))
+        assert find_hodge_isometry(h1, h3, 2) is None
+        assert hodge_miss_reason(h1, h3, 2) == "no witness with entries bounded by 2"
+
     def test_plain_isometry_can_exist_where_hodge_does_not(self):
         sb = SymbolBasis(("1", "w1", "w2"))
         s1 = period_from_columns(U, sb, {"w1": (1, 0)})
@@ -379,13 +402,25 @@ def _random_indefinite_gram(rng, n):
 class TestSearchAgainstReference:
     """The forward-checked _search returns exactly the plain backtracker's witness."""
 
-    def assert_same(self, g1, g2, bounds, period_data=None):
+    def assert_same(self, g1, g2, bounds):
         found = 0
         for bound in bounds:
-            got = _search(g1, g2, bound, period_data)
-            assert got == reference_search(g1, g2, bound, period_data)
+            got = next(_search(g1, g2, bound), None)
+            assert got == reference_search(g1, g2, bound, None)
             found += got is not None
         return found
+
+    def test_search_yields_every_witness_in_lex_order(self):
+        # the generator's witnesses are exactly the isometries in the box,
+        # row-major lexicographically ordered
+        for g, bound in ((U.gram, 2), ([[2, 1], [1, 2]], 1), ([[0, 1], [1, 2]], 2)):
+            box = range(-bound, bound + 1)
+            brute = []
+            for entries in product(box, repeat=4):
+                m = (entries[:2], entries[2:])
+                if linalg.mat_eq(linalg.matmul(linalg.matmul(m, g), linalg.transpose(m)), g):
+                    brute.append(m)
+            assert list(_search(g, g, bound)) == brute
 
     def test_definite_conjugate_pairs(self):
         rng = random.Random(71)
@@ -424,28 +459,37 @@ class TestSearchAgainstReference:
                 self.assert_same(g1, g2, (1, 2))
 
     def test_period_pinned_pairs(self):
+        # 120 spanning Hodge pairs: each source conjugated four times and its
+        # period scaled by six scalars. The closed form's witness is the
+        # reference search's wherever that finds one; elsewhere it verifies
+        # and has an entry above the bound.
         rng = random.Random(83)
-        found = 0
         sources = [base_abelian_model(n).transcendental_hodge() for n in (1, 2, 3)]
         for n in (2, 3):
             s = quotient_surface_hodge(n)
             t_s = transcendental_lattice(s)
             sources.append(hodge_lattice(t_s.as_lattice(), restrict_period(t_s, s.period)))
+        found = beyond = 0
         for h in sources:
             g = h.lattice.gram
-            p, conj = _conjugate(rng, g)
-            target = Lattice(conj)
-            period = h.period.map_by(linalg.invert_unimodular(p), target)
-            for factor in (1, 2):
-                h2 = hodge_lattice(target, period.scaled(factor))
-                src = [list(c) for c in h.period.columns()]
-                tgt = [list(c) for c in h2.period.columns()]
-                for bound in (1, 2):
-                    iso = find_hodge_isometry(h, h2, bound)
-                    ref = reference_search(g, conj, bound, (src, tgt))
-                    assert (None if iso is None else iso.matrix) == ref
-                    found += iso is not None
-        assert found > 0
+            for _ in range(4):
+                p, conj = _conjugate(rng, g)
+                target = Lattice(conj)
+                period = h.period.map_by(linalg.invert_unimodular(p), target)
+                for factor in (1, -1, 2, -2, Fraction(1, 2), Fraction(3, 2)):
+                    h2 = hodge_lattice(target, period.scaled(factor))
+                    data = (h.period.columns(), h2.period.columns())
+                    for bound in (1, 2, 3):
+                        iso = find_hodge_isometry(h, h2, bound)
+                        assert verify_isometry(iso)
+                        ref = reference_search(g, conj, bound, data)
+                        if ref is None:
+                            assert max(abs(x) for row in iso.matrix for x in row) > bound
+                            beyond += 1
+                        else:
+                            assert iso.matrix == ref
+                            found += 1
+        assert found and beyond
 
 
 class TestVerifier:

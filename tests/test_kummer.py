@@ -10,12 +10,17 @@ from kummerlat import (
     LatticeError,
     SymbolBasis,
     brauer_class_of,
+    find_hodge_isometry,
     hodge_lattice,
+    hodge_miss_reason,
+    hodge_verdict,
+    hyperbolic_u,
     induced_kummer_isometry,
     is_square_ratio,
     kummer_bfield,
     kummer_brauer_class,
     kummer_transcendental,
+    make_standard,
     order_of,
     period_from_columns,
     project_to_transcendental,
@@ -323,6 +328,68 @@ class TestTEquivalence:
         b0 = BField.zero(model.h2.lattice)
         with pytest.raises(LatticeError):
             t_equivalence(model, b0, model, b0, bound=0)
+
+
+class TestMissCauses:
+    """Same-genus pairs with no rational-scalar Hodge isometry, one per failing step.
+
+    Each pair is the hyperbolic plane U twice, the source period spanning
+    it; the target period is the source's moved by a rational map that
+    is not an integral isometry, so the closed form fails at one step and
+    the verdict stays inconclusive with that step in its reason.
+    """
+
+    SYMBOLS = SymbolBasis(("1", "s", "t"))
+
+    def pair(self, source, target, symbols=SYMBOLS, lattices=(None, None)):
+        l1, l2 = (lat or make_standard("U") for lat in lattices)
+        return (hodge_lattice(l1, period_from_columns(l1, symbols, source)),
+                hodge_lattice(l2, period_from_columns(l2, symbols, target)))
+
+    def moved(self, m):
+        """The spanning source period and its image under the row map m."""
+        source = {"s": (1, 0), "t": (0, 1)}
+        return self.pair(source, {"s": tuple(m[0]), "t": tuple(m[1])})
+
+    def assert_miss(self, h1, h2, cause):
+        verdict = hodge_verdict(h1, h2, bound=3)
+        assert verdict.kind == "inconclusive"
+        assert cause in verdict.reason
+        assert verdict.reason.endswith("; not a proof of non-isometry")
+        assert find_hodge_isometry(h1, h2, 3) is None
+
+    def test_solve(self):
+        # the third column is the sum of the first two on one side only
+        symbols = SymbolBasis(("1", "s", "t", "u"))
+        h1, h2 = self.pair({"s": (1, 0), "t": (0, 1), "u": (1, 1)},
+                           {"s": (1, 0), "t": (0, 1), "u": (1, -1)}, symbols)
+        self.assert_miss(h1, h2, "no rational map carries the source period onto the target period")
+
+    def test_gram_not_proportional(self):
+        self.assert_miss(*self.moved([[1, 1], [0, 1]]), "pulls the target form back to no multiple")
+
+    def test_not_a_rational_square(self):
+        self.assert_miss(*self.moved([[2, 0], [0, 1]]), "lambda^2 = 1/2 is not a rational square")
+
+    def test_not_integral(self):
+        half = Fraction(1, 2)
+        self.assert_miss(*self.moved([[2, 0], [0, half]]), "+-lambda*M0 is not integral")
+
+    def test_not_unimodular(self):
+        # no same-genus pair reaches this step: a Gram-preserving integral
+        # map between forms of equal |det| is unimodular; U(4) -> U is one
+        h1, h2 = self.pair({"s": (1, 0), "t": (0, 1)}, {"s": (2, 0), "t": (0, 2)},
+                           lattices=(hyperbolic_u(4), None))
+        assert find_hodge_isometry(h1, h2, 3) is None
+        assert "+-lambda*M0 is not unimodular: det = 4" in hodge_miss_reason(h1, h2, 3)
+        assert hodge_verdict(h1, h2).kind == "refuted"
+
+    def test_moved_by_an_isometry_is_found(self):
+        # the same construction with an integral isometry of U is decided
+        h1, h2 = self.moved([[0, -1], [-1, 0]])
+        verdict = hodge_verdict(h1, h2, bound=1)
+        assert verdict.kind == "equivalent"
+        assert verdict.witness.matrix == ((0, -1), (-1, 0)) and verdict.witness.lam == 1
 
 
 class TestSquareRatio:

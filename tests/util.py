@@ -301,6 +301,10 @@ def simple_full_rank_period(lattice):
 def reference_search(g1, g2, bound, period_data):
     """Plain backtracking isometry search: the oracle for isometry._search.
 
+    With period_data (source and target symbol columns), it is also the
+    oracle for find_hodge_isometry: every prefix must keep the period
+    transportable, so the first witness is the lex-least Hodge one.
+
     Rows are assigned in natural order from lexicographic norm pools, and
     each candidate is checked with a naive pairing against every row
     already assigned. No forward checking, so the first complete solution
