@@ -15,7 +15,6 @@ from .lattice import (
     disc_equivalent,
     discriminant_form,
     genus_of,
-    hyperbolic_u,
     make_standard,
     orthogonal_complement,
     render_lattice,

@@ -51,7 +51,6 @@ from .lattice import (
     Lattice,
     Sublattice,
     direct_sum,
-    hyperbolic_u,
     make_standard,
     sublattice_quotient,
 )
@@ -239,7 +238,7 @@ def run_example43(n, bound=3):
 
     # (3) NS(S) is the scaled hyperbolic plane U(n)
     ns_s, rho = ns_and_picard(s_hodge)
-    wit_ns = find_isometry(ns_s.as_lattice(), hyperbolic_u(n), bound)
+    wit_ns = find_isometry(ns_s.as_lattice(), make_standard("U_n", n), bound)
     rep.add(
         "ns-class",
         VERIFIED if rho == 2 and wit_ns is not None else INCONCLUSIVE,
@@ -249,7 +248,9 @@ def run_example43(n, bound=3):
 
     # (4) T(S) is U + U(n)
     t_s = transcendental_lattice(s_hodge)
-    wit_ts = find_isometry(t_s.as_lattice(), direct_sum(make_standard("U"), hyperbolic_u(n)), bound)
+    wit_ts = find_isometry(
+        t_s.as_lattice(), direct_sum(make_standard("U"), make_standard("U_n", n)), bound
+    )
     rep.add(
         "transcendental-class",
         VERIFIED if t_s.rank == 4 and wit_ts is not None else INCONCLUSIVE,

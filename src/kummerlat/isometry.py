@@ -2,8 +2,11 @@
 
 Three routes, all exact:
 
-  * refutation by cheap invariants (rank, inertia, parity, discriminant
-    data) -- sound, never claims isometry;
+  * refutation by genus invariants (rank, inertia, parity, discriminant
+    divisors, the Jordan symbols at the odd primes of |det| that trial
+    division finds, and the value profile of the 2-primary part up to
+    lattice._PROFILE_CAP), polynomial in rank and log |det| apart from
+    that profile -- sound, never claims isometry;
   * bounded backtracking search for an explicit witness matrix -- sound,
     never claims non-isometry;
   * for Hodge lattices whose periods span, a closed form: a Hodge
@@ -139,10 +142,16 @@ def genus_equal(l1, l2):
 
     MATCH_OR_UNKNOWN otherwise; this routine never asserts isometry.
     """
-    g1, g2 = genus_of(l1), genus_of(l2)
+    return compare_genus(genus_of(l1), genus_of(l2))
+
+
+def compare_genus(g1, g2):
+    """genus_equal on invariants already computed by lattice.genus_of.
+
+    The discriminant divisors multiply to |det|, so comparing them
+    compares |det| too.
+    """
     if g1.rank != g2.rank or g1.signature != g2.signature or g1.even != g2.even:
-        return DIFFER
-    if abs(l1.det) != abs(l2.det):
         return DIFFER
     if not disc_equivalent(g1.disc, g2.disc):
         return DIFFER

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from . import linalg
 from .brauer import (
@@ -26,8 +25,9 @@ from .isometry import (
     DIFFER,
     CertificationError,
     IsometryMap,
+    _rational_sqrt,
+    compare_genus,
     find_hodge_isometry,
-    genus_equal,
     hodge_miss_reason,
     verify_isometry,
 )
@@ -209,9 +209,8 @@ def hodge_verdict(h1, h2, bound=3):
     Refutes via genus invariants, proves via find_hodge_isometry, and
     otherwise reports the step that failed.
     """
-    l1, l2 = h1.lattice, h2.lattice
-    if genus_equal(l1, l2) == DIFFER:
-        g1, g2 = genus_of(l1), genus_of(l2)
+    g1, g2 = genus_of(h1.lattice), genus_of(h2.lattice)
+    if compare_genus(g1, g2) == DIFFER:
         return TEquivalenceVerdict(
             kind="refuted",
             reason="genus invariants differ: [%s] vs [%s]" % (g1.describe(), g2.describe()),
@@ -311,7 +310,4 @@ def is_square_ratio(h1_sq, h2_sq):
     """Whether h1_sq / h2_sq is a square in Q (both inputs nonzero)."""
     if h1_sq == 0 or h2_sq == 0:
         raise ValueError("inputs must be nonzero")
-    prod = h1_sq * h2_sq
-    if prod < 0:
-        return False
-    return isqrt(prod) ** 2 == prod
+    return _rational_sqrt(Fraction(h1_sq, h2_sq)) is not None

@@ -19,14 +19,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import linalg
 
-# Discriminant groups larger than this are not enumerated for the
-# canonical value profile; comparisons then fall back to divisor data.
+# 2-primary parts A_2 larger than this are not enumerated for the value
+# profile; comparisons then use the divisors and the odd-p symbols alone.
 _PROFILE_CAP = 20000
+
+# Odd primes of |A| are found by trial division up to this bound. A
+# cofactor with no factor up to it is prime when below the bound's
+# square; a larger one is skipped, which only weakens refutation.
+_TRIAL_BOUND = 1000
 
 
 class LatticeError(ValueError):
@@ -134,11 +139,6 @@ def make_standard(kind, param=None):
             raise LatticeError("rank1(0) is degenerate")
         return Lattice(((d,),), ("e",))
     raise LatticeError("unknown standard lattice kind %r" % (kind,))
-
-
-def hyperbolic_u(n=1):
-    """U for n = 1, the scaled hyperbolic plane U(n) otherwise."""
-    return make_standard("U") if n == 1 else make_standard("U_n", n)
 
 
 def direct_sum(l1, l2):
@@ -251,13 +251,17 @@ def sublattice_quotient(s):
 
 @dataclass(frozen=True)
 class DiscriminantForm:
-    """The finite quadratic form on dual/lattice, with canonical profile.
+    """The finite quadratic form on A = dual/lattice, with canonical invariants.
 
     q values live in Q/2Z for even lattices and Q/Z for odd ones (the
     finer value is not well defined in the odd case); pairings live in
-    Q/Z. `profile` is the sorted multiset of (element order, q(element))
-    over the whole group, a presentation-independent invariant used for
-    comparisons; it is None when the group is too large to enumerate.
+    Q/Z. Two presentation-independent invariants serve comparisons. A is
+    the orthogonal sum of its p-parts A_p. `odd_symbols` holds, for each
+    odd prime p | |A| that trial division finds (see _odd_primes), the
+    pair (p, Jordan symbol of the lattice at p); for odd p that symbol
+    determines A_p. `profile` is the sorted multiset of (element order,
+    q(element)) over A_2 alone; it is None when A_2 is too large to
+    enumerate.
     """
 
     elementary_divisors: tuple
@@ -266,6 +270,7 @@ class DiscriminantForm:
     generators: tuple = field(repr=False, default=())
     modulus: int = 2
     profile: tuple = field(repr=False, default=None)
+    odd_symbols: tuple = field(repr=False, default=())
 
     @property
     def order(self):
@@ -281,12 +286,21 @@ class DiscriminantForm:
 def disc_equivalent(d1, d2):
     """Equality of discriminant data up to generator reordering.
 
-    Sound for refutation: False means provably different; True means the
-    canonical invariants agree (not a full isomorphism test).
+    Compares the divisors, the parity, the odd-p Jordan symbols and the
+    2-primary value profile. The full value profile over A is the
+    convolution of the profiles of its p-parts, so this is at least as
+    strong as comparing that. Sound for refutation: False means provably
+    different; True means the compared invariants agree, which is not a
+    full isomorphism test: the 2-adic symbol is not compared, nor A_2
+    above _PROFILE_CAP, nor the p-parts for primes that trial division
+    skips. Equal divisors give equal orders, so both sides always carry
+    symbols for the same primes.
     """
     if d1.elementary_divisors != d2.elementary_divisors:
         return False
     if d1.modulus != d2.modulus:
+        return False
+    if d1.odd_symbols != d2.odd_symbols:
         return False
     if d1.profile is not None and d2.profile is not None:
         return d1.profile == d2.profile
@@ -301,7 +315,8 @@ def discriminant_form(lattice):
     symmetric, G^-1 = T D^-1 S, so that vector is column i of T divided
     by d_i: no matrix is inverted. L = Z^n in these coordinates, so each
     generator is stored as its fractional part, the same class with
-    entries in [0, 1).
+    entries in [0, 1). A generator g of order d = 2^e m, m odd, gives
+    m g of order 2^e, and these generate A_2 for the profile.
     """
     n = lattice.rank
     d, _, t = linalg.snf_with_transforms(lattice.gram)
@@ -319,12 +334,22 @@ def discriminant_form(lattice):
         tuple(linalg.frac_mod(linalg.pair_with(lattice.gram, gi, gj), 1) for gj in gens)
         for gi in gens
     )
-    order = 1
-    for dv in divisors:
-        order *= dv
+    two_divisors = []
+    two_gens = []
+    for dv, g in zip(divisors, gens):
+        two = dv & -dv
+        if two > 1:
+            two_divisors.append(two)
+            two_gens.append(tuple(x * (dv // two) % 1 for x in g))
     profile = None
-    if order <= _PROFILE_CAP:
-        profile = _value_profile(lattice, divisors, gens, modulus)
+    if prod(two_divisors) <= _PROFILE_CAP:
+        profile = _value_profile(lattice, two_divisors, two_gens, modulus)
+    odd_symbols = ()
+    if divisors:
+        odd_symbols = tuple(
+            (p, _odd_symbol(lattice.gram, p, sum(_valuation(dv, p) for dv in divisors)))
+            for p in _odd_primes(divisors[-1])
+        )
     return DiscriminantForm(
         elementary_divisors=tuple(divisors),
         q_values=q_values,
@@ -332,21 +357,105 @@ def discriminant_form(lattice):
         generators=tuple(gens),
         modulus=modulus,
         profile=profile,
+        odd_symbols=odd_symbols,
+    )
+
+
+def _valuation(x, p):
+    """The exponent of p in the nonzero integer x."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _odd_primes(n):
+    """The odd primes of n > 0 that trial division up to _TRIAL_BOUND finds.
+
+    After the divisions, the cofactor has no prime factor below the last
+    trial divisor p, so it is prime when below p^2; that covers every
+    cofactor below _TRIAL_BOUND^2. A larger cofactor is skipped, so its
+    primes get no symbol: comparisons stay sound, only weaker. The result
+    depends on n alone.
+    """
+    n //= n & -n
+    primes = []
+    p = 3
+    while p <= _TRIAL_BOUND and p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 2
+    if 1 < n < p * p:
+        primes.append(n)
+    return primes
+
+
+def _odd_symbol(gram, p, v):
+    """Jordan symbol at the odd prime p: ((k, n_k, eps_k) for each scale p^k, k >= 1).
+
+    v is the exponent of p in det G. Over the p-adic integers G is
+    congruent to a diagonal form sum p^k_i u_i, u_i units (p is odd).
+    The diagonalisation runs over Z/p^(v+1): the exponents k_i add up
+    to v, so every pivot stays nonzero there and its unit is known mod
+    p. Each step pivots on an entry of least p-valuation; when only an
+    off-diagonal entry (a, b) has it, adding row and column b to row and
+    column a first puts it on the diagonal, where 2 G[a][b] keeps that
+    valuation because p is odd. n_k counts the pivots of scale p^k and
+    eps_k is the Legendre symbol of the product of their units. The
+    scales k >= 1 are the p-part of the discriminant form, which they
+    determine (Conway-Sloane, SPLAG ch. 15 section 7; Nikulin 1979);
+    with rank and det they give the whole p-adic genus symbol.
+    """
+    mod = p ** (v + 1)
+    m = [[x % mod for x in row] for row in gram]
+    alive = list(range(len(m)))
+    units = {}
+    while alive:
+        # least valuation first, and a diagonal entry before an off-diagonal one
+        k, _, a, b = min(
+            (_valuation(m[a][b], p), a != b, a, b)
+            for a in alive for b in alive if b >= a and m[a][b]
+        )
+        if a != b:
+            for c in alive:
+                m[a][c] = (m[a][c] + m[b][c]) % mod
+            for c in alive:
+                m[c][a] = (m[c][a] + m[c][b]) % mod
+        alive.remove(a)
+        pk = p ** k
+        row = m[a]
+        unit = row[a] // pk
+        inv = pow(unit, -1, mod)
+        for c in alive:
+            f = m[c][a] // pk * inv % mod
+            if f:
+                for j in alive:
+                    m[c][j] = (m[c][j] - f * row[j]) % mod
+        units.setdefault(k, []).append(unit)
+    return tuple(
+        (k, len(us), 1 if pow(prod(us), (p - 1) // 2, p) == 1 else -1)
+        for k, us in sorted(units.items())
+        if k
     )
 
 
 def _value_profile(lattice, divisors, gens, modulus):
-    """Sorted multiset of (order, q) over every element of the group.
+    """Sorted multiset of (order, q) over the group the generators span.
 
-    With den the common denominator of the generators and Q their Gram
-    scaled by den^2, q(sum a_k g_k) is the integer form a Q a^T over den^2;
-    its numerator is reduced modulo modulus * den^2. The divisors divide
-    each other, so the last one is the largest: for each prefix a of
+    The generators have the given orders, which divide each other; the
+    group is the direct sum of their cyclic groups. With den the common
+    denominator of the generators and Q their Gram scaled by den^2,
+    q(sum a_k g_k) is the integer form a Q a^T over den^2; its numerator
+    is reduced modulo modulus * den^2. The divisors divide each other,
+    so the last one is the largest: for each prefix a of
     coefficients over the other factors, with c = a Q a^T and b the last
     entry of a Q, the numerators over the last factor are the one
     progression c + t (2b + g t), g the last diagonal entry of Q, and
     the element orders are lcm(order of a, d_last / gcd(t, d_last)).
-    The profile still enumerates the whole group.
+    The profile enumerates every element of that group.
     """
     if not divisors:
         return ((1, Fraction(0)),)

@@ -20,7 +20,6 @@ from kummerlat import (
     find_isometry,
     generalized_transcendental,
     genus_equal,
-    hyperbolic_u,
     is_square_ratio,
     kernel_with_coords,
     kummer_brauer_class,
@@ -176,11 +175,11 @@ def test_criterion_5_doubling():
 
 def test_criterion_6_refutation_soundness():
     u = make_standard("U")
-    ok = genus_equal(u, hyperbolic_u(2)) == DIFFER
-    ok = ok and find_isometry(u, hyperbolic_u(2), 3) is None
+    ok = genus_equal(u, make_standard("U_n", 2)) == DIFFER
+    ok = ok and find_isometry(u, make_standard("U_n", 2), 3) is None
     uu = direct_sum(u, u)
     for n in (2, 3, 4):
-        tw = direct_sum(u, hyperbolic_u(n))
+        tw = direct_sum(u, make_standard("U_n", n))
         ok = ok and genus_equal(tw, uu) == DIFFER
         ok = ok and find_isometry(tw, uu, 3) is None
     _line(6, ok, "U vs U(2) and U+U(n) vs U+U refuted by discriminant data; "

@@ -14,7 +14,6 @@ from kummerlat import (
     find_isometry,
     genus_equal,
     hodge_lattice,
-    hyperbolic_u,
     make_standard,
     ns_and_picard,
     omega_symbols,
@@ -223,7 +222,7 @@ class TestNeronSeveri:
         ns, rho = ns_and_picard(quotient_surface_hodge(n))
         assert rho == 2
         assert ns.basis == ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, n))
-        witness = find_isometry(ns.as_lattice(), hyperbolic_u(n), 3)
+        witness = find_isometry(ns.as_lattice(), make_standard("U_n", n), 3)
         assert witness is not None
 
     def test_full_rank_transcendental_means_no_ns(self):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -11,12 +12,12 @@ from kummerlat import (
     IsometryMap,
     Lattice,
     direct_sum,
+    discriminant_form,
     find_hodge_isometry,
     find_isometry,
     genus_equal,
     hodge_lattice,
     hodge_miss_reason,
-    hyperbolic_u,
     make_standard,
     period_from_columns,
     restrict_period,
@@ -44,7 +45,7 @@ U = make_standard("U")
 
 class TestGenusEqual:
     def test_u_vs_scaled(self):
-        assert genus_equal(U, hyperbolic_u(2)) == DIFFER
+        assert genus_equal(U, make_standard("U_n", 2)) == DIFFER
 
     def test_congruent_lattices_match(self):
         rng = random.Random(31)
@@ -60,8 +61,39 @@ class TestGenusEqual:
     def test_twisted_sum_refutations(self):
         uu = direct_sum(U, U)
         for n in (2, 3, 4):
-            twisted = direct_sum(U, hyperbolic_u(n))
+            twisted = direct_sum(U, make_standard("U_n", n))
             assert genus_equal(twisted, uu) == DIFFER
+
+    def test_nonresidue_pair_above_profile_cap(self):
+        # <1>+<d>+M and [[2,1],[1,(d+1)/2]]+M share rank, signature, parity
+        # and discriminant group; at a prime p | d with (2/p) = -1 and p not
+        # dividing det M their Jordan units differ by the non-square 2.
+        # Every |A| here is above the old whole-group profile cap.
+        rng = random.Random(233)
+        for d, block, scale in ((21189, [[-1]], 1), (22933, [[0, 1], [1, 0]], 1),
+                                (9005, [[-3]], 1), (10013, [[2, 1], [1, 2]], 2),
+                                (24045, [[-1]], 2), (1317, [[0, 1], [1, 0]], 2)):
+            twins = [
+                direct_sum(Lattice(core), Lattice(block)).twist(scale)
+                for core in ([[1, 0], [0, d]], [[2, 1], [1, (d + 1) // 2]])
+            ]
+            assert abs(twins[0].det) > 20000
+            assert genus_equal(twins[0], twins[1]) == DIFFER
+            for lat in twins:
+                p = random_unimodular(rng, lat.rank, shears=4, cap=3)
+                conj = linalg.matmul(linalg.matmul(p, lat.gram), linalg.transpose(p))
+                assert genus_equal(lat, Lattice(conj)) == MATCH_OR_UNKNOWN
+
+    def test_primes_above_trial_bound_are_skipped(self):
+        # d = 1013 * 1021: both primes lie above the trial-division bound,
+        # so no symbol separates this nonresidue pair, and the check is fast
+        d = 1013 * 1021
+        l1 = Lattice([[1, 0], [0, d]])
+        l2 = Lattice([[2, 1], [1, (d + 1) // 2]])
+        start = time.perf_counter()
+        assert genus_equal(l1, l2) == MATCH_OR_UNKNOWN
+        assert time.perf_counter() - start < 1
+        assert discriminant_form(l1).odd_symbols == ()
 
 
 class TestShortVectors:
@@ -257,7 +289,7 @@ class TestCandidatePool:
 
 class TestFindIsometry:
     def test_self_witness_exists_and_revalidates(self):
-        for lat in (U, hyperbolic_u(3), direct_sum(U, hyperbolic_u(2))):
+        for lat in (U, make_standard("U_n", 3), direct_sum(U, make_standard("U_n", 2))):
             iso = find_isometry(lat, lat, 1)
             assert iso is not None
             assert verify_isometry(iso)
@@ -276,15 +308,15 @@ class TestFindIsometry:
         assert iso.matrix == best
 
     def test_determinism(self):
-        lat = direct_sum(U, hyperbolic_u(2))
+        lat = direct_sum(U, make_standard("U_n", 2))
         a = find_isometry(lat, lat, 2)
         b = find_isometry(lat, lat, 2)
         assert a.matrix == b.matrix
 
     def test_u_vs_scaled_absent_and_refuted(self):
         for bound in (1, 2, 3):
-            assert find_isometry(U, hyperbolic_u(2), bound) is None
-        assert genus_equal(U, hyperbolic_u(2)) == DIFFER
+            assert find_isometry(U, make_standard("U_n", 2), bound) is None
+        assert genus_equal(U, make_standard("U_n", 2)) == DIFFER
 
     def test_found_witness_implies_genus_match(self):
         rng = random.Random(53)
@@ -502,7 +534,7 @@ class TestVerifier:
 
     def test_non_unimodular_rejected(self):
         bad = IsometryMap(
-            source=hyperbolic_u(4), target=U, matrix=((2, 0), (0, 2))
+            source=make_standard("U_n", 4), target=U, matrix=((2, 0), (0, 2))
         )
         with pytest.raises(CertificationError):
             verify_isometry(bad)

@@ -14,7 +14,6 @@ from kummerlat import (
     hodge_lattice,
     hodge_miss_reason,
     hodge_verdict,
-    hyperbolic_u,
     induced_kummer_isometry,
     is_square_ratio,
     kummer_bfield,
@@ -29,7 +28,7 @@ from kummerlat import (
     twisted_transcendental_model,
     verify_isometry,
 )
-from kummerlat import linalg
+from kummerlat import lattice as lattice_module, linalg
 from kummerlat.construction import base_abelian_model, product_bfield, product_abelian_model, u_cubed
 from util import random_rational_vector, random_surface_fixture, random_u3_isometry
 
@@ -280,6 +279,23 @@ class TestTEquivalence:
         assert verdict.kind == "refuted"
         assert "disc divisors [2, 2]" in verdict.reason
 
+    def test_refutation_builds_one_form_per_side(self, monkeypatch):
+        calls = []
+        original = lattice_module.discriminant_form
+
+        def counting(lat):
+            calls.append(lat)
+            return original(lat)
+
+        monkeypatch.setattr(lattice_module, "discriminant_form", counting)
+        a = base_abelian_model(2)
+        ef = product_abelian_model(1)
+        verdict = t_equivalence(
+            a, BField.zero(a.h2.lattice), ef, BField.zero(ef.h2.lattice), bound=2
+        )
+        assert verdict.kind == "refuted"
+        assert len(calls) == 2
+
     def test_twisted_equivalence_found(self):
         for n in (2, 4):
             a = base_abelian_model(n)
@@ -379,7 +395,7 @@ class TestMissCauses:
         # no same-genus pair reaches this step: a Gram-preserving integral
         # map between forms of equal |det| is unimodular; U(4) -> U is one
         h1, h2 = self.pair({"s": (1, 0), "t": (0, 1)}, {"s": (2, 0), "t": (0, 2)},
-                           lattices=(hyperbolic_u(4), None))
+                           lattices=(make_standard("U_n", 4), None))
         assert find_hodge_isometry(h1, h2, 3) is None
         assert "+-lambda*M0 is not unimodular: det = 4" in hodge_miss_reason(h1, h2, 3)
         assert hodge_verdict(h1, h2).kind == "refuted"

@@ -1,7 +1,8 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from itertools import combinations, product
+from math import lcm, prod
 
 import pytest
 from sympy import Matrix
@@ -14,7 +15,6 @@ from kummerlat import (
     disc_equivalent,
     discriminant_form,
     genus_of,
-    hyperbolic_u,
     make_standard,
     orthogonal_complement,
     render_lattice,
@@ -25,13 +25,26 @@ from kummerlat import linalg
 from util import (
     brute_det,
     fraction_value_profile,
+    is_square_mod,
     naive_pair,
     random_symmetric_lattice_gram,
     random_unimodular,
     signature_oracle,
+    two_primary,
+    value_counts_mod,
 )
 
 U = make_standard("U")
+
+# A 6x6 Gram whose Smith transform has entries near 10^26.
+REGRESSION_GRAM = [
+    [36, -23, 0, 0, 22, -13],
+    [-23, 23, 0, 0, -16, 13],
+    [0, 0, 3, 3, 0, 0],
+    [0, 0, 3, 5, 0, 0],
+    [22, -16, 0, 0, 20, -11],
+    [-13, 13, 0, 0, -11, 8],
+]
 
 
 def _congruent(rng, gram):
@@ -247,7 +260,8 @@ class TestDiscriminantForm:
 
     def test_profile_against_coset_enumeration_oracle(self):
         # independent route: enumerate dual/lattice cosets directly from
-        # HNF residue representatives of Z^n / G Z^n, bypassing the SNF
+        # HNF residue representatives of Z^n / G Z^n, bypassing the SNF;
+        # the cosets of 2-power order are the 2-primary part
         rng = random.Random(131)
         checked = 0
         while checked < 15:
@@ -272,7 +286,7 @@ class TestDiscriminantForm:
                 m = lcm(*(x.denominator for x in dual))
                 q = linalg.frac_mod(naive_pair(gram, dual, dual), modulus)
                 profile.append((m, q))
-            assert tuple(sorted(profile)) == d.profile
+            assert two_primary(tuple(sorted(profile))) == d.profile
 
     def test_value_profile_against_fraction_enumeration(self):
         rng = random.Random(137)
@@ -284,22 +298,14 @@ class TestDiscriminantForm:
                 continue
             checked += 1
             d = discriminant_form(Lattice(gram))
-            assert d.profile == fraction_value_profile(
+            assert d.profile == two_primary(fraction_value_profile(
                 gram, d.elementary_divisors, d.generators, d.modulus
-            )
+            ))
 
     def test_generators_are_reduced_and_data_unchanged(self):
-        # the SNF transform of this Gram has huge entries; generators read
-        # off it directly give the same q values, pairings and profile as
-        # their fractional parts
-        gram = [
-            [36, -23, 0, 0, 22, -13],
-            [-23, 23, 0, 0, -16, 13],
-            [0, 0, 3, 3, 0, 0],
-            [0, 0, 3, 5, 0, 0],
-            [22, -16, 0, 0, 20, -11],
-            [-13, 13, 0, 0, -11, 8],
-        ]
+        # generators read off the huge SNF transform directly give the same
+        # q values, pairings and 2-primary profile as their fractional parts
+        gram = REGRESSION_GRAM
         lat = Lattice(gram)
         d = discriminant_form(lat)
         assert all(0 <= x < 1 for g in d.generators for x in g)
@@ -319,11 +325,14 @@ class TestDiscriminantForm:
         assert d.pairings == tuple(
             tuple(linalg.frac_mod(naive_pair(gram, gi, gj), 1) for gj in raw) for gi in raw
         )
-        assert d.profile == fraction_value_profile(gram, d.elementary_divisors, raw, modulus)
+        assert d.profile == two_primary(
+            fraction_value_profile(gram, d.elementary_divisors, raw, modulus)
+        )
 
     def test_value_profile_edge_cases(self):
         # trivial group, odd lattices, non-cyclic groups with a large last
-        # factor, and a cyclic group just under the enumeration cap
+        # factor, a cyclic 2-group just under the enumeration cap, and a
+        # group above the cap whose 2-primary part is small
         rng = random.Random(139)
         cases = [
             ([[0, 1], [1, 0]], ()),
@@ -334,28 +343,22 @@ class TestDiscriminantForm:
             ([[1, 0, 0], [0, 4, 0], [0, 0, 12]], (4, 12)),
         ]
         cases += [(_congruent(rng, gram), divisors) for gram, divisors in cases]
-        cases.append(([[2, 1], [1, 10000]], (19999,)))
+        cases.append(([[1, 0], [0, 16384]], (16384,)))
+        cases.append(([[8, 0], [0, 2501]], (20008,)))
         for gram, divisors in cases:
             lat = Lattice(gram)
             d = discriminant_form(lat)
             assert d.elementary_divisors == divisors
-            assert d.profile == fraction_value_profile(
+            assert d.profile == two_primary(fraction_value_profile(
                 gram, d.elementary_divisors, d.generators, d.modulus
-            )
+            ))
         assert discriminant_form(U).profile == ((1, 0),)
         assert discriminant_form(Lattice(((1, 0), (0, 3)))).modulus == 1
 
     def test_generators_against_sympy_inverses(self):
         # column i of S^-1 times G^-1, with both inverses taken by sympy
         rng = random.Random(149)
-        grams = [[
-            [36, -23, 0, 0, 22, -13],
-            [-23, 23, 0, 0, -16, 13],
-            [0, 0, 3, 3, 0, 0],
-            [0, 0, 3, 5, 0, 0],
-            [22, -16, 0, 0, 20, -11],
-            [-13, 13, 0, 0, -11, 8],
-        ]]
+        grams = [REGRESSION_GRAM]
         while len(grams) < 31:
             gram = random_symmetric_lattice_gram(rng, rng.randint(1, 6), bound=4)
             if abs(brute_det(gram)) <= 1500:
@@ -377,12 +380,24 @@ class TestDiscriminantForm:
             assert d.pairings == tuple(
                 tuple(naive_pair(gram, gi, gj) % 1 for gj in raw) for gi in raw
             )
-            assert d.profile == fraction_value_profile(
+            assert d.profile == two_primary(fraction_value_profile(
                 gram, d.elementary_divisors, raw, modulus
-            )
+            ))
 
     def test_large_group_skips_profile_but_stays_sound(self):
-        # |det| above the enumeration cap: divisors alone still compare
+        # |A_2| above the enumeration cap: divisors and odd symbols still
+        # compare, and a conjugate is not separated
+        gram = [[2, 0, 0, 0], [0, 8, 0, 0], [0, 0, 32, 0], [0, 0, 0, 64 * 3 * 7]]
+        d = discriminant_form(Lattice(gram))
+        assert d.order == 2 ** 15 * 3 * 7
+        assert d.profile is None
+        assert [p for p, _ in d.odd_symbols] == [3, 7]
+        assert disc_equivalent(d, d)
+        conj = discriminant_form(Lattice(_congruent(random.Random(151), gram)))
+        assert conj.profile is None
+        assert disc_equivalent(d, conj)
+        # an odd group above the cap: its 2-primary part is trivial, so
+        # the profile is kept, and the odd symbols cover the whole group
         lat = Lattice(
             (
                 (3, 0, 0, 0, 0),
@@ -394,7 +409,8 @@ class TestDiscriminantForm:
         )
         d = discriminant_form(lat)
         assert d.order == 51051
-        assert d.profile is None
+        assert d.profile == ((1, 0),)
+        assert [p for p, _ in d.odd_symbols] == [3, 7, 11, 13, 17]
         assert disc_equivalent(d, d)
 
     def test_dual_quotient_enumeration_oracle(self):
@@ -409,6 +425,94 @@ class TestDiscriminantForm:
             ) and a < n and b < n:
                 count += 1
         assert count == discriminant_form(lat).order
+
+
+class TestOddSymbols:
+    def test_invariant_under_unimodular_conjugation(self):
+        rng = random.Random(211)
+        grams = [REGRESSION_GRAM]
+        while len(grams) < 321:
+            grams.append(random_symmetric_lattice_gram(rng, rng.randint(1, 6), bound=6))
+        with_symbols = 0
+        for gram in grams:
+            d = discriminant_form(Lattice(gram))
+            conj = discriminant_form(Lattice(_congruent(rng, gram)))
+            assert d.odd_symbols == conj.odd_symbols
+            assert disc_equivalent(d, conj)
+            with_symbols += bool(d.odd_symbols)
+        assert with_symbols > 250
+
+    def test_equal_symbols_iff_equal_value_counts(self):
+        # Grams of one rank and one det lie in one p-adic genus exactly when
+        # their symbols at p agree, and such Grams have equal counts of
+        # x G x^T mod p^k. The converse holds on these inputs too, so the
+        # symbol is neither coarser nor finer than the counts.
+        rng = random.Random(223)
+        groups = defaultdict(list)
+        drawn = 0
+        while drawn < 400:
+            n = rng.randint(1, 3)
+            gram = random_symmetric_lattice_gram(rng, n, bound=4)
+            det = brute_det(gram)
+            for p in (3, 5, 7):
+                if det % p == 0:
+                    groups[n, det, p].append(gram)
+                    drawn += 1
+        equal = unequal = 0
+        for (_, _, p), grams in groups.items():
+            symbols = [dict(discriminant_form(Lattice(g)).odd_symbols)[p] for g in grams]
+            counts = [[value_counts_mod(g, p, k) for k in (1, 2)] for g in grams]
+            for i, j in combinations(range(len(grams)), 2):
+                assert (symbols[i] == symbols[j]) == (counts[i] == counts[j])
+                equal += symbols[i] == symbols[j]
+                unequal += symbols[i] != symbols[j]
+        assert equal > 500 and unequal > 100
+
+    def test_diagonal_symbols_match_exactly(self):
+        # diag(p^k_i u_i) is its own Jordan decomposition: n_k counts the
+        # entries of scale p^k and eps_k tells whether the product of their
+        # units is a square mod p
+        rng = random.Random(227)
+        for _ in range(120):
+            p = rng.choice((3, 5, 7, 11, 13))
+            scales = [rng.randint(0, 3) for _ in range(rng.randint(1, 5))]
+            if not any(scales):
+                scales[0] = 1
+            units = [rng.choice([u for u in range(-20, 21) if u % p]) for _ in scales]
+            gram = [[0] * len(scales) for _ in scales]
+            for i, (k, u) in enumerate(zip(scales, units)):
+                gram[i][i] = p ** k * u
+            expected = tuple(
+                (k, scales.count(k),
+                 1 if is_square_mod(prod(u for kk, u in zip(scales, units) if kk == k), p)
+                 else -1)
+                for k in sorted(set(scales)) if k
+            )
+            for g in (gram, _congruent(rng, gram)):
+                assert dict(discriminant_form(Lattice(g)).odd_symbols)[p] == expected
+
+    def test_full_fraction_profile_is_a_one_way_oracle(self):
+        # where the value profiles over the whole group differ, the forms
+        # differ; on these inputs equal profiles also mean equal data
+        rng = random.Random(229)
+        groups = defaultdict(list)
+        drawn = 0
+        while drawn < 500:
+            gram = random_symmetric_lattice_gram(rng, rng.randint(1, 3), bound=4)
+            if abs(brute_det(gram)) > 200:
+                continue
+            d = discriminant_form(Lattice(gram))
+            if not d.elementary_divisors:
+                continue
+            drawn += 1
+            full = fraction_value_profile(gram, d.elementary_divisors, d.generators, d.modulus)
+            groups[d.elementary_divisors, d.modulus].append((d, full))
+        differ = 0
+        for items in groups.values():
+            for (d1, full1), (d2, full2) in combinations(items, 2):
+                assert disc_equivalent(d1, d2) == (full1 == full2)
+                differ += full1 != full2
+        assert differ > 1000
 
 
 class TestSignature:
@@ -433,7 +537,7 @@ class TestSignature:
 
 class TestGenusAndRendering:
     def test_genus_fields(self):
-        g = genus_of(hyperbolic_u(2))
+        g = genus_of(make_standard("U_n", 2))
         assert g.rank == 2 and g.signature == (1, 1) and g.even
 
     def test_render_golden(self):

@@ -7,6 +7,7 @@ as plain double sums, norm pools by scanning the whole box, and
 membership checks by direct enumeration.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, isqrt
@@ -72,6 +73,38 @@ def fraction_value_profile(gram, divisors, gens, modulus):
         q = Fraction(naive_pair(gram, vec, vec))
         entries.append((order, q - (q / modulus).__floor__() * modulus))
     return tuple(sorted(entries))
+
+
+def two_primary(profile):
+    """The entries of a value profile whose order is a power of two.
+
+    Those are the elements of the 2-primary part A_2, so this turns the
+    profile of the whole group into the profile of A_2.
+    """
+    return tuple(entry for entry in profile if entry[0] & (entry[0] - 1) == 0)
+
+
+def value_counts_mod(gram, p, k):
+    """Counter of x G x^T mod p^k over every x in (Z/p^k)^n, by enumeration.
+
+    Each value is the plain double sum, with the last coordinate split
+    off. Lattices in one p-adic genus have equal counts for every k.
+    """
+    m = p ** k
+    *head, last = range(len(gram))
+    counts = Counter()
+    for x in product(range(m), repeat=len(head)):
+        # x + t e_last pairs to (x G x^T) + t (2 x.G[last] + t G[last][last])
+        a = sum(x[i] * gram[i][j] * x[j] for i in head for j in head)
+        b = 2 * sum(x[i] * gram[i][last] for i in head)
+        c = gram[last][last]
+        counts.update((a + t * (b + c * t)) % m for t in range(m))
+    return counts
+
+
+def is_square_mod(a, p):
+    """Whether a is a nonzero square modulo the odd prime p, by enumeration."""
+    return any((x * x - a) % p == 0 for x in range(1, p))
 
 
 def fraction_short_vectors(gram, norm):
