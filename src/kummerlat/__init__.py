@@ -12,7 +12,6 @@ from .lattice import (
     LatticeError,
     Sublattice,
     direct_sum,
-    disc_equivalent,
     discriminant_form,
     genus_of,
     make_standard,

@@ -2,9 +2,9 @@
 
 Three routes, all exact:
 
-  * refutation by genus invariants (rank, inertia, parity, discriminant
-    divisors, the Jordan symbols at the odd primes of |det| that trial
-    division finds, and the value profile of the 2-primary part up to
+  * refutation when the lattice.genus_of records differ (rank, inertia,
+    parity, discriminant divisors, the Jordan symbols at the odd primes
+    of |det| that trial division finds, the value profile of A_2 up to
     lattice._PROFILE_CAP), polynomial in rank and log |det| apart from
     that profile -- sound, never claims isometry;
   * bounded backtracking search for an explicit witness matrix -- sound,
@@ -28,7 +28,7 @@ from math import isqrt
 from operator import mul
 
 from . import linalg
-from .lattice import Lattice, Sublattice, genus_of, disc_equivalent
+from .lattice import Lattice, Sublattice, _integer_matrix, genus_of
 
 DIFFER = "differ"
 MATCH_OR_UNKNOWN = "match_or_unknown"
@@ -66,8 +66,7 @@ class IsometryMap:
     target_period: object = None
 
     def __post_init__(self):
-        matrix = tuple(tuple(int(x) for x in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", _integer_matrix(self.matrix, CertificationError))
         object.__setattr__(self, "scale", Fraction(self.scale))
         if self.lam is not None:
             object.__setattr__(self, "lam", Fraction(self.lam))
@@ -106,8 +105,9 @@ def verify_isometry(iso):
     """Revalidate an IsometryMap from scratch; raises CertificationError.
 
     Checks: integral square matrix of the right size, unimodularity,
-    exact Gram transport at the declared scale, and period transport at
-    the declared scalar when periods are attached.
+    exact Gram transport at the declared scale, and, when periods are
+    attached, that they share one symbol basis, sit on the lattices of
+    the endpoints and are transported at the declared scalar.
     """
     g_s = gram_of(iso.source)
     g_t = gram_of(iso.target)
@@ -126,6 +126,10 @@ def verify_isometry(iso):
     if iso.source_period is not None and iso.target_period is not None:
         if iso.lam is None:
             raise CertificationError("periods attached but no scalar recorded")
+        if iso.source_period.symbols != iso.target_period.symbols:
+            raise CertificationError("the periods use different symbol bases")
+        if iso.source_period.lattice.gram != g_s or iso.target_period.lattice.gram != g_t:
+            raise CertificationError("a period does not sit on its endpoint's lattice")
         src_cols = iso.source_period.columns()
         tgt_cols = iso.target_period.columns()
         for cs, ct in zip(src_cols, tgt_cols):
@@ -138,24 +142,12 @@ def verify_isometry(iso):
 
 
 def genus_equal(l1, l2):
-    """DIFFER when a computable invariant separates the two lattices.
+    """DIFFER when the genus invariants (lattice.genus_of) are unequal.
 
-    MATCH_OR_UNKNOWN otherwise; this routine never asserts isometry.
+    MATCH_OR_UNKNOWN otherwise; this routine never asserts isometry. The
+    discriminant divisors multiply to |det|, so |det| is compared too.
     """
-    return compare_genus(genus_of(l1), genus_of(l2))
-
-
-def compare_genus(g1, g2):
-    """genus_equal on invariants already computed by lattice.genus_of.
-
-    The discriminant divisors multiply to |det|, so comparing them
-    compares |det| too.
-    """
-    if g1.rank != g2.rank or g1.signature != g2.signature or g1.even != g2.even:
-        return DIFFER
-    if not disc_equivalent(g1.disc, g2.disc):
-        return DIFFER
-    return MATCH_OR_UNKNOWN
+    return DIFFER if genus_of(l1) != genus_of(l2) else MATCH_OR_UNKNOWN
 
 
 def _definite_sign(gram):

@@ -22,11 +22,9 @@ from .brauer import (
 )
 from .hodge import HodgeLattice, hodge_lattice, restrict_period, transcendental_lattice
 from .isometry import (
-    DIFFER,
     CertificationError,
     IsometryMap,
     _rational_sqrt,
-    compare_genus,
     find_hodge_isometry,
     hodge_miss_reason,
     verify_isometry,
@@ -210,7 +208,7 @@ def hodge_verdict(h1, h2, bound=3):
     otherwise reports the step that failed.
     """
     g1, g2 = genus_of(h1.lattice), genus_of(h2.lattice)
-    if compare_genus(g1, g2) == DIFFER:
+    if g1 != g2:
         return TEquivalenceVerdict(
             kind="refuted",
             reason="genus invariants differ: [%s] vs [%s]" % (g1.describe(), g2.describe()),

@@ -38,6 +38,15 @@ class LatticeError(ValueError):
     pass
 
 
+def _integer_matrix(rows, error=LatticeError):
+    """rows as a tuple of int tuples; raises error on a non-integral entry."""
+    def entry(x):
+        if int(x) != x:
+            raise error("matrix entry %s is not an integer" % (x,))
+        return int(x)
+    return tuple(tuple(map(entry, row)) for row in rows)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Free Z-module with a nondegenerate symmetric integer Gram matrix."""
@@ -46,7 +55,7 @@ class Lattice:
     labels: tuple = None
 
     def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        gram = _integer_matrix(self.gram)
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if n == 0:
@@ -89,10 +98,15 @@ class Lattice:
         return Lattice([[m * x for x in row] for row in self.gram], self.labels)
 
     def signature(self):
-        """Exact inertia (positives, negatives) via symmetric reduction."""
-        m = [[Fraction(x) for x in row] for row in self.gram]
+        """Exact inertia (positives, negatives) via symmetric reduction.
+
+        Each step pivots on a nonzero diagonal entry p and replaces the rest
+        by |p| times its Schur complement, |p| m[a][j] - sign(p) m[a][i] m[i][j],
+        then divides by the positive gcd; positive scaling keeps inertia.
+        """
+        m = [list(row) for row in self.gram]
         alive = list(range(self.rank))
-        pos = neg = 0
+        pos = 0
         while alive:
             i = next((a for a in alive if m[a][a] != 0), None)
             if i is None:
@@ -104,18 +118,18 @@ class Lattice:
                 for j in alive:
                     m[j][a] += m[j][b]
                 continue
-            if m[i][i] > 0:
-                pos += 1
-            else:
-                neg += 1
             alive.remove(i)
             piv = m[i][i]
-            factors = [(a, m[a][i] / piv) for a in alive]
-            for a, f in factors:
-                if f:
-                    for j in alive:
-                        m[a][j] -= f * m[i][j]
-        return (pos, neg)
+            pos += piv > 0
+            for a in alive:
+                f = m[a][i] if piv > 0 else -m[a][i]
+                for j in alive:
+                    m[a][j] = abs(piv) * m[a][j] - f * m[i][j]
+            g = gcd(*(m[a][j] for a in alive for j in alive))
+            for a in alive:
+                for j in alive:
+                    m[a][j] //= g
+        return (pos, self.rank - pos)
 
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -173,7 +187,7 @@ class Sublattice:
     basis: tuple
 
     def __post_init__(self):
-        basis = tuple(tuple(int(x) for x in row) for row in self.basis)
+        basis = _integer_matrix(self.basis)
         object.__setattr__(self, "basis", basis)
         n = self.ambient.rank
         if any(len(row) != n for row in basis):
@@ -255,60 +269,49 @@ class DiscriminantForm:
 
     q values live in Q/2Z for even lattices and Q/Z for odd ones (the
     finer value is not well defined in the odd case); pairings live in
-    Q/Z. Two presentation-independent invariants serve comparisons. A is
-    the orthogonal sum of its p-parts A_p. `odd_symbols` holds, for each
-    odd prime p | |A| that trial division finds (see _odd_primes), the
-    pair (p, Jordan symbol of the lattice at p); for odd p that symbol
-    determines A_p. `profile` is the sorted multiset of (element order,
-    q(element)) over A_2 alone; it is None when A_2 is too large to
-    enumerate.
+    Q/Z. Only display reads them, so they are computed on first read.
+    `==` compares the presentation-independent fields: the divisors, the
+    parity `modulus` and two invariants of the p-parts A_p of A.
+    `odd_symbols` holds, for each odd prime p | |A| that trial division
+    finds (see _odd_primes), the pair (p, Jordan symbol of the lattice at
+    p), which determines A_p. `profile` is the sorted multiset of
+    (element order, q(element)) over A_2 alone, or None when A_2 is too
+    large to enumerate; that and the primes depend on the divisors alone.
+    Unequal forms are provably not isomorphic. Equal ones need not be:
+    the 2-adic symbol is not compared, nor A_2 above _PROFILE_CAP, nor
+    the p-parts for primes that trial division skips.
     """
 
     elementary_divisors: tuple
-    q_values: tuple
-    pairings: tuple
-    generators: tuple = field(repr=False, default=())
+    generators: tuple = field(repr=False, compare=False, default=())
+    gram: tuple = field(repr=False, compare=False, default=())
     modulus: int = 2
     profile: tuple = field(repr=False, default=None)
     odd_symbols: tuple = field(repr=False, default=())
 
+    @cached_property
+    def q_values(self):
+        gens = self.generators
+        return tuple(linalg.frac_mod(linalg.pair_with(self.gram, g, g), self.modulus) for g in gens)
+
+    @cached_property
+    def pairings(self):
+        gens = self.generators
+        return tuple(
+            tuple(linalg.frac_mod(linalg.pair_with(self.gram, gi, gj), 1) for gj in gens)
+            for gi in gens
+        )
+
     @property
     def order(self):
-        out = 1
-        for d in self.elementary_divisors:
-            out *= d
-        return out
+        return prod(self.elementary_divisors)
 
     def is_trivial(self):
         return not self.elementary_divisors
 
 
-def disc_equivalent(d1, d2):
-    """Equality of discriminant data up to generator reordering.
-
-    Compares the divisors, the parity, the odd-p Jordan symbols and the
-    2-primary value profile. The full value profile over A is the
-    convolution of the profiles of its p-parts, so this is at least as
-    strong as comparing that. Sound for refutation: False means provably
-    different; True means the compared invariants agree, which is not a
-    full isomorphism test: the 2-adic symbol is not compared, nor A_2
-    above _PROFILE_CAP, nor the p-parts for primes that trial division
-    skips. Equal divisors give equal orders, so both sides always carry
-    symbols for the same primes.
-    """
-    if d1.elementary_divisors != d2.elementary_divisors:
-        return False
-    if d1.modulus != d2.modulus:
-        return False
-    if d1.odd_symbols != d2.odd_symbols:
-        return False
-    if d1.profile is not None and d2.profile is not None:
-        return d1.profile == d2.profile
-    return True
-
-
 def discriminant_form(lattice):
-    """Compute dual/lattice with q values and pairings of SNF generators.
+    """Compute dual/lattice: SNF generators, divisors and the invariants.
 
     With D = S G T the Smith form of the Gram matrix G (S, T unimodular),
     the dual basis vectors e_i S^-1 G^-1 generate dual/L. Since G is
@@ -327,13 +330,6 @@ def discriminant_form(lattice):
         if d[i][i] > 1:
             divisors.append(d[i][i])
             gens.append(tuple(Fraction(t[j][i], d[i][i]) % 1 for j in range(n)))
-    q_values = tuple(
-        linalg.frac_mod(linalg.pair_with(lattice.gram, g, g), modulus) for g in gens
-    )
-    pairings = tuple(
-        tuple(linalg.frac_mod(linalg.pair_with(lattice.gram, gi, gj), 1) for gj in gens)
-        for gi in gens
-    )
     two_divisors = []
     two_gens = []
     for dv, g in zip(divisors, gens):
@@ -352,9 +348,8 @@ def discriminant_form(lattice):
         )
     return DiscriminantForm(
         elementary_divisors=tuple(divisors),
-        q_values=q_values,
-        pairings=pairings,
         generators=tuple(gens),
+        gram=lattice.gram,
         modulus=modulus,
         profile=profile,
         odd_symbols=odd_symbols,
@@ -487,7 +482,10 @@ def _value_profile(lattice, divisors, gens, modulus):
 
 @dataclass(frozen=True)
 class GenusInvariants:
-    """Cheap isometry invariants: rank, inertia, parity, discriminant data."""
+    """Cheap isometry invariants: rank, inertia, parity, discriminant data.
+
+    Isometric lattices have equal invariants, so `!=` refutes isometry.
+    """
 
     rank: int
     signature: tuple

@@ -51,6 +51,77 @@ def doc_for_surface(model, bfield=None):
     return render_spec(doc)
 
 
+# `disc` on lattices of rank 1-6, four of them with a 2-primary part A_2
+# above the value-profile cap: (Gram, SHA-256 of stdout, SHA-256 of the
+# --report JSON).
+DISC_GOLDEN = [
+    ([[2]],
+     "aeff98048cf41299f9e8948fa2d90a6724c5674b96c536e1a2ef4c58ed201901",
+     "1b61d8e34d412c9e1f503b349473eaee9e9db0576f086e6bc487c9bc9f7a9627"),
+    ([[-7]],
+     "2eb4d3cf045907bb078702a052098cb54a457720c1611ebc882dd624f1ccf4a1",
+     "59af8be6eadea1ff390d1e6fefab55a0098afc1fb2334ed9d5c86194aa4116a8"),
+    ([[16384]],
+     "77cf5fa4ed8fa956d0de7dd81c3fd0b3db971b5b8fb51a4a0b94e51cf7b6a94a",
+     "f9710cb39aaec95bcc0b77cdd102f11d71018ea2a3c68f0a5cb7f5e0d0c5f08f"),
+    ([[0, 1], [1, 0]],
+     "91f4e3b8a4186772844020143016a0de0c5345c89d255a0f0edc8dc78050de8b",
+     "159f891b275d796a5e90bc12c53717070f03c08e0f233db52c8d32fd8bc54996"),
+    ([[0, 6], [6, 0]],
+     "6a5a240b7344c83dab90d4ce8a7b017756f8e2cb53fac082a28526eb0cfd6b64",
+     "55baf07728142902d199f438c682dd243bb5a23e431b68799b7f20bb77f78841"),
+    ([[2, -1], [-1, 2]],
+     "7111ae8dc9bba88ca845e870d08bf0c17afbb5f1bc1683251ce86a219f4b2f5d",
+     "68aa0d18b1a704c67bc217c91aa419d101b72f6b00f8aaace9efa42112db1a9b"),
+    ([[10, 3], [3, -20]],
+     "968c73436615640ed7576c1c8ab09b9cc2a2406bed3c2f2c2aad1b894a8a3ae2",
+     "54917cfe4f5252201b8b660568be82b9d927f7aa3b156bce007da6d72752cfa5"),
+    ([[256, 0], [0, 128]],
+     "da338b41777d1da8068b07091c3b6d7d6979eac7e522075eaddec18cd005d2b0",
+     "644552e9248667aabc65964211ef5bb601175dbfb523578bce5b7e9272637e32"),
+    ([[1, 0, 0], [0, 3, 0], [0, 0, 5]],
+     "1a31c70453ad1d6a56d4207315684e1be31a98cf6b0653121d98215607a4c50b",
+     "311df6689650f65b4d7fa260347a3f2ca9892a8236f26403753d2f149570c66e"),
+    ([[4, 2, 0], [2, 6, 1], [0, 1, 8]],
+     "875a1d6dd88bb040f7967f447ec4a1f06348f2d49a0b4cb129a794907be21008",
+     "ab2d5e407104a1d3808693bedbed2d4aa90940188ca77211ac01bb7a9afe2c2b"),
+    ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+     "1bb5bb88c22b379f97b45cc14082b2f26d7e263a67c33a1f51ae44eb230d59be",
+     "5abd4637ae488adca68d7bf994958ca7f524db9d3c862224c173ec066a57bdc8"),
+    ([[2, 0, 0, 0], [0, 8, 0, 0], [0, 0, 32, 0], [0, 0, 0, 1344]],
+     "2e1b4db1d70a95891ec7352bdd5a922ff2f5f9d3ac124729c77e6d29cc096667",
+     "46a09525047111c8d267944239c0d0596da95bf15f4107bf995c3def13a5a005"),
+    ([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 4], [0, 0, 4, 0]],
+     "eaff19884bfc392d07351501b950c16aeea6e4fdc2d1f9e9eebe2b3bad1bafff",
+     "3e542e86512e276ab9b6bd1f9a2a39a7d33d8b92a47e048d9f93b5231dc3dd14"),
+    ([[3, 0, 0, 0, 0], [0, 7, 0, 0, 0], [0, 0, 11, 0, 0], [0, 0, 0, 13, 0], [0, 0, 0, 0, 17]],
+     "b1ecb035a87a466a3470dc14d0af927c52e3c06405fb9e66d62d857e8756d89f",
+     "e2e724774656967c430326235b5c4cea69deea2951adc196eb847d51c7077eda"),
+    ([[2, 0, 0, 0, 0], [0, 4, 0, 0, 0], [0, 0, 8, 0, 0], [0, 0, 0, 16, 0], [0, 0, 0, 0, 32]],
+     "72113f02049f20fe7ef61f9a3723fbc664c243fa2b6314db4cd27dcaf0a48f43",
+     "9d02d3d29072390951e15093d1801bab71988953bc6052af45caed17325cfda5"),
+    ([[2, 1, 0, 0, 1], [1, -2, 1, 0, 0], [0, 1, 4, 1, 0], [0, 0, 1, -6, 2], [1, 0, 0, 2, 8]],
+     "7d7d63f4a7043476af6a3576e28f7ad3116160fd3d86504b79f88489fbb35666",
+     "a52d2ccf07ddbb9d4fc6c8d63ad67462c8e3ced21f370a4adb7d34f4cc44cbac"),
+    ([[36, -23, 0, 0, 22, -13], [-23, 23, 0, 0, -16, 13], [0, 0, 3, 3, 0, 0],
+      [0, 0, 3, 5, 0, 0], [22, -16, 0, 0, 20, -11], [-13, 13, 0, 0, -11, 8]],
+     "9928150e976ba0b6c73d10254b5be6075b7f72bb967d677c9386b06a34de8761",
+     "8afde4c1b3b03e016a4f326dbdfb198dca805e1d357787215c90ce1cba1ff96c"),
+    ([[0, 2, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0], [0, 0, 0, 4, 0, 0],
+      [0, 0, 4, 0, 0, 0], [0, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, -6]],
+     "da65000b602a4e4a0edf9890e417a163bfb996f24779715af0da29b6ea0f9535",
+     "5d2d4f6ab8ba015059785e8b0662c706caa9006d13508205f5b8ef16445e30ab"),
+    ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, -1, 0, 0, 0],
+      [0, 0, 0, 2, 1, 0], [0, 0, 0, 1, 2, 0], [0, 0, 0, 0, 0, 1034273]],
+     "cf3a45c87b9de3780ca792a820c3925ba249ca0262220861e72ae4b89c942e9f",
+     "aaa0fd0cb62b6b6814f9e6e6bc487e3078d5ce0d195ec3330b1ab321960ec172"),
+    ([[4, 2, 0, 0, 0, 0], [2, 4, 0, 0, 0, 0], [0, 0, 8, 0, 0, 0],
+      [0, 0, 0, 16, 0, 0], [0, 0, 0, 0, 32, 0], [0, 0, 0, 0, 0, -10]],
+     "832d6e6311010d739e2a8c7f3678c99a77868e35a37691dba71e22dea4f4cd63",
+     "2e9fbfeb405c8f6b8b5eaf902abf149b023056648cc0bd92c51c71ccf3fb1e4e"),
+]
+
+
 @pytest.fixture
 def u_doc(tmp_path):
     path = tmp_path / "u.doc"
@@ -72,6 +143,17 @@ class TestInfoCommands:
         assert out == (
             "discriminant U2\norder 4\ndivisors 2 2\nq 1 0\nq 2 0\npairing 1 2 1/2\n"
         )
+
+    @pytest.mark.parametrize("gram, out_digest, report_digest", DISC_GOLDEN)
+    def test_disc_bytes_match_golden(self, gram, out_digest, report_digest, tmp_path, capsys):
+        doc = tmp_path / "l.doc"
+        doc.write_text("lattice L\n" + "".join(
+            "  gram %s\n" % " ".join(map(str, row)) for row in gram))
+        report = tmp_path / "rep.json"
+        assert main(["disc", str(doc), "--name", "L", "--report", str(report)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
 
     def test_twist(self, u_doc, capsys):
         assert main(["twist", u_doc, "--name", "U", "--by", "3"]) == 0

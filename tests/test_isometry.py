@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from kummerlat import (
     CertificationError,
     IsometryMap,
     Lattice,
+    PeriodVector,
     direct_sum,
     discriminant_form,
     find_hodge_isometry,
@@ -525,6 +527,14 @@ class TestSearchAgainstReference:
 
 
 class TestVerifier:
+    def test_non_integral_entries_rejected(self):
+        with pytest.raises(CertificationError):
+            IsometryMap(source=U, target=U, matrix=((Fraction(1, 2), 0), (0, 1)))
+        with pytest.raises(CertificationError):
+            IsometryMap(source=U, target=U, matrix=((1.5, 0), (0, 1)))
+        iso = IsometryMap(source=U, target=U, matrix=((Fraction(2, 2), 0), (0, 1.0)))
+        assert iso.matrix == ((1, 0), (0, 1)) and verify_isometry(iso)
+
     def test_tampered_matrix_rejected(self):
         iso = find_isometry(U, U, 1)
         bad = IsometryMap(source=U, target=U, matrix=((1, 0), (1, 1)))
@@ -557,6 +567,23 @@ class TestVerifier:
         )
         with pytest.raises(CertificationError):
             verify_isometry(bad)
+
+    def test_periods_on_other_symbol_bases_rejected(self):
+        h = base_abelian_model(2).transcendental_hodge()
+        iso = find_hodge_isometry(h, h, 1)
+        symbols = h.period.symbols.symbols
+        renamed = SymbolBasis(tuple(s if s == "1" else s + "'" for s in symbols))
+        bad = replace(iso, target_period=PeriodVector(h.lattice, renamed, h.period.coeffs))
+        with pytest.raises(CertificationError, match="symbol bases"):
+            verify_isometry(bad)
+
+    def test_periods_off_the_endpoints_rejected(self):
+        h = base_abelian_model(2).transcendental_hodge()
+        iso = find_hodge_isometry(h, h, 1)
+        off = PeriodVector(h.lattice.twist(3), h.period.symbols, h.period.coeffs)
+        for bad in (replace(iso, source_period=off), replace(iso, target_period=off)):
+            with pytest.raises(CertificationError, match="endpoint"):
+                verify_isometry(bad)
 
     def test_shape_mismatch_rejected(self):
         bad = IsometryMap(source=U, target=U, matrix=((1, 0),))

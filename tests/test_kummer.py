@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from kummerlat import (
+    DIFFER,
+    MATCH_OR_UNKNOWN,
     AbelianSurfaceModel,
     BField,
     IsometryMap,
@@ -11,6 +13,7 @@ from kummerlat import (
     SymbolBasis,
     brauer_class_of,
     find_hodge_isometry,
+    genus_equal,
     hodge_lattice,
     hodge_miss_reason,
     hodge_verdict,
@@ -295,6 +298,27 @@ class TestTEquivalence:
         )
         assert verdict.kind == "refuted"
         assert len(calls) == 2
+
+    def test_verdicts_compute_no_display_data(self, monkeypatch):
+        # q_values and pairings are read only by the disc command
+        forms = []
+        original = lattice_module.discriminant_form
+
+        def keeping(lat):
+            forms.append(original(lat))
+            return forms[-1]
+
+        monkeypatch.setattr(lattice_module, "discriminant_form", keeping)
+        a, ef = base_abelian_model(2), product_abelian_model(2)
+        zero_a, zero_ef = BField.zero(a.h2.lattice), BField.zero(ef.h2.lattice)
+        for other, bfield, kind in ((ef, zero_ef, "refuted"), (ef, product_bfield(2), "equivalent"),
+                                    (a, zero_a, "equivalent")):
+            assert t_equivalence(a, zero_a, other, bfield, bound=2).kind == kind
+        assert genus_equal(make_standard("U"), make_standard("U_n", 2)) == DIFFER
+        assert genus_equal(make_standard("U_n", 6), make_standard("U_n", 6)) == MATCH_OR_UNKNOWN
+        assert len(forms) == 10
+        assert all(not {"q_values", "pairings"} & set(vars(d)) for d in forms)
+        assert forms[-1].q_values == (0, 0) and "q_values" in vars(forms[-1])
 
     def test_twisted_equivalence_found(self):
         for n in (2, 4):
