@@ -8,7 +8,10 @@ Three routes, all exact:
     lattice._PROFILE_CAP), polynomial in rank and log |det| apart from
     that profile -- sound, never claims isometry;
   * bounded backtracking search for an explicit witness matrix -- sound,
-    never claims non-isometry;
+    never claims non-isometry. Both forms must be nondegenerate, so every
+    witness M is unimodular: its rows are primitive, and since
+    M G2 = G1 M^-T, row i has gcd(v_i G2) = gcd(G1[i]); each row's
+    candidates are cut to the norm-pool vectors with both properties;
   * for Hodge lattices whose periods span, a closed form: a Hodge
     isometry with rational scalar lam is +-lam M0 for the one rational
     M0 carrying one period onto the other, so at most two candidates
@@ -24,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 
 from . import linalg
-from .lattice import Lattice, Sublattice, _integer_matrix, genus_of
+from .lattice import Lattice, LatticeError, Sublattice, _integer_matrix, genus_of
 
 DIFFER = "differ"
 MATCH_OR_UNKNOWN = "match_or_unknown"
@@ -261,6 +264,34 @@ def _norm_roots(g, b, c, bound):
     return sorted(roots)
 
 
+def _row_domains(g1, g2, bound):
+    """Each row's starting candidates for _search: (v, v.G2) pairs in lex order.
+
+    Every witness M of M G2 M^T = G1 is unimodular, since det G1 = det G2
+    is nonzero, and so each row v_i of M is primitive. Moreover
+    M G2 = G1 M^-T and right multiplication by a unimodular matrix keeps
+    the gcd of a row's entries, so gcd(v_i G2) = gcd(G1[i]). Row i's
+    domain is therefore the norm pool of G1[i][i] cut down to the
+    primitive vectors v with gcd(v G2) = gcd(G1[i]); one domain is built
+    per (norm, divisor) key, from one pool per norm.
+    """
+    sign = _definite_sign(g2)
+    pools, domains = {}, {}
+    keys = [(row[i], gcd(*row)) for i, row in enumerate(g1)]
+    for norm, divisor in keys:
+        if (norm, divisor) in domains:
+            continue
+        if norm not in pools:
+            pools[norm] = [
+                (v, linalg.vec_times_mat(v, g2))
+                for v in _candidate_pool(g2, norm, bound, sign)
+            ]
+        domains[norm, divisor] = [
+            (v, vg) for v, vg in pools[norm] if gcd(*v) == 1 and gcd(*vg) == divisor
+        ]
+    return [domains[key] for key in keys]
+
+
 def _search(g1, g2, bound):
     """Backtracking core; yields every witness matrix in row-major lex order.
 
@@ -268,25 +299,22 @@ def _search(g1, g2, bound):
     in lexicographic order, so the witnesses come out row-major
     lexicographically ordered and the first is the least one. Pruning is
     forward checking over candidate domains: every row starts from the
-    exact norm pool of its diagonal entry (Fincke-Pohst pools for
-    definite targets), and assigning v to row i filters each later row's
-    domain down to the candidates w with w.G2.v == g1[k][i], dropping the
-    branch as soon as a domain empties. Filtering keeps each domain in
-    lexicographic order and removes only candidates that no completion
-    could use, so the witnesses are the same as in a plain scan.
+    vectors of its norm pool (Fincke-Pohst pools for definite targets)
+    that a unimodular witness can use there (_row_domains), and
+    assigning v to row i filters each later row's domain down to the
+    candidates w with w.G2.v == g1[k][i], dropping the branch as soon as
+    a domain empties. Filtering keeps each domain in lexicographic order
+    and removes only candidates that no completion could use, so the
+    witnesses are the same as in a plain scan. Both forms must be
+    nondegenerate, so that every witness is unimodular; a singular one
+    raises LatticeError.
     """
     n = len(g1)
-    if len(g2) != n or not n or linalg.det(g1) != linalg.det(g2):
+    d1, d2 = linalg.det(g1), linalg.det(g2)
+    if d1 == 0 or d2 == 0:
+        raise LatticeError("gram matrix must be nondegenerate")
+    if len(g2) != n or not n or d1 != d2:
         return
-    sign = _definite_sign(g2)
-    pools = {}
-    for i in range(n):
-        norm = g1[i][i]
-        if norm not in pools:
-            pools[norm] = [
-                (v, linalg.vec_times_mat(v, g2))
-                for v in _candidate_pool(g2, norm, bound, sign)
-            ]
     rows = []
 
     def extend(i, domains):
@@ -307,19 +335,18 @@ def _search(g1, g2, bound):
                     yield from extend(i + 1, narrowed)
                 rows.pop()
 
-    yield from extend(0, [pools[g1[i][i]] for i in range(n)])
+    yield from extend(0, _row_domains(g1, g2, bound))
 
 
 def find_isometry(l1, l2, bound):
     """Lex-least integer isometry l1 -> l2 with entries in [-bound, bound].
 
     None means no witness within the bound, not non-isometry (except for
-    definite inputs, where the norm pools are complete).
+    definite inputs, where the norm pools are complete). A singular Gram
+    matrix, which a Sublattice may carry, raises LatticeError.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if l1.rank != l2.rank:
-        return None
     m = next(_search(gram_of(l1), gram_of(l2), bound), None)
     if m is None:
         return None

@@ -38,13 +38,16 @@ class LatticeError(ValueError):
     pass
 
 
+def _integer(x, what, error=LatticeError):
+    """x as an int; raises error, naming x as what, when x is not integral."""
+    if int(x) != x:
+        raise error("%s %s is not an integer" % (what, x))
+    return int(x)
+
+
 def _integer_matrix(rows, error=LatticeError):
     """rows as a tuple of int tuples; raises error on a non-integral entry."""
-    def entry(x):
-        if int(x) != x:
-            raise error("matrix entry %s is not an integer" % (x,))
-        return int(x)
-    return tuple(tuple(map(entry, row)) for row in rows)
+    return tuple(tuple(_integer(x, "matrix entry", error) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class Lattice:
 
     def twist(self, m):
         """Same underlying group, form scaled entrywise by m != 0."""
-        m = int(m)
+        m = _integer(m, "twist factor")
         if m == 0:
             raise LatticeError("twist by zero is degenerate")
         return Lattice([[m * x for x in row] for row in self.gram], self.labels)
@@ -143,12 +146,12 @@ def make_standard(kind, param=None):
     if kind == "U":
         return Lattice(((0, 1), (1, 0)), ("e", "f"))
     if kind == "U_n":
-        n = int(param)
+        n = _integer(param, "U_n parameter")
         if n == 0:
             raise LatticeError("U_n(0) is degenerate")
         return Lattice(((0, n), (n, 0)), ("e", "f"))
     if kind == "rank1":
-        d = int(param)
+        d = _integer(param, "rank1 parameter")
         if d == 0:
             raise LatticeError("rank1(0) is degenerate")
         return Lattice(((d,),), ("e",))
@@ -489,8 +492,12 @@ class GenusInvariants:
 
     rank: int
     signature: tuple
-    even: bool
     disc: DiscriminantForm
+
+    @property
+    def even(self):
+        """Parity, as the discriminant form's q-value modulus records it."""
+        return self.disc.modulus == 2
 
     def describe(self):
         return (
@@ -509,7 +516,6 @@ def genus_of(lattice):
     return GenusInvariants(
         rank=lattice.rank,
         signature=lattice.signature(),
-        even=lattice.is_even(),
         disc=discriminant_form(lattice),
     )
 

@@ -251,6 +251,38 @@ class TestSurfaceCommands:
         ))
 
 
+# SHA-256 of the `example43 --n N --bound B --report` bytes at the bounds
+# other than bench/golden_example43.json's 3. The bound changes the candidate
+# pools, so these pin the lex-least witnesses wherever the search's domain
+# filters take effect.
+EXAMPLE43_REPORT_SHA256 = {
+    (1, 1): "3a6987edcb0f13727ee82a71608416105f2fc9ecc8472960c7c3443517ffd684",
+    (2, 1): "3f68af07a5376e4db6f338ea8b86c7eccd13f368b628e5d99fc4b81808f03f59",
+    (3, 1): "beba3390f2902b15b2a09afd1afebfe6553a50a57ce398a6eedcf1306209b651",
+    (4, 1): "99a3dd1dcefba3afc2a03810a59887138b37f0ea74e79407c271b5d4b5a91ee3",
+    (5, 1): "8b953cdd843ba6e07299cfaf0658222828ba45175bc1181103ba787a6c2bd1bf",
+    (6, 1): "c588f8eee694dae6637b85b028893168fb3141f44c2fbb6c782c2b70b64638c9",
+    (7, 1): "ca1b46993b70fdc68f5e23f15efedf4c37bcd1553426a5d688b88e9f48d427b0",
+    (8, 1): "bf320eb0f6448b3cc84346aba3e62df154f92860f579e914ae9e548b4fad5078",
+    (1, 2): "f569941222d033a73b42874858c2f999196a8859dd9510e247550da1c3d2380d",
+    (2, 2): "aeecb73aefc356dc51e34b54eea4560c26a97332c06dd5c60ac4f1fe31cbea59",
+    (3, 2): "ddc794d166d46ad0f4425e0e60e9a67c8bd4b06b48c83e0fbabca92dcf7ef081",
+    (4, 2): "e7a8d256534fff659734c84523ea54b28e4bc84a89091d0c6c9b4d7bee719993",
+    (5, 2): "41714f632b35700e5cee66647ffa0bd6ebb50af857257c8cfa50b86ce2e9a5cc",
+    (6, 2): "5e544253b81e85c039892e2ad559395a830d64521c5053efb44e000ea8d833a8",
+    (7, 2): "4029eae1b43e9c78add960acbf9a5ab9c830a5625e15d475a70794739122f77b",
+    (8, 2): "8e7399bd94f8f6917e21fa91e690a2bf3c5f9b1a326319dc4f536d9bd5b3e88f",
+    (1, 4): "8749714b444cbca89ea43da4081a79972a84cd56138eed3726678416e43c0254",
+    (2, 4): "6b282d5695b7979bf0d10763b6d9fa3bfe63737c147e87f1eb7ec273c5b07d3e",
+    (3, 4): "173bc76fd7444d7fffbe8a4fe5e57669507a6f255b2e8449a498229c920a986b",
+    (4, 4): "c5b9cb869708795c967d71ed00d963816db5e28fb49131f1bd2d060fac0ebe7a",
+    (5, 4): "07d3e7996cf81f6e6a21031ad169b7b124d7b1a7f27eb1991217e1ed827ef43d",
+    (6, 4): "e9623c0e20006b198269c6fb2a0222037390df6c1331f1277ca2b8a5149636a1",
+    (7, 4): "15af990a44a29945074bb39ae87546966ef5c3d7727b4560dcb35ad5ba6cf40b",
+    (8, 4): "50564463c22da642b8d007c33587278421a6779f6d817e9a8497a903c81cd037",
+}
+
+
 class TestExample43Command:
     def test_exit_codes(self, capsys):
         assert main(["example43", "--n", "1", "--quiet"]) == 0
@@ -290,6 +322,14 @@ class TestExample43Command:
         main(["example43", "--n", str(n), "--bound", "3", "--quiet", "--report", str(report)])
         capsys.readouterr()
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, bound", sorted(EXAMPLE43_REPORT_SHA256))
+    def test_report_bytes_across_bounds(self, n, bound, tmp_path, capsys):
+        report = tmp_path / "rep.json"
+        args = ["example43", "--n", str(n), "--bound", str(bound), "--quiet", "--report", str(report)]
+        assert main(args) == (0 if n == 1 else 1)
+        capsys.readouterr()
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == EXAMPLE43_REPORT_SHA256[n, bound]
 
     def test_invalid_n(self, capsys):
         assert main(["example43", "--n", "0"]) == 3

@@ -3,6 +3,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -12,7 +13,9 @@ from kummerlat import (
     CertificationError,
     IsometryMap,
     Lattice,
+    LatticeError,
     PeriodVector,
+    Sublattice,
     direct_sum,
     discriminant_form,
     find_hodge_isometry,
@@ -30,7 +33,7 @@ from kummerlat import (
 )
 from kummerlat import linalg
 from kummerlat.construction import base_abelian_model, quotient_surface_hodge
-from kummerlat.isometry import _candidate_pool, _definite_sign, _search
+from kummerlat.isometry import _candidate_pool, _definite_sign, _row_domains, _search
 from kummerlat.linalg import scalar_ratio
 from util import (
     box_pool,
@@ -349,6 +352,18 @@ class TestFindIsometry:
         with pytest.raises(ValueError):
             find_isometry(U, U, 0)
 
+    def test_singular_gram_rejected(self):
+        # a Sublattice may carry a singular Gram matrix, here the zero form;
+        # every 2x2 box matrix carries it onto itself, so the first one,
+        # ((-1, -1), (-1, -1)), is not unimodular
+        zero = Sublattice(direct_sum(U, U), [[1, 0, 0, 0], [0, 0, 1, 0]])
+        assert zero.gram() == ((0, 0), (0, 0))
+        nondegenerate = Sublattice(direct_sum(U, U), [[1, 1, 0, 0], [0, 0, 1, 1]])
+        for l1, l2 in ((zero, zero), (zero, nondegenerate), (nondegenerate, zero)):
+            with pytest.raises(LatticeError):
+                find_isometry(l1, l2, 1)
+        assert find_isometry(nondegenerate, nondegenerate, 1) is not None
+
     def test_self_search_succeeds_at_bound_one(self):
         rng = random.Random(59)
         for _ in range(15):
@@ -433,6 +448,78 @@ def _random_indefinite_gram(rng, n):
             return gram
 
 
+def _row_scaled(rng, gram):
+    """gram scaled by D on both sides, D diagonal: row i gains divisor d_i."""
+    d = [rng.choice((1, 1, 2, 3)) for _ in gram]
+    return [[d[i] * x * d[j] for j, x in enumerate(row)] for i, row in enumerate(gram)]
+
+
+class TestRowDomains:
+    """Row i's domain is exactly its norm pool's primitive vectors v with
+    gcd(v.G2) = gcd(G1[i]), in lexicographic order."""
+
+    def check(self, g1, g2, bound, definite):
+        n = len(g1)
+        domains = _row_domains(g1, g2, bound)
+        assert len(domains) == n
+
+        def times_g2(v):
+            return [sum(v[k] * g2[k][j] for k in range(n)) for j in range(n)]
+
+        cut_primitive = cut_divisor = 0
+        for i, (row, dom) in enumerate(zip(g1, domains)):
+            if definite:
+                halved = fraction_short_vectors(g2, row[i])
+                pool = sorted(halved + [tuple(-c for c in v) for v in halved])
+            else:
+                pool = box_pool(g2, row[i], bound)
+            # soundness: each entry pairs a primitive v with v.G2 of the row's divisor
+            for v, vg in dom:
+                assert list(vg) == times_g2(v)
+                assert gcd(*v) == 1 and gcd(*vg) == gcd(*row)
+            # completeness, in lex order: every pool vector with both properties
+            kept = []
+            for v in pool:
+                if gcd(*v) != 1:
+                    cut_primitive += 1
+                elif gcd(*times_g2(v)) != gcd(*row):
+                    cut_divisor += 1
+                else:
+                    kept.append(v)
+            assert [v for v, _ in dom] == kept
+        return cut_primitive, cut_divisor
+
+    def test_definite_forms(self):
+        rng = random.Random(101)
+        cuts = [0, 0]
+        for _ in range(30):
+            gram = _row_scaled(rng, _random_definite_gram(rng, rng.randint(1, 3)))
+            got = self.check(gram, _conjugate(rng, gram)[1], 1, True)
+            cuts = [a + b for a, b in zip(cuts, got)]
+        assert all(cuts)
+
+    def test_indefinite_forms(self):
+        rng = random.Random(103)
+        cuts = [0, 0]
+        for _ in range(30):
+            gram = _row_scaled(rng, _random_indefinite_gram(rng, rng.randint(2, 4)))
+            conj = _conjugate(rng, gram)[1]
+            for bound in (1, 2):
+                got = self.check(gram, conj, bound, False)
+                cuts = [a + b for a, b in zip(cuts, got)]
+        assert all(cuts)
+
+    def test_example43_row_zero_domain(self):
+        # T(S) for n = 4 against U + U(4): row 0 has norm 0 and divisor 4,
+        # which leaves 4 of the 177 isotropic box vectors
+        g1 = transcendental_lattice(quotient_surface_hodge(4)).as_lattice().gram
+        g2 = direct_sum(U, make_standard("U_n", 4)).gram
+        assert len(_candidate_pool(g2, 0, 3, 0)) == 177
+        assert [v for v, _ in _row_domains(g1, g2, 3)[0]] == [
+            (0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 1), (0, 0, 1, 0)
+        ]
+
+
 class TestSearchAgainstReference:
     """The forward-checked _search returns exactly the plain backtracker's witness."""
 
@@ -471,6 +558,22 @@ class TestSearchAgainstReference:
             gram = _random_indefinite_gram(rng, rng.randint(2, 4))
             found += self.assert_same(gram, _conjugate(rng, gram)[1], (1, 2))
         assert found > 0
+
+    def test_example43_transcendental_pairs(self):
+        # T(S) of the order-n construction against U + U(n), each side
+        # also conjugated: two rows of T(S) carry divisor n, so the
+        # divisor filter cuts the domains and must keep the witness
+        rng = random.Random(107)
+        found = cut = 0
+        for n in range(1, 5):
+            t_s = transcendental_lattice(quotient_surface_hodge(n)).as_lattice().gram
+            u_un = direct_sum(U, make_standard("U_n", n)).gram
+            pairs = [(t_s, u_un), (_conjugate(rng, t_s)[1], u_un), (t_s, _conjugate(rng, u_un)[1])]
+            for g1, g2 in pairs:
+                found += self.assert_same(g1, g2, (1, 2))
+                pools = [_candidate_pool(g2, row[i], 2, 0) for i, row in enumerate(g1)]
+                cut += sum(map(len, pools)) > sum(map(len, _row_domains(g1, g2, 2)))
+        assert 0 < found < 24 and cut == 12
 
     def test_non_isometric_pairs(self):
         odd_u = [[1, 0], [0, -1]]

@@ -1,5 +1,6 @@
 import random
 from collections import defaultdict
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
@@ -8,6 +9,7 @@ import pytest
 from sympy import Matrix
 
 from kummerlat import (
+    GenusInvariants,
     Lattice,
     LatticeError,
     Sublattice,
@@ -70,6 +72,19 @@ class TestConstruction:
         with pytest.raises(LatticeError):
             make_standard("rank1", 0)
 
+    def test_non_integral_parameters_rejected(self):
+        # int() would truncate these to U(3) and <2>
+        for kind, param in (("U_n", Fraction(7, 2)), ("U_n", 3.5), ("rank1", 2.5),
+                            ("rank1", Fraction(-5, 2))):
+            with pytest.raises(LatticeError):
+                make_standard(kind, param)
+
+    def test_integral_non_int_parameters_accepted(self):
+        assert make_standard("U_n", Fraction(6, 2)).gram == ((0, 3), (3, 0))
+        assert make_standard("U_n", 3.0).gram == ((0, 3), (3, 0))
+        assert make_standard("rank1", Fraction(-4, 2)).gram == ((-2,),)
+        assert make_standard("rank1", 2.0).gram == ((2,),)
+
     def test_empty_lattice_not_constructible(self):
         with pytest.raises(LatticeError):
             Lattice(())
@@ -109,6 +124,16 @@ class TestTwist:
     def test_zero_twist_rejected(self):
         with pytest.raises(LatticeError):
             U.twist(0)
+
+    def test_non_integral_twist_rejected(self):
+        # int() would truncate these to twists by 2 and -1
+        for m in (Fraction(5, 2), 2.5, Fraction(-3, 2)):
+            with pytest.raises(LatticeError):
+                U.twist(m)
+
+    def test_integral_non_int_twist_accepted(self):
+        assert U.twist(Fraction(4, 2)) == U.twist(2.0) == U.twist(2)
+        assert U.twist(Fraction(-3)).gram == ((0, -3), (-3, 0))
 
 
 class TestDirectSum:
@@ -565,6 +590,23 @@ class TestGenusAndRendering:
     def test_genus_fields(self):
         g = genus_of(make_standard("U_n", 2))
         assert g.rank == 2 and g.signature == (1, 1) and g.even
+
+    def test_parity_is_read_off_the_discriminant_modulus(self):
+        # one record of parity: the q-value modulus, 2 exactly for even forms
+        assert [f.name for f in fields(GenusInvariants)] == ["rank", "signature", "disc"]
+        rng = random.Random(61)
+        parities = set()
+        for _ in range(30):
+            lattice = Lattice(random_symmetric_lattice_gram(rng, rng.randint(1, 4), bound=3))
+            g = genus_of(lattice)
+            assert g.even == lattice.is_even() == (g.disc.modulus == 2)
+            assert ("even" if g.even else "odd") in g.describe()
+            parities.add(g.even)
+        assert parities == {True, False}
+        assert genus_of(U).describe() == "rank 2, signature (1,1), even, disc divisors []"
+        assert genus_of(make_standard("rank1", 3)).describe() == (
+            "rank 1, signature (1,0), odd, disc divisors [3]"
+        )
 
     def test_render_golden(self):
         expected = (
