@@ -71,6 +71,7 @@ from .kummer import (
     KummerModel,
     TEquivalenceVerdict,
     TransportResult,
+    TwistedSurface,
     hodge_verdict,
     induced_kummer_isometry,
     is_square_ratio,

@@ -172,7 +172,9 @@ def exp_b_embedding(kernel, bfield, k=1, target=None):
     NonIntegralTwist). The embedding preserves the form exactly, hence
     also at the twist k in {1, 2}, which is recorded for certification.
     When target (the generalized transcendental sublattice) is given,
-    the image is certified to land onto it after saturation.
+    the image is certified to land onto it after saturation. The image
+    is saturated once, and its rows are written over the target basis
+    in one elimination.
     """
     if k not in (1, 2):
         raise LatticeError("k must be 1 or 2")
@@ -188,17 +190,15 @@ def exp_b_embedding(kernel, bfield, k=1, target=None):
                 "vector %r pairs with B to %s, not an integer" % (list(row), h4)
             )
         image_rows.append([0] + list(row) + [int(h4)])
-    image = Sublattice(mukai, image_rows)
+    saturated = saturate(Sublattice(mukai, image_rows))
     if target is None:
-        target = saturate(image)
-    if not saturate(image).same_span(saturate(target)):
+        target = saturated
+    elif not saturated.same_span(saturate(target)):
         raise CertificationError("exp(B) image does not saturate onto the target")
-    matrix = []
-    for row in image_rows:
-        coords = target.coordinates_of(row)
-        if any(c.denominator != 1 for c in coords):
-            raise CertificationError("exp(B) image is not integral over the target basis")
-        matrix.append([int(c) for c in coords])
+    coords = target.coordinates_of(image_rows) if image_rows else ()
+    if any(c.denominator != 1 for row in coords for c in row):
+        raise CertificationError("exp(B) image is not integral over the target basis")
+    matrix = [[int(c) for c in row] for row in coords]
     iso = IsometryMap(source=kernel, target=target,
                       matrix=matrix, scale=Fraction(1))
     verify_isometry(iso)

@@ -21,7 +21,7 @@ from functools import cache
 from .brauer import brauer_class_of, kernel_with_coords, order_of
 from .construction import run_example43
 from .hodge import hodge_lattice, ns_and_picard, transcendental_lattice
-from .kummer import kummer_brauer_class, kummer_transcendental, t_equivalence
+from .kummer import TwistedSurface, kummer_brauer_class, kummer_transcendental, t_equivalence
 from .lattice import LatticeError, discriminant_form, render_lattice
 from .report import EXIT_INPUT_ERROR, INCONCLUSIVE, REFUTED, VERIFIED, Report
 from .specdoc import SpecParseError, parse_spec
@@ -226,9 +226,9 @@ def _cmd_tequiv(args):
     bound = args.bound if args.bound is not None else _default_bound()
     doc1 = parse_spec(_read_file(args.file1))
     doc2 = parse_spec(_read_file(args.file2))
-    model1, b1 = doc1.surface_model()
-    model2, b2 = doc2.surface_model()
-    verdict = t_equivalence(model1, b1, model2, b2, bound)
+    surface1 = TwistedSurface(*doc1.surface_model())
+    surface2 = TwistedSurface(*doc2.surface_model())
+    verdict = t_equivalence(surface1, surface2, bound)
     rep = Report(command="tequiv --bound %d" % bound)
     if verdict.kind == "equivalent":
         rep.add("t-equivalence", VERIFIED,

@@ -22,6 +22,7 @@ from fractions import Fraction
 from . import linalg
 from .brauer import (
     BField,
+    NonIntegralTwist,
     brauer_class_of,
     exp_b_embedding,
     generalized_transcendental,
@@ -39,16 +40,17 @@ from .hodge import (
     wedge_square_lattice,
     wedge_square_map,
 )
-from .isometry import find_isometry
+from .isometry import CertificationError, find_isometry
 from .kummer import (
     AbelianSurfaceModel,
+    TwistedSurface,
     kummer_brauer_class,
-    kummer_transcendental,
     t_equivalence,
     transport_isometry,
 )
 from .lattice import (
     Lattice,
+    LatticeError,
     Sublattice,
     direct_sum,
     make_standard,
@@ -259,9 +261,10 @@ def run_example43(n, bound=3):
     )
 
     # (5) untwisted comparison of A_n with E x F: equivalent only for n = 1
-    zero_a = BField.zero(a_model.h2.lattice)
-    zero_ef = BField.zero(ef_model.h2.lattice)
-    verdict5 = t_equivalence(a_model, zero_a, ef_model, zero_ef, bound)
+    # T(A_n, 0) is built once, for steps 5 and 9
+    a_surface = TwistedSurface(a_model, BField.zero(a_model.h2.lattice))
+    ef_surface = TwistedSurface(ef_model, BField.zero(ef_model.h2.lattice))
+    verdict5 = t_equivalence(a_surface, ef_surface, bound)
     values5 = {"verdict": verdict5.kind}
     cert5 = {}
     if verdict5.kind == "equivalent":
@@ -304,18 +307,20 @@ def run_example43(n, bound=3):
     target = generalized_transcendental(sigma_u2, b_u2)
     try:
         embed = exp_b_embedding(kernel, b_u2, k=1, target=target)
+    except (LatticeError, NonIntegralTwist, CertificationError) as exc:
+        # a failed certification is a verdict; any other error propagates
+        rep.add("exp-b-image", REFUTED, values={"error": str(exc)})
+    else:
         rep.add(
             "exp-b-image",
             VERIFIED,
             values={"target_basis": target.basis},
             certificate={"embedding": embed.matrix},
         )
-    except Exception as exc:  # certification failure is a verdict, not a crash
-        rep.add("exp-b-image", REFUTED, values={"error": str(exc)})
 
     # (9) (A_n, 0) and (E_1 x F, k2/n) are T-equivalent
-    b_ef1 = product_bfield(n)
-    verdict9 = t_equivalence(a_model, zero_a, ef1_model, b_ef1, bound)
+    ef1_surface = TwistedSurface(ef1_model, product_bfield(n))
+    verdict9 = t_equivalence(a_surface, ef1_surface, bound)
     if verdict9.kind == "equivalent":
         rep.add(
             "twisted-equivalence",
@@ -331,13 +336,13 @@ def run_example43(n, bound=3):
         )
 
     # (10) the transported class on the Kummer side has order n
-    km1 = kummer_transcendental(ef1_model)
-    beta = kummer_brauer_class(ef1_model, b_ef1, km1)
+    # the Kummer model of E_1 x F is built once, for this check and the transport
+    beta = kummer_brauer_class(ef1_model, ef1_surface.bfield, ef1_surface.kummer)
     ok10 = order_of(beta) == n
     values10 = {"km_order": order_of(beta), "km_values": beta.values}
     cert10 = {}
     if verdict9.kind == "equivalent":
-        transported = transport_isometry(a_model, zero_a, ef1_model, b_ef1, verdict9.witness)
+        transported = transport_isometry(a_surface, ef1_surface, verdict9.witness)
         ok10 = ok10 and transported.paths_agree
         cert10 = {
             "km_witness": transported.map.matrix,

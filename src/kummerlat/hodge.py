@@ -313,12 +313,12 @@ def ns_and_picard(h):
 def restrict_period(sub, period, labels=None):
     """Rewrite an ambient period in the coordinates of a sublattice.
 
-    The period must lie in the rational span of the sublattice. Returns a
+    The period must lie in the rational span of the sublattice. Every
+    symbol column is solved for in one elimination. Returns a
     PeriodVector over sub.as_lattice().
     """
     if period.lattice != sub.ambient:
         raise LatticeError("period is not defined over the sublattice ambient")
     abstract = sub.as_lattice(labels)
-    cols = [sub.coordinates_of(c) for c in period.columns()]
-    coeffs = tuple(tuple(col[i] for col in cols) for i in range(abstract.rank))
-    return PeriodVector(abstract, period.symbols, coeffs)
+    cols = sub.coordinates_of(period.columns())
+    return PeriodVector(abstract, period.symbols, tuple(zip(*cols)))

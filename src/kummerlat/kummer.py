@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .brauer import (
@@ -183,6 +184,38 @@ def twisted_transcendental_model(h2_hodge, bfield):
 
 
 @dataclass(frozen=True)
+class TwistedSurface:
+    """A surface model with a B-field, and the models built from the pair.
+
+    Each model is built on first read and kept, so that t_equivalence and
+    transport_isometry on the same TwistedSurface build it once.
+    """
+
+    model: AbelianSurfaceModel
+    bfield: BField
+
+    @cached_property
+    def twisted(self):
+        """T(A, B) as a TwistedModel."""
+        return twisted_transcendental_model(self.model.h2, self.bfield)
+
+    @cached_property
+    def kummer(self):
+        """The KummerModel of the surface (the B-field plays no part)."""
+        return kummer_transcendental(self.model)
+
+    @cached_property
+    def km_bfield(self):
+        """The induced B-field p(B)/2 on T_km."""
+        return kummer_bfield(self.model, self.kummer, self.bfield)
+
+    @cached_property
+    def km_twisted(self):
+        """T(Km, p(B)/2) as a TwistedModel."""
+        return twisted_transcendental_model(self.kummer.hodge, self.km_bfield)
+
+
+@dataclass(frozen=True)
 class TEquivalenceVerdict:
     """Three-valued outcome of the twisted Hodge-isometry test.
 
@@ -224,17 +257,16 @@ def hodge_verdict(h1, h2, bound=3):
     )
 
 
-def t_equivalence(model1, b1, model2, b2, bound=3):
-    """Decide T-equivalence of two twisted surface models, with certificates.
+def t_equivalence(surface1, surface2, bound=3):
+    """Decide T-equivalence of two twisted surfaces, with certificates.
 
     hodge_verdict on the generalized transcendental lattices T(A1, B1)
-    and T(A2, B2).
+    and T(A2, B2), read from each TwistedSurface, which builds its own
+    once.
     """
     if bound < 1:
         raise LatticeError("bound must be >= 1")
-    tw1 = twisted_transcendental_model(model1.h2, b1)
-    tw2 = twisted_transcendental_model(model2.h2, b2)
-    return hodge_verdict(tw1.hodge, tw2.hodge, bound)
+    return hodge_verdict(surface1.twisted.hodge, surface2.twisted.hodge, bound)
 
 
 @dataclass(frozen=True)
@@ -247,51 +279,38 @@ class TransportResult:
     km_bfield2: BField
 
 
-def transport_isometry(model1, b1, model2, b2, g):
+def transport_isometry(surface1, surface2, g):
     """Carry g: T(A1, B1) -> T(A2, B2) around the doubling diagram.
 
     Composes the inverse exp(B1)-embedding, the kernel identification to
     the Kummer side, and the exp of the induced Kummer B-field, on both
-    flanks of g. Every factor is certified; the two composite paths from
-    T(A1, B1) to the Kummer-side twisted lattice of model2 are compared
-    as matrices and their agreement is reported.
+    flanks of g. The twisted and Kummer models are read from the two
+    TwistedSurfaces, so those t_equivalence built are not built again.
+    Every factor is certified; the two composite paths from T(A1, B1) to
+    the Kummer-side twisted lattice of surface2 are compared as matrices
+    and their agreement is reported.
     """
     verify_isometry(g)
-    sides = []
-    for model, bfield in ((model1, b1), (model2, b2)):
-        km = kummer_transcendental(model)
+    downs = []
+    for side in (surface1, surface2):
         # f_map certifies both twist kernels: its source and its target
-        f_map = induced_kummer_isometry(model, bfield, km)
-        tw = twisted_transcendental_model(model.h2, bfield)
-        embed = exp_b_embedding(f_map.source, bfield, k=2, target=tw.sub)
-        b_km = kummer_bfield(model, km, bfield)
-        km_tw = twisted_transcendental_model(km.hodge, b_km)
-        km_embed = exp_b_embedding(f_map.target, b_km, k=1, target=km_tw.sub)
-        sides.append(
-            {
-                "embed": embed,
-                "f": f_map,
-                "km_embed": km_embed,
-                "km_bfield": b_km,
-                "km_tw": km_tw,
-                "tw": tw,
-            }
-        )
-    s1, s2 = sides
-    down1 = s1["embed"].inverse().then(s1["f"]).then(s1["km_embed"])
-    down2 = s2["embed"].inverse().then(s2["f"]).then(s2["km_embed"])
+        f_map = induced_kummer_isometry(side.model, side.bfield, side.kummer)
+        embed = exp_b_embedding(f_map.source, side.bfield, k=2, target=side.twisted.sub)
+        km_embed = exp_b_embedding(f_map.target, side.km_bfield, k=1, target=side.km_twisted.sub)
+        downs.append(embed.inverse().then(f_map).then(km_embed))
+    down1, down2 = downs
     f = down1.inverse().then(g).then(down2)
     # periods are attached end to end for certification of the composite
-    src_cols = s1["km_tw"].hodge.period.columns()
-    tgt_cols = s2["km_tw"].hodge.period.columns()
+    src, tgt = surface1.km_twisted.hodge, surface2.km_twisted.hodge
     f = IsometryMap(
-        source=s1["km_tw"].hodge.lattice,
-        target=s2["km_tw"].hodge.lattice,
+        source=src.lattice,
+        target=tgt.lattice,
         matrix=f.matrix,
         scale=Fraction(1),
-        lam=linalg.scalar_ratio(linalg.matmul(src_cols, f.matrix), tgt_cols),
-        source_period=s1["km_tw"].hodge.period,
-        target_period=s2["km_tw"].hodge.period,
+        lam=linalg.scalar_ratio(linalg.matmul(src.period.columns(), f.matrix),
+                                tgt.period.columns()),
+        source_period=src.period,
+        target_period=tgt.period,
     )
     verify_isometry(f)
     path_top = g.then(down2).matrix
@@ -299,8 +318,8 @@ def transport_isometry(model1, b1, model2, b2, g):
     return TransportResult(
         map=f,
         paths_agree=path_top == path_bottom,
-        km_bfield1=s1["km_bfield"],
-        km_bfield2=s2["km_bfield"],
+        km_bfield1=surface1.km_bfield,
+        km_bfield2=surface2.km_bfield,
     )
 
 

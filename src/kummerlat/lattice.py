@@ -203,7 +203,11 @@ class Sublattice:
         return len(self.basis)
 
     def gram(self):
-        """Induced Gram matrix basis * ambient.gram * basis^T."""
+        """Induced Gram matrix basis * ambient.gram * basis^T, computed once."""
+        return self._gram
+
+    @cached_property
+    def _gram(self):
         rows = linalg.matmul(self.basis, self.ambient.gram)
         return tuple(tuple(sum(map(mul, r, b)) for b in self.basis) for r in rows)
 
@@ -219,13 +223,20 @@ class Sublattice:
         return x is not None and all(c.denominator == 1 for c in x)
 
     def coordinates_of(self, v):
-        """Coordinates of ambient vector v in this basis (exact, rational)."""
+        """Coordinates of ambient vector v in this basis (exact, rational).
+
+        v is one vector, or several as a matrix of rows, as in
+        linalg.solve; several vectors share one elimination and give one
+        coordinate tuple each. Raises LatticeError when any vector lies
+        outside the rational span.
+        """
         if not self.basis:
             raise LatticeError("rank-0 sublattice has no coordinates")
-        x = linalg.solve(linalg.transpose(self.basis), v)
+        several = bool(v) and isinstance(v[0], (list, tuple))
+        x = linalg.solve(linalg.transpose(self.basis), linalg.transpose(v) if several else v)
         if x is None:
             raise LatticeError("vector does not lie in the rational span")
-        return tuple(x)
+        return tuple(zip(*x)) if several else tuple(x)
 
     def same_span(self, other):
         """Set equality of sublattices of one ambient (via canonical HNF)."""

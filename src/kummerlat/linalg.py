@@ -49,7 +49,17 @@ def matmul(a, b):
 
 
 def vec_times_mat(v, m):
-    return [sum(x * m[i][j] for i, x in enumerate(v)) for j in range(len(m[0]))]
+    """The row vector v * m.
+
+    A v holding Fractions is scaled once by the lcm of its denominators,
+    as in pair_with, so the products run in integers when m is integral,
+    and each entry is divided by that scale at the end: the result holds
+    Fractions when v does, and ints when v and m are integral.
+    """
+    if Fraction not in map(type, v):
+        return [sum(map(mul, v, col)) for col in zip(*m)]
+    v, den = clear_denominators(v)
+    return [Fraction(sum(map(mul, v, col)), den) for col in zip(*m)]
 
 
 def dot(v, w):

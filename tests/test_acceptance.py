@@ -13,6 +13,7 @@ from kummerlat import (
     DIFFER,
     IsometryMap,
     Lattice,
+    TwistedSurface,
     brauer_class_of,
     brauer_equal,
     direct_sum,
@@ -197,7 +198,7 @@ def test_criterion_7_octagon_commutativity():
         b1 = BField(model1.h2.lattice, random_rational_vector(rng, 6, max_den=4, max_num=3))
         b2 = BField(model2.h2.lattice, tuple(linalg.vec_times_mat(list(b1.coords), q)))
         g = witness_between(model1, b1, model2, b2, q)
-        result = transport_isometry(model1, b1, model2, b2, g)
+        result = transport_isometry(TwistedSurface(model1, b1), TwistedSurface(model2, b2), g)
         if not result.paths_agree:
             bad += 1
         try:

@@ -29,7 +29,7 @@ from kummerlat import (
     twisted_period,
     verify_isometry,
 )
-from kummerlat import linalg
+from kummerlat import brauer as brauer_module, linalg
 from kummerlat.construction import u_plus_u, u_plus_u_period
 from util import (
     random_rational_vector,
@@ -243,6 +243,31 @@ class TestExpBEmbedding:
         wrong = Sublattice(mukai, ((1, 0, 0, 0), (0, 1, 0, 0)))
         with pytest.raises(CertificationError):
             exp_b_embedding(kernel, b, target=wrong)
+
+    def test_one_saturation_and_one_elimination(self, monkeypatch):
+        saturated, solved = [], []
+        original_saturate, original_coordinates = brauer_module.saturate, Sublattice.coordinates_of
+
+        def counting_saturate(s):
+            saturated.append(s)
+            return original_saturate(s)
+
+        def counting_coordinates(s, v):
+            solved.append(v)
+            return original_coordinates(s, v)
+
+        monkeypatch.setattr(brauer_module, "saturate", counting_saturate)
+        monkeypatch.setattr(Sublattice, "coordinates_of", counting_coordinates)
+        b = BField(U, (Fraction(1, 2), 0))
+        kernel = kernel_lattice(brauer_class_of(b, U.full_sublattice()))
+        target = generalized_transcendental(simple_full_rank_period(U), b)
+        # the image and the given target are saturated once each
+        for given, saturations in ((None, 1), (target, 2)):
+            del saturated[:], solved[:]
+            iso = exp_b_embedding(kernel, b, target=given)
+            assert len(saturated) == saturations and len(solved) == 1
+            assert solved[0] == [[0, 1, 0, 0], [0, 0, 2, 1]]
+            assert verify_isometry(iso)
 
 
 class TestBrauerEqual:

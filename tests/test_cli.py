@@ -178,6 +178,34 @@ class TestInfoCommands:
         assert "lattice U" in capsys.readouterr().out
 
 
+def transvection_conjugate():
+    """A_2 conjugated by a transvection along e_1 of U^3."""
+    x = [0, 0, -1, -1, 1, -1]
+    base = base_abelian_model(2).h2.period
+    period = base.map_by(_eichler(u_cubed().gram, 1, x), base.lattice)
+    return AbelianSurfaceModel.from_h2(hodge_lattice(period.lattice, period))
+
+
+# The two documents of each `tequiv` guard pair, as (model, B-field) sides.
+TEQUIV_PAIRS = {
+    "verified": lambda: ((base_abelian_model(1), None), (product_abelian_model(1), None)),
+    "refuted": lambda: ((base_abelian_model(2), None), (product_abelian_model(1), None)),
+    "twisted": lambda: ((product_abelian_model(3), product_bfield(3)), (base_abelian_model(3), None)),
+    "identical": lambda: ((base_abelian_model(2), None), (base_abelian_model(2), None)),
+    "transvection": lambda: ((transvection_conjugate(), None),
+                             (product_abelian_model(2), product_bfield(2))),
+}
+
+# Exit code and SHA-256 of the `tequiv --bound 3 --report` bytes per pair.
+TEQUIV_REPORT_SHA256 = {
+    "identical": (0, "3c93ff14d0fbb17c4efa2481019e5df3bd23c04edc54a1ed5e37cce3bb2dac4f"),
+    "refuted": (1, "ce69ed95387169f22cb5ee741a212637c486ce8f8e52d4617289c2546df7918d"),
+    "transvection": (0, "32fb6bb0486b2cc40c160fb55b1b86344e0a8e1269b9671dbfa27ba2ddb1c3c0"),
+    "twisted": (0, "a9adeb5e7e5a604c50655b47e13c525945aea7f03ad056c150787a2be4180246"),
+    "verified": (0, "e61fde42f0a8c78e7929e6a9d37e202b9a276a5e0d0db56f42cae4d51d550110"),
+}
+
+
 class TestSurfaceCommands:
     def test_transcendental(self, tmp_path, capsys):
         path = tmp_path / "a.doc"
@@ -227,10 +255,7 @@ class TestSurfaceCommands:
     def test_tequiv_transvection_conjugate(self, tmp_path, capsys):
         # A_2 conjugated by a transvection along e_1 against (E_2 x F, k2/2):
         # the witness has an entry of size 4, past the old search bound 3
-        x = [0, 0, -1, -1, 1, -1]
-        base = base_abelian_model(2).h2.period
-        period = base.map_by(_eichler(u_cubed().gram, 1, x), base.lattice)
-        model1 = AbelianSurfaceModel.from_h2(hodge_lattice(period.lattice, period))
+        model1 = transvection_conjugate()
         model2, b2 = product_abelian_model(2), product_bfield(2)
         a = tmp_path / "a.doc"
         a.write_text(doc_for_surface(model1))
@@ -242,13 +267,25 @@ class TestSurfaceCommands:
         entry = json.loads(report.read_text())["checks"][0]
         matrix = json.loads(entry["certificate"]["witness"])
         assert max(abs(v) for row in matrix for v in row) > 3
-        source = twisted_transcendental_model(model1.h2, BField.zero(period.lattice)).hodge
+        source = twisted_transcendental_model(model1.h2, BField.zero(model1.h2.lattice)).hodge
         target = twisted_transcendental_model(model2.h2, b2).hodge
         assert verify_isometry(IsometryMap(
             source=source.lattice, target=target.lattice, matrix=matrix,
             lam=Fraction(entry["values"]["lambda"]),
             source_period=source.period, target_period=target.period,
         ))
+
+    @pytest.mark.parametrize("name", sorted(TEQUIV_REPORT_SHA256))
+    def test_tequiv_report_bytes(self, name, tmp_path, capsys):
+        paths = []
+        for k, (model, bfield) in enumerate(TEQUIV_PAIRS[name]()):
+            paths.append(tmp_path / ("%d.doc" % k))
+            paths[-1].write_text(doc_for_surface(model, bfield))
+        report = tmp_path / "rep.json"
+        code = main(["tequiv", str(paths[0]), str(paths[1]), "--bound", "3", "--quiet",
+                     "--report", str(report)])
+        capsys.readouterr()
+        assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == TEQUIV_REPORT_SHA256[name]
 
 
 # SHA-256 of the `example43 --n N --bound B --report` bytes at the bounds

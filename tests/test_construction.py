@@ -1,6 +1,15 @@
 import pytest
 
-from kummerlat import LatticeError, genus_equal, MATCH_OR_UNKNOWN, orthogonal_complement
+from kummerlat import (
+    CertificationError,
+    LatticeError,
+    MATCH_OR_UNKNOWN,
+    NonIntegralTwist,
+    construction,
+    genus_equal,
+    kummer,
+    orthogonal_complement,
+)
 from kummerlat.construction import (
     base_abelian_model,
     embedding_preserves_form,
@@ -92,3 +101,58 @@ class TestRunExample:
         assert "invariants" in by_name["untwisted-comparison"].certificate
         assert "km_witness" in by_name["kummer-brauer-order"].certificate
         assert by_name["kummer-brauer-order"].certificate["paths_agree"] == "true"
+
+    def test_exp_b_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(construction, "exp_b_embedding", broken)
+        with pytest.raises(TypeError):
+            run_example43(2)
+
+    @pytest.mark.parametrize("error", [LatticeError, NonIntegralTwist, CertificationError])
+    def test_exp_b_certification_failure_is_refuted(self, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error("no certificate")
+
+        monkeypatch.setattr(construction, "exp_b_embedding", failing)
+        check = {c.name: c for c in run_example43(2).checks}["exp-b-image"]
+        assert check.verdict == REFUTED
+        assert check.values == {"error": "no certificate"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_each_model_built_once(self, monkeypatch, n):
+        # five distinct twisted models and two Kummer models exist per n
+        built = {"twisted": 0, "kummer": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                built[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(kummer, "twisted_transcendental_model",
+                            counting("twisted", kummer.twisted_transcendental_model))
+        monkeypatch.setattr(kummer, "kummer_transcendental",
+                            counting("kummer", kummer.kummer_transcendental))
+        compared, transported = [], []
+
+        def recording_equivalence(surface1, surface2, bound):
+            verdict = kummer.t_equivalence(surface1, surface2, bound)
+            compared.append((surface1.twisted, surface2.twisted, verdict))
+            return verdict
+
+        def recording_transport(surface1, surface2, g):
+            result = kummer.transport_isometry(surface1, surface2, g)
+            transported.append((surface1.twisted, surface2.twisted, g))
+            return result
+
+        monkeypatch.setattr(construction, "t_equivalence", recording_equivalence)
+        monkeypatch.setattr(construction, "transport_isometry", recording_transport)
+        run_example43(n, 3)
+        assert built == {"twisted": 5, "kummer": 2}
+        # the transport reads the very models step 9 compared, and its witness
+        assert len(compared) == 2 and len(transported) == 1
+        (a5, _, _), (a9, ef9, verdict9) = compared
+        assert all(x is y for x, y in zip(transported[0], (a9, ef9, verdict9.witness)))
+        assert a5 is a9  # T(A_n, 0) serves steps 5 and 9

@@ -8,6 +8,7 @@ from kummerlat import (
     H1Frame,
     LatticeError,
     MATCH_OR_UNKNOWN,
+    Sublattice,
     SymbolBasis,
     UndeclaredProduct,
     direct_sum,
@@ -320,6 +321,26 @@ class TestRestrictPeriod:
         model = base_abelian_model(2)
         with pytest.raises(LatticeError):
             restrict_period(model.NS, model.h2.period)
+
+    def test_one_solve_for_every_column(self, monkeypatch):
+        calls = []
+        original = linalg.solve
+
+        def counting(a, b):
+            calls.append(b)
+            return original(a, b)
+
+        monkeypatch.setattr(linalg, "solve", counting)
+        lat = direct_sum(make_standard("U"), make_standard("U"))
+        sub = Sublattice(lat, ((1, 0, 0, 0), (0, 1, 0, 2)))
+        half = Fraction(1, 2)
+        # the "1" column is zero and the w1w2 column has fractional coordinates
+        period = period_from_columns(lat, omega_symbols(), {
+            "w1": (1, 0, 0, 0), "w2": (0, 1, 0, 2), "w1w2": (half, -3 * half, 0, -3)})
+        restricted = restrict_period(sub, period)
+        assert len(calls) == 1
+        assert restricted.columns() == [(0, 0), (1, 0), (0, 1), (half, -3 * half)]
+        assert restricted.lattice.gram == sub.gram()
 
 
 class TestH1Frame:

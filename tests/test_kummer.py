@@ -11,6 +11,7 @@ from kummerlat import (
     IsometryMap,
     LatticeError,
     SymbolBasis,
+    TwistedSurface,
     brauer_class_of,
     find_hodge_isometry,
     genus_equal,
@@ -44,6 +45,10 @@ def u_plane_model():
         lat, sb, {"w1": (1, 0, 0, 0, 0, 0), "w2": (0, 1, 0, 0, 0, 0)}
     )
     return AbelianSurfaceModel.from_h2(hodge_lattice(lat, period))
+
+
+def untwisted(model):
+    return TwistedSurface(model, BField.zero(model.h2.lattice))
 
 
 def transformed_model(model, q):
@@ -243,7 +248,7 @@ class TestTransport:
         model = base_abelian_model(2)
         b0 = BField.zero(model.h2.lattice)
         g = witness_between(model, b0, model, b0, linalg.identity(6))
-        result = transport_isometry(model, b0, model, b0, g)
+        result = transport_isometry(TwistedSurface(model, b0), TwistedSurface(model, b0), g)
         assert result.paths_agree
         assert linalg.mat_eq(result.map.matrix, linalg.identity(4))
         assert verify_isometry(result.map)
@@ -258,7 +263,7 @@ class TestTransport:
             b1 = BField(model1.h2.lattice, random_rational_vector(rng, 6, max_den=4, max_num=3))
             b2 = BField(model2.h2.lattice, tuple(linalg.vec_times_mat(list(b1.coords), q)))
             g = witness_between(model1, b1, model2, b2, q)
-            result = transport_isometry(model1, b1, model2, b2, g)
+            result = transport_isometry(TwistedSurface(model1, b1), TwistedSurface(model2, b2), g)
             assert result.paths_agree
             assert verify_isometry(result.map)
             assert result.map.lam is not None and result.map.lam != 0
@@ -267,17 +272,14 @@ class TestTransport:
 
 class TestTEquivalence:
     def test_self_equivalence(self):
-        model = base_abelian_model(2)
-        b0 = BField.zero(model.h2.lattice)
-        verdict = t_equivalence(model, b0, model, b0, bound=2)
+        surface = untwisted(base_abelian_model(2))
+        verdict = t_equivalence(surface, surface, bound=2)
         assert verdict.kind == "equivalent"
         assert verify_isometry(verdict.witness)
 
     def test_refuted_by_discriminant(self):
-        a = base_abelian_model(2)
-        ef = product_abelian_model(1)
         verdict = t_equivalence(
-            a, BField.zero(a.h2.lattice), ef, BField.zero(ef.h2.lattice), bound=2
+            untwisted(base_abelian_model(2)), untwisted(product_abelian_model(1)), bound=2
         )
         assert verdict.kind == "refuted"
         assert "disc divisors [2, 2]" in verdict.reason
@@ -291,10 +293,8 @@ class TestTEquivalence:
             return original(lat)
 
         monkeypatch.setattr(lattice_module, "discriminant_form", counting)
-        a = base_abelian_model(2)
-        ef = product_abelian_model(1)
         verdict = t_equivalence(
-            a, BField.zero(a.h2.lattice), ef, BField.zero(ef.h2.lattice), bound=2
+            untwisted(base_abelian_model(2)), untwisted(product_abelian_model(1)), bound=2
         )
         assert verdict.kind == "refuted"
         assert len(calls) == 2
@@ -309,11 +309,11 @@ class TestTEquivalence:
             return forms[-1]
 
         monkeypatch.setattr(lattice_module, "discriminant_form", keeping)
-        a, ef = base_abelian_model(2), product_abelian_model(2)
-        zero_a, zero_ef = BField.zero(a.h2.lattice), BField.zero(ef.h2.lattice)
-        for other, bfield, kind in ((ef, zero_ef, "refuted"), (ef, product_bfield(2), "equivalent"),
-                                    (a, zero_a, "equivalent")):
-            assert t_equivalence(a, zero_a, other, bfield, bound=2).kind == kind
+        a, ef = untwisted(base_abelian_model(2)), product_abelian_model(2)
+        for other, kind in ((untwisted(ef), "refuted"),
+                            (TwistedSurface(ef, product_bfield(2)), "equivalent"),
+                            (a, "equivalent")):
+            assert t_equivalence(a, other, bound=2).kind == kind
         assert genus_equal(make_standard("U"), make_standard("U_n", 2)) == DIFFER
         assert genus_equal(make_standard("U_n", 6), make_standard("U_n", 6)) == MATCH_OR_UNKNOWN
         assert len(forms) == 10
@@ -322,23 +322,20 @@ class TestTEquivalence:
 
     def test_twisted_equivalence_found(self):
         for n in (2, 4):
-            a = base_abelian_model(n)
-            ef1 = product_abelian_model(n)
-            verdict = t_equivalence(
-                a, BField.zero(a.h2.lattice), ef1, product_bfield(n), bound=3
-            )
+            a = untwisted(base_abelian_model(n))
+            ef1 = TwistedSurface(product_abelian_model(n), product_bfield(n))
+            verdict = t_equivalence(a, ef1, bound=3)
             assert verdict.kind == "equivalent"
             assert verdict.witness.lam != 0
 
     def test_symmetry(self):
-        a = base_abelian_model(2)
-        ef = product_abelian_model(1)
-        ef1 = product_abelian_model(2)
-        za, zef = BField.zero(a.h2.lattice), BField.zero(ef.h2.lattice)
-        assert t_equivalence(a, za, ef, zef, 2).kind == "refuted"
-        assert t_equivalence(ef, zef, a, za, 2).kind == "refuted"
-        fwd = t_equivalence(a, za, ef1, product_bfield(2), 3)
-        rev = t_equivalence(ef1, product_bfield(2), a, za, 3)
+        a = untwisted(base_abelian_model(2))
+        ef = untwisted(product_abelian_model(1))
+        ef1 = TwistedSurface(product_abelian_model(2), product_bfield(2))
+        assert t_equivalence(a, ef, 2).kind == "refuted"
+        assert t_equivalence(ef, a, 2).kind == "refuted"
+        fwd = t_equivalence(a, ef1, 3)
+        rev = t_equivalence(ef1, a, 3)
         assert fwd.kind == rev.kind == "equivalent"
 
     def test_inconclusive_is_surfaced(self):
@@ -358,16 +355,14 @@ class TestTEquivalence:
             },
         )
         model2 = AbelianSurfaceModel.from_h2(hodge_lattice(lat, period2))
-        b0 = BField.zero(lat)
-        verdict = t_equivalence(model1, b0, model2, b0, bound=2)
+        verdict = t_equivalence(untwisted(model1), untwisted(model2), bound=2)
         assert verdict.kind == "inconclusive"
         assert "not a proof" in verdict.reason
 
     def test_bound_validation(self):
-        model = base_abelian_model(2)
-        b0 = BField.zero(model.h2.lattice)
+        surface = untwisted(base_abelian_model(2))
         with pytest.raises(LatticeError):
-            t_equivalence(model, b0, model, b0, bound=0)
+            t_equivalence(surface, surface, bound=0)
 
 
 class TestMissCauses:

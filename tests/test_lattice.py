@@ -28,6 +28,7 @@ from util import (
     fraction_value_profile,
     is_square_mod,
     naive_pair,
+    random_rational_vector,
     random_symmetric_lattice_gram,
     random_unimodular,
     signature_oracle,
@@ -687,3 +688,66 @@ class TestSublatticeValidation:
         assert s.contains((3, 4))
         assert not s.contains((0, 1))
         assert s.coordinates_of((3, 4)) == (Fraction(3), Fraction(2))
+
+
+def _random_sublattice(rng, k):
+    """A sublattice of rank k in a random nondegenerate lattice of rank k..6."""
+    n = rng.randint(k, 6)
+    lat = Lattice(random_symmetric_lattice_gram(rng, n, bound=3))
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if linalg.rank(rows) == k:
+            return Sublattice(lat, rows)
+
+
+class TestSublatticeKernels:
+    def test_several_coordinates_against_solve(self, monkeypatch):
+        rng = random.Random(41)
+        eliminations = []
+        original = linalg.echelon
+
+        def counting(rows):
+            eliminations.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(linalg, "echelon", counting)
+        for k in range(1, 7):
+            for _ in range(4):
+                s = _random_sublattice(rng, k)
+                # fractional coordinates, a zero vector and a basis row
+                coords = [random_rational_vector(rng, k) for _ in range(rng.randint(1, 4))]
+                coords += [(0,) * k, tuple(int(i == 0) for i in range(k))]
+                rng.shuffle(coords)
+                vectors = [tuple(sum(c * row[j] for c, row in zip(cs, s.basis))
+                                 for j in range(s.ambient.rank)) for cs in coords]
+                del eliminations[:]
+                got = s.coordinates_of(vectors)
+                assert len(eliminations) == 1
+                assert got == tuple(tuple(linalg.solve(linalg.transpose(s.basis), v))
+                                    for v in vectors)
+                assert got == tuple(tuple(Fraction(c) for c in cs) for cs in coords)
+                assert all(type(c) is Fraction for cs in got for c in cs)
+                assert got == tuple(s.coordinates_of(v) for v in vectors)
+                if k == s.ambient.rank:
+                    continue
+                outside = next(row for row in linalg.identity(s.ambient.rank)
+                               if linalg.rank(list(s.basis) + [row]) > k)
+                mixed = list(vectors)
+                mixed.insert(rng.randint(0, len(mixed)), outside)
+                for arg in (outside, mixed):
+                    with pytest.raises(LatticeError) as err:
+                        s.coordinates_of(arg)
+                    assert str(err.value) == "vector does not lie in the rational span"
+
+    def test_gram_computed_once(self):
+        rng = random.Random(43)
+        for k in range(1, 7):
+            s = _random_sublattice(rng, k)
+            fresh = tuple(tuple(naive_pair(s.ambient.gram, a, b) for b in s.basis)
+                          for a in s.basis)
+            assert s.gram() == fresh
+            assert s.gram() is s.gram()
+            assert s.as_lattice().gram == fresh
+            # the kept matrix takes no part in equality or hashing
+            twin = Sublattice(s.ambient, s.basis)
+            assert twin == s and hash(twin) == hash(s)

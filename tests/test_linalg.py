@@ -60,6 +60,36 @@ def test_pair_with_against_double_sum():
     assert type(linalg.pair_with([[1]], (Fraction(2),), (3,))) is Fraction
 
 
+def test_vec_times_mat_against_fraction_sum(monkeypatch):
+    rng = random.Random(29)
+    cleared = []
+    original = linalg.clear_denominators
+
+    def counting(v):
+        cleared.append(v)
+        return original(v)
+
+    monkeypatch.setattr(linalg, "clear_denominators", counting)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        ints = tuple(rng.choice((0, rng.randint(-4, 4))) for _ in range(m))
+        fracs = random_rational_vector(rng, m)
+        for v in (ints, fracs):
+            del cleared[:]
+            got = linalg.vec_times_mat(v, mat)
+            assert got == [sum((Fraction(x) * mat[i][j] for i, x in enumerate(v)), Fraction(0))
+                           for j in range(n)]
+            expect_type = Fraction if Fraction in map(type, v) else int
+            assert all(type(x) is expect_type for x in got)
+            # a Fraction vector is scaled once, an integer one not at all
+            assert len(cleared) == (expect_type is Fraction)
+    # integral Fractions still give Fractions, and a rational matrix is accepted
+    assert linalg.vec_times_mat((Fraction(2), 0), [[1], [1]]) == [Fraction(2)]
+    assert type(linalg.vec_times_mat((Fraction(2), 0), [[1], [1]])[0]) is Fraction
+    assert linalg.vec_times_mat((Fraction(1, 2), 1), [[Fraction(2, 3)], [1]]) == [Fraction(4, 3)]
+
+
 def test_det_rational_entries():
     m = [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]
     assert linalg.det(m) == Fraction(1, 6) - 1
