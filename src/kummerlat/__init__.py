@@ -73,10 +73,8 @@ from .kummer import (
     TransportResult,
     TwistedSurface,
     hodge_verdict,
-    induced_kummer_isometry,
     is_square_ratio,
     kummer_bfield,
-    kummer_brauer_class,
     kummer_transcendental,
     project_to_transcendental,
     t_equivalence,

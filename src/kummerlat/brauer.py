@@ -212,8 +212,6 @@ def pushforward_brauer(g, alpha):
     g-preimage; order is preserved.
     """
     verify_isometry(g)
-    if not (isinstance(g.source, Sublattice) or isinstance(g.source, Lattice)):
-        raise LatticeError("isometry endpoints must be lattices or sublattices")
     inv = linalg.invert_unimodular(g.matrix)
     values = []
     for j in range(len(inv)):

@@ -21,7 +21,7 @@ from functools import cache
 from .brauer import brauer_class_of, kernel_with_coords, order_of
 from .construction import run_example43
 from .hodge import hodge_lattice, ns_and_picard, transcendental_lattice
-from .kummer import TwistedSurface, kummer_brauer_class, kummer_transcendental, t_equivalence
+from .kummer import t_equivalence
 from .lattice import LatticeError, discriminant_form, render_lattice
 from .report import EXIT_INPUT_ERROR, INCONCLUSIVE, REFUTED, VERIFIED, Report
 from .specdoc import SpecParseError, parse_spec
@@ -111,11 +111,16 @@ def _emit(args, text, report=None):
             fh.write(report.to_json())
 
 
+def _named(table, name, what):
+    """The entry of a document table under name; an input error if absent."""
+    if name not in table:
+        raise LatticeError("no %s named %r in the document" % (what, name))
+    return table[name]
+
+
 def _cmd_lattice_info(args):
     doc = parse_spec(_read_file(args.file))
-    if args.name not in doc.lattices:
-        raise LatticeError("no lattice named %r in the document" % args.name)
-    lat = doc.lattices[args.name]
+    lat = _named(doc.lattices, args.name, "lattice")
     rep = Report(command="lattice-info --name %s" % args.name)
     pos, neg = lat.signature()
     rep.add("lattice-info", VERIFIED, values={
@@ -128,9 +133,7 @@ def _cmd_lattice_info(args):
 
 def _cmd_disc(args):
     doc = parse_spec(_read_file(args.file))
-    if args.name not in doc.lattices:
-        raise LatticeError("no lattice named %r in the document" % args.name)
-    lat = doc.lattices[args.name]
+    lat = _named(doc.lattices, args.name, "lattice")
     disc = discriminant_form(lat)
     lines = ["discriminant %s" % args.name,
              "order %d" % disc.order,
@@ -152,9 +155,7 @@ def _cmd_disc(args):
 
 def _cmd_twist(args):
     doc = parse_spec(_read_file(args.file))
-    if args.name not in doc.lattices:
-        raise LatticeError("no lattice named %r in the document" % args.name)
-    twisted = doc.lattices[args.name].twist(args.by)
+    twisted = _named(doc.lattices, args.name, "lattice").twist(args.by)
     name = "%s(%d)" % (args.name, args.by)
     rep = Report(command="twist --name %s --by %d" % (args.name, args.by))
     rep.add("twist", VERIFIED, values={"gram": twisted.gram, "det": twisted.det})
@@ -164,9 +165,7 @@ def _cmd_twist(args):
 
 def _cmd_transcendental(args):
     doc = parse_spec(_read_file(args.file))
-    if args.period not in doc.periods:
-        raise LatticeError("no period named %r in the document" % args.period)
-    period = doc.periods[args.period]
+    period = _named(doc.periods, args.period, "period")
     h = hodge_lattice(period.lattice, period)
     t = transcendental_lattice(h)
     ns, rho = ns_and_picard(h)
@@ -181,13 +180,9 @@ def _cmd_transcendental(args):
 
 def _cmd_kernel(args):
     doc = parse_spec(_read_file(args.file))
-    if args.bfield not in doc.bfields:
-        raise LatticeError("no bfield named %r in the document" % args.bfield)
-    bf = doc.bfields[args.bfield]
+    bf = _named(doc.bfields, args.bfield, "bfield")
     if args.sublattice is not None:
-        if args.sublattice not in doc.sublattices:
-            raise LatticeError("no sublattice named %r in the document" % args.sublattice)
-        t = doc.sublattices[args.sublattice]
+        t = _named(doc.sublattices, args.sublattice, "sublattice")
     else:
         t = bf.lattice.full_sublattice()
     alpha = brauer_class_of(bf, t)
@@ -207,10 +202,8 @@ def _cmd_kernel(args):
 
 def _cmd_theta(args):
     doc = parse_spec(_read_file(args.file))
-    model, bf = doc.surface_model(args.surface)
-    km = kummer_transcendental(model)
-    beta = kummer_brauer_class(model, bf, km)
-    alpha = brauer_class_of(bf, model.T)
+    surface = doc.surface_model(args.surface)
+    km, beta, alpha = surface.kummer, surface.km_brauer, surface.brauer
     rep = Report(command="theta%s" % ("" if args.surface is None else " --surface %s" % args.surface))
     rep.add("theta", VERIFIED, values={
         "km_gram": km.T_km.gram,
@@ -226,9 +219,7 @@ def _cmd_tequiv(args):
     bound = args.bound if args.bound is not None else _default_bound()
     doc1 = parse_spec(_read_file(args.file1))
     doc2 = parse_spec(_read_file(args.file2))
-    surface1 = TwistedSurface(*doc1.surface_model())
-    surface2 = TwistedSurface(*doc2.surface_model())
-    verdict = t_equivalence(surface1, surface2, bound)
+    verdict = t_equivalence(doc1.surface_model(), doc2.surface_model(), bound)
     rep = Report(command="tequiv --bound %d" % bound)
     if verdict.kind == "equivalent":
         rep.add("t-equivalence", VERIFIED,

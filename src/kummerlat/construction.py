@@ -44,7 +44,6 @@ from .isometry import CertificationError, find_isometry
 from .kummer import (
     AbelianSurfaceModel,
     TwistedSurface,
-    kummer_brauer_class,
     t_equivalence,
     transport_isometry,
 )
@@ -336,8 +335,8 @@ def run_example43(n, bound=3):
         )
 
     # (10) the transported class on the Kummer side has order n
-    # the Kummer model of E_1 x F is built once, for this check and the transport
-    beta = kummer_brauer_class(ef1_model, ef1_surface.bfield, ef1_surface.kummer)
+    # its Kummer model and p(B)/2 are built once, for this check and the transport
+    beta = ef1_surface.km_brauer
     ok10 = order_of(beta) == n
     values10 = {"km_order": order_of(beta), "km_values": beta.values}
     cert10 = {}

@@ -5,6 +5,9 @@ transcendental lattice with the form doubled, identified coordinatewise
 (every statement in scope factors through that identification). Brauer
 classes move across via the orthogonal projection to the transcendental
 part, and twisted transcendental lattices move via exp(B) embeddings.
+A TwistedSurface holds one pair (A, B) and builds everything on the
+Kummer side that the pair fixes: T(Km), p(B)/2, the transported class,
+the twist-kernel map and the doubling map T(A, B) -> T(Km, p(B)/2).
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ class KummerModel:
     period is the transported one.
     """
 
-    source: AbelianSurfaceModel
     hodge: HodgeLattice
     pi_star: IsometryMap
 
@@ -91,7 +93,7 @@ def kummer_transcendental(model):
         target_period=km_period,
     )
     verify_isometry(pi_star)
-    return KummerModel(source=model, hodge=hodge_lattice(t_km, km_period), pi_star=pi_star)
+    return KummerModel(hodge=hodge_lattice(t_km, km_period), pi_star=pi_star)
 
 
 def project_coords_on_T(model, bfield):
@@ -122,51 +124,6 @@ def kummer_bfield(model, km, bfield):
     return BField(km.T_km, tuple(x / 2 for x in y))
 
 
-def kummer_brauer_class(model, bfield, km=None):
-    """Transport a Brauer class to the Kummer side.
-
-    Computed from the projection p(B): the value on the i-th basis vector
-    of T_km is pair(t_i, p(B)) mod Z under the original form (the halving
-    and the doubled pairing cancel). Orders are preserved.
-    """
-    if km is None:
-        km = kummer_transcendental(model)
-    b_km = kummer_bfield(model, km, bfield)
-    t_full = km.T_km.full_sublattice()
-    return brauer_class_of(b_km, t_full)
-
-
-def induced_kummer_isometry(model, bfield, km=None):
-    """The coordinate identity between the two twist kernels, certified.
-
-    Source: kernel of kappa(B, T(A)) inside T(A); target: kernel of the
-    transported class inside T_km. Certifies that the form is preserved
-    at scale 2 and that the image equals the independently computed
-    Kummer-side kernel.
-    """
-    if km is None:
-        km = kummer_transcendental(model)
-    alpha = brauer_class_of(bfield, model.T)
-    k_a, coords_a = kernel_with_coords(alpha)
-    beta = kummer_brauer_class(model, bfield, km)
-    k_km, coords_km = kernel_with_coords(beta)
-    # the identity on T-coordinates should carry one kernel onto the other
-    x = linalg.solve(linalg.transpose(coords_km), linalg.transpose(coords_a))
-    if x is None or any(c.denominator != 1 for col in x for c in col):
-        raise CertificationError("Kummer-side kernel does not contain the coordinate image")
-    rows = linalg.transpose(x)
-    if linalg.hnf(coords_a) != linalg.hnf(coords_km):
-        raise CertificationError("kernel coordinate lattices disagree")
-    iso = IsometryMap(
-        source=k_a,
-        target=k_km,
-        matrix=rows,
-        scale=Fraction(2),
-    )
-    verify_isometry(iso)
-    return iso
-
-
 @dataclass(frozen=True)
 class TwistedModel:
     """A generalized transcendental lattice with its restricted period."""
@@ -185,10 +142,11 @@ def twisted_transcendental_model(h2_hodge, bfield):
 
 @dataclass(frozen=True)
 class TwistedSurface:
-    """A surface model with a B-field, and the models built from the pair.
+    """A surface model with a B-field, and the objects built from the pair.
 
-    Each model is built on first read and kept, so that t_equivalence and
-    transport_isometry on the same TwistedSurface build it once.
+    Each object is built on first read and kept, so that t_equivalence,
+    transport_isometry and the example43 checks on the same
+    TwistedSurface build it once.
     """
 
     model: AbelianSurfaceModel
@@ -213,6 +171,51 @@ class TwistedSurface:
     def km_twisted(self):
         """T(Km, p(B)/2) as a TwistedModel."""
         return twisted_transcendental_model(self.kummer.hodge, self.km_bfield)
+
+    @cached_property
+    def brauer(self):
+        """The class alpha of B on T(A)."""
+        return brauer_class_of(self.bfield, self.model.T)
+
+    @cached_property
+    def km_brauer(self):
+        """The transported class beta of p(B)/2 on T_km.
+
+        Its value on the i-th basis vector of T_km is pair(t_i, p(B)) mod Z
+        under the original form (the halving and the doubled pairing
+        cancel), so it has the values, and the order, of alpha.
+        """
+        return brauer_class_of(self.km_bfield, self.kummer.T_km.full_sublattice())
+
+    @cached_property
+    def kernel_map(self):
+        """The coordinate identity between the two twist kernels, certified.
+
+        Source: the kernel of alpha inside T(A); target: the kernel of
+        beta inside T_km. Both kernel bases are Hermite normal forms over
+        the same T-coordinates, so the kernels are equal exactly when the
+        bases are; the identity is then certified at scale 2.
+        """
+        k_a, coords_a = kernel_with_coords(self.brauer)
+        k_km, coords_km = kernel_with_coords(self.km_brauer)
+        if coords_a != coords_km:
+            raise CertificationError("kernel coordinate lattices disagree")
+        iso = IsometryMap(source=k_a, target=k_km,
+                          matrix=linalg.identity(len(coords_a)), scale=Fraction(2))
+        verify_isometry(iso)
+        return iso
+
+    @cached_property
+    def doubling(self):
+        """The certified map T(A, B) -> T(Km, p(B)/2).
+
+        The inverse exp(B)-embedding of the kernel of alpha, the kernel
+        map, then the exp(p(B)/2)-embedding of the kernel of beta.
+        """
+        f_map = self.kernel_map
+        embed = exp_b_embedding(f_map.source, self.bfield, k=2, target=self.twisted.sub)
+        km_embed = exp_b_embedding(f_map.target, self.km_bfield, k=1, target=self.km_twisted.sub)
+        return embed.inverse().then(f_map).then(km_embed)
 
 
 @dataclass(frozen=True)
@@ -275,30 +278,19 @@ class TransportResult:
 
     map: IsometryMap
     paths_agree: bool
-    km_bfield1: BField
-    km_bfield2: BField
 
 
 def transport_isometry(surface1, surface2, g):
     """Carry g: T(A1, B1) -> T(A2, B2) around the doubling diagram.
 
-    Composes the inverse exp(B1)-embedding, the kernel identification to
-    the Kummer side, and the exp of the induced Kummer B-field, on both
-    flanks of g. The twisted and Kummer models are read from the two
-    TwistedSurfaces, so those t_equivalence built are not built again.
-    Every factor is certified; the two composite paths from T(A1, B1) to
-    the Kummer-side twisted lattice of surface2 are compared as matrices
-    and their agreement is reported.
+    Composes g with the doubling maps of the two TwistedSurfaces, which
+    read the models t_equivalence built and certify every factor. The
+    two composite paths from T(A1, B1) to the Kummer-side twisted
+    lattice of surface2 are compared as matrices and their agreement is
+    reported.
     """
     verify_isometry(g)
-    downs = []
-    for side in (surface1, surface2):
-        # f_map certifies both twist kernels: its source and its target
-        f_map = induced_kummer_isometry(side.model, side.bfield, side.kummer)
-        embed = exp_b_embedding(f_map.source, side.bfield, k=2, target=side.twisted.sub)
-        km_embed = exp_b_embedding(f_map.target, side.km_bfield, k=1, target=side.km_twisted.sub)
-        downs.append(embed.inverse().then(f_map).then(km_embed))
-    down1, down2 = downs
+    down1, down2 = surface1.doubling, surface2.doubling
     f = down1.inverse().then(g).then(down2)
     # periods are attached end to end for certification of the composite
     src, tgt = surface1.km_twisted.hodge, surface2.km_twisted.hodge
@@ -315,12 +307,7 @@ def transport_isometry(surface1, surface2, g):
     verify_isometry(f)
     path_top = g.then(down2).matrix
     path_bottom = down1.then(f).matrix
-    return TransportResult(
-        map=f,
-        paths_agree=path_top == path_bottom,
-        km_bfield1=surface1.km_bfield,
-        km_bfield2=surface2.km_bfield,
-    )
+    return TransportResult(map=f, paths_agree=path_top == path_bottom)
 
 
 def is_square_ratio(h1_sq, h2_sq):

@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from .brauer import BField
 from .hodge import PeriodVector, SymbolBasis, hodge_lattice
-from .kummer import AbelianSurfaceModel
+from .kummer import AbelianSurfaceModel, TwistedSurface
 from .lattice import Lattice, LatticeError, Sublattice
 
 
@@ -78,7 +78,7 @@ class SpecDocument:
     order: list = field(default_factory=list)  # (kind, name) in input order
 
     def surface_model(self, name=None):
-        """(AbelianSurfaceModel, BField) for the named (or only) surface."""
+        """The TwistedSurface of the named (or only) surface."""
         if name is None:
             if len(self.surfaces) != 1:
                 raise LatticeError("document must designate exactly one surface")
@@ -96,7 +96,7 @@ class SpecDocument:
                 raise LatticeError(
                     "surface %r: B-field and period use different lattices" % name
                 )
-        return model, bfield
+        return TwistedSurface(model, bfield)
 
 
 def _parse_rational(tok, lineno):

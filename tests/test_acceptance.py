@@ -23,7 +23,6 @@ from kummerlat import (
     genus_equal,
     is_square_ratio,
     kernel_with_coords,
-    kummer_brauer_class,
     kummer_transcendental,
     make_standard,
     mukai_lattice,
@@ -145,7 +144,7 @@ def test_criterion_4_theta_order_preservation():
         model, _, _ = random_surface_fixture(rng)
         b = BField(model.h2.lattice, random_rational_vector(rng, 6, max_den=6))
         alpha = brauer_class_of(b, model.T)
-        beta = kummer_brauer_class(model, b)
+        beta = TwistedSurface(model, b).km_brauer
         if order_of(beta) != order_of(alpha):
             bad += 1
             continue
@@ -155,7 +154,7 @@ def test_criterion_4_theta_order_preservation():
         if not brauer_equal(b, b2, model.T):
             bad += 1
             continue
-        if kummer_brauer_class(model, b2).values != beta.values:
+        if TwistedSurface(model, b2).km_brauer.values != beta.values:
             bad += 1
     _line(4, bad == 0, "theta preserves order and is lift-independent on %d fixtures "
           "(%d failures)" % (total, bad))

@@ -167,8 +167,18 @@ class TestInfoCommands:
         assert "kernel_basis = [[1, 0], [0, 2]]" in out
 
     def test_missing_name_is_input_error(self, u_doc, capsys):
-        assert main(["lattice-info", u_doc, "--name", "nope"]) == 3
-        assert "error:" in capsys.readouterr().err
+        for argv, what in (
+            (["lattice-info", "--name", "nope"], "lattice"),
+            (["disc", "--name", "nope"], "lattice"),
+            (["twist", "--name", "nope", "--by", "2"], "lattice"),
+            (["transcendental", "--period", "nope"], "period"),
+            (["kernel", "--bfield", "nope"], "bfield"),
+            (["kernel", "--bfield", "B", "--sublattice", "nope"], "sublattice"),
+        ):
+            assert main(argv[:1] + [u_doc] + argv[1:]) == 3
+            captured = capsys.readouterr()
+            assert captured.err == "error: no %s named 'nope' in the document\n" % what
+            assert captured.out == ""
 
     def test_stdin_input(self, monkeypatch, capsys):
         import io
@@ -203,6 +213,19 @@ TEQUIV_REPORT_SHA256 = {
     "transvection": (0, "32fb6bb0486b2cc40c160fb55b1b86344e0a8e1269b9671dbfa27ba2ddb1c3c0"),
     "twisted": (0, "a9adeb5e7e5a604c50655b47e13c525945aea7f03ad056c150787a2be4180246"),
     "verified": (0, "e61fde42f0a8c78e7929e6a9d37e202b9a276a5e0d0db56f42cae4d51d550110"),
+}
+
+# Exit code and SHA-256 of the `theta --surface A --report` bytes for
+# (E_n x F, B = product_bfield(n)) and (A_n, B = 0).
+THETA_REPORT_SHA256 = {
+    ("product", 1): (0, "a565cb865dbc2aacfa076e73685ec43e709e30081edeeb1e82601953384e2402"),
+    ("product", 2): (0, "a223c0601e37afaab96986a1d648eaf266d487a3bec73db45f074a65bf53122b"),
+    ("product", 3): (0, "d56a8d37a8b78292f00bef31b8303f8754e88e93f2c0c7f93d05ef103e56db12"),
+    ("product", 4): (0, "f8f6aafe66be743f4d49ea9c0f59ca82b5e00654c3dae71f1b7e3fa6fa36e9a9"),
+    ("product", 5): (0, "b740b5bce574cbb8babdde39027124c56e822bed17822d2a701b752bba4af96a"),
+    ("base", 1): (0, "96cef5e879914b3f411d06c66c8dbf8b90d657d05fab3f7c21c3706098104ca1"),
+    ("base", 2): (0, "a2233de64e8b2a74dc34cde6192193de5ef9108a22a996d1c93852268446aa51"),
+    ("base", 3): (0, "d42a55130df10aab50c9a52e18188c338a3a162d79e7b48c6e21aa6e12dd990b"),
 }
 
 
@@ -286,6 +309,19 @@ class TestSurfaceCommands:
                      "--report", str(report)])
         capsys.readouterr()
         assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == TEQUIV_REPORT_SHA256[name]
+
+    @pytest.mark.parametrize("kind, n", sorted(THETA_REPORT_SHA256))
+    def test_theta_report_bytes(self, kind, n, tmp_path, capsys):
+        if kind == "product":
+            model, bfield = product_abelian_model(n), product_bfield(n)
+        else:
+            model, bfield = base_abelian_model(n), None
+        path = tmp_path / "a.doc"
+        path.write_text(doc_for_surface(model, bfield))
+        report = tmp_path / "rep.json"
+        code = main(["theta", str(path), "--surface", "A", "--quiet", "--report", str(report)])
+        capsys.readouterr()
+        assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == THETA_REPORT_SHA256[kind, n]
 
 
 # SHA-256 of the `example43 --n N --bound B --report` bytes at the bounds

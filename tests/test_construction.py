@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 
 from kummerlat import (
@@ -122,8 +124,9 @@ class TestRunExample:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_each_model_built_once(self, monkeypatch, n):
-        # five distinct twisted models and two Kummer models exist per n
-        built = {"twisted": 0, "kummer": 0}
+        # five distinct twisted models, two Kummer models and two induced
+        # B-fields exist per n
+        built = {"twisted": 0, "kummer": 0, "km_bfield": 0}
 
         def counting(name, original):
             def wrapper(*args):
@@ -135,6 +138,18 @@ class TestRunExample:
                             counting("twisted", kummer.twisted_transcendental_model))
         monkeypatch.setattr(kummer, "kummer_transcendental",
                             counting("kummer", kummer.kummer_transcendental))
+        monkeypatch.setattr(kummer, "kummer_bfield",
+                            counting("km_bfield", kummer.kummer_bfield))
+        doubled = []
+        build_doubling = kummer.TwistedSurface.__dict__["doubling"].func
+
+        def recording_doubling(surface):
+            doubled.append(surface)
+            return build_doubling(surface)
+
+        doubling = cached_property(recording_doubling)
+        doubling.__set_name__(kummer.TwistedSurface, "doubling")
+        monkeypatch.setattr(kummer.TwistedSurface, "doubling", doubling)
         compared, transported = [], []
 
         def recording_equivalence(surface1, surface2, bound):
@@ -144,15 +159,17 @@ class TestRunExample:
 
         def recording_transport(surface1, surface2, g):
             result = kummer.transport_isometry(surface1, surface2, g)
-            transported.append((surface1.twisted, surface2.twisted, g))
+            transported.append((surface1.twisted, surface2.twisted, g, surface1, surface2))
             return result
 
         monkeypatch.setattr(construction, "t_equivalence", recording_equivalence)
         monkeypatch.setattr(construction, "transport_isometry", recording_transport)
         run_example43(n, 3)
-        assert built == {"twisted": 5, "kummer": 2}
+        assert built == {"twisted": 5, "kummer": 2, "km_bfield": 2}
         # the transport reads the very models step 9 compared, and its witness
         assert len(compared) == 2 and len(transported) == 1
         (a5, _, _), (a9, ef9, verdict9) = compared
         assert all(x is y for x, y in zip(transported[0], (a9, ef9, verdict9.witness)))
         assert a5 is a9  # T(A_n, 0) serves steps 5 and 9
+        # each side's doubling map is built once, on the surfaces transported
+        assert len(doubled) == 2 and all(x is y for x, y in zip(doubled, transported[0][3:]))

@@ -8,6 +8,7 @@ from kummerlat import (
     MATCH_OR_UNKNOWN,
     AbelianSurfaceModel,
     BField,
+    CertificationError,
     IsometryMap,
     LatticeError,
     SymbolBasis,
@@ -18,10 +19,8 @@ from kummerlat import (
     hodge_lattice,
     hodge_miss_reason,
     hodge_verdict,
-    induced_kummer_isometry,
     is_square_ratio,
     kummer_bfield,
-    kummer_brauer_class,
     kummer_transcendental,
     make_standard,
     order_of,
@@ -32,7 +31,7 @@ from kummerlat import (
     twisted_transcendental_model,
     verify_isometry,
 )
-from kummerlat import lattice as lattice_module, linalg
+from kummerlat import kummer as kummer_module, lattice as lattice_module, linalg
 from kummerlat.construction import base_abelian_model, product_bfield, product_abelian_model, u_cubed
 from util import random_rational_vector, random_surface_fixture, random_u3_isometry
 
@@ -151,8 +150,9 @@ class TestKummerBrauerClass:
         model = base_abelian_model(2)
         km = kummer_transcendental(model)
         b = BField(model.h2.lattice.twist(-1), (Fraction(1, 3), 0, 0, 0, 0, 0))
-        with pytest.raises(LatticeError):
-            kummer_brauer_class(model, b)
+        for name in ("km_bfield", "km_brauer", "brauer", "kernel_map", "doubling"):
+            with pytest.raises(LatticeError):
+                getattr(TwistedSurface(model, b), name)
         with pytest.raises(LatticeError):
             kummer_bfield(model, km, b)
         with pytest.raises(LatticeError):
@@ -160,7 +160,7 @@ class TestKummerBrauerClass:
 
     def test_zero_field_trivial(self):
         model = base_abelian_model(2)
-        beta = kummer_brauer_class(model, BField.zero(model.h2.lattice))
+        beta = untwisted(model).km_brauer
         assert beta.is_trivial()
 
     def test_u_plane_half_class(self):
@@ -170,7 +170,7 @@ class TestKummerBrauerClass:
         km = kummer_transcendental(model)
         b = BField(model.h2.lattice, (Fraction(1, 2), 0, 0, 0, 0, 0))
         assert kummer_bfield(model, km, b).coords == (Fraction(1, 4), 0)
-        beta = kummer_brauer_class(model, b, km)
+        beta = TwistedSurface(model, b).km_brauer
         assert beta.values == (0, Fraction(1, 2))
         assert order_of(beta) == 2
 
@@ -180,7 +180,7 @@ class TestKummerBrauerClass:
             model, _, _ = random_surface_fixture(rng)
             b = BField(model.h2.lattice, random_rational_vector(rng, 6))
             alpha = brauer_class_of(b, model.T)
-            beta = kummer_brauer_class(model, b)
+            beta = TwistedSurface(model, b).km_brauer
             assert order_of(beta) == order_of(alpha)
 
     def test_group_homomorphism_on_values(self):
@@ -192,9 +192,9 @@ class TestKummerBrauerClass:
             bsum = BField(
                 model.h2.lattice, tuple(x + y for x, y in zip(b1.coords, b2.coords))
             )
-            v1 = kummer_brauer_class(model, b1).values
-            v2 = kummer_brauer_class(model, b2).values
-            vs = kummer_brauer_class(model, bsum).values
+            v1 = TwistedSurface(model, b1).km_brauer.values
+            v2 = TwistedSurface(model, b2).km_brauer.values
+            vs = TwistedSurface(model, bsum).km_brauer.values
             assert vs == tuple(linalg.frac_mod(a + b, 1) for a, b in zip(v1, v2))
 
     def test_invariant_under_equivalent_bfields(self):
@@ -214,13 +214,14 @@ class TestKummerBrauerClass:
             from kummerlat import brauer_equal
 
             assert brauer_equal(b, b2, model.T)
-            assert kummer_brauer_class(model, b).values == kummer_brauer_class(model, b2).values
+            assert (TwistedSurface(model, b).km_brauer.values
+                    == TwistedSurface(model, b2).km_brauer.values)
 
 
 class TestInducedKummerIsometry:
     def test_zero_field_identity(self):
         model = base_abelian_model(2)
-        iso = induced_kummer_isometry(model, BField.zero(model.h2.lattice))
+        iso = untwisted(model).kernel_map
         assert linalg.mat_eq(iso.matrix, linalg.identity(4))
         assert iso.scale == 2
         assert verify_isometry(iso)
@@ -228,7 +229,7 @@ class TestInducedKummerIsometry:
     def test_u_plane_half_twist(self):
         model = u_plane_model()
         b = BField(model.h2.lattice, (Fraction(1, 2), 0, 0, 0, 0, 0))
-        iso = induced_kummer_isometry(model, b)
+        iso = TwistedSurface(model, b).kernel_map
         assert verify_isometry(iso)
         # kernel of (0, 1/2) on either side is spanned by e and 2f
         assert iso.source.basis == ((1, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0))
@@ -237,10 +238,41 @@ class TestInducedKummerIsometry:
     def test_order_n_fixture(self):
         for n in (2, 3, 5):
             model = product_abelian_model(n)
-            iso = induced_kummer_isometry(model, product_bfield(n))
+            iso = TwistedSurface(model, product_bfield(n)).kernel_map
             assert verify_isometry(iso)
             index = abs(linalg.det(iso.matrix))
             assert index == 1  # bases match one to one
+
+    def test_identity_at_scale_two_randomized(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            model, _, _ = random_surface_fixture(rng)
+            b = BField(model.h2.lattice, random_rational_vector(rng, 6, max_den=6))
+            surface = TwistedSurface(model, b)
+            iso = surface.kernel_map
+            assert iso.scale == 2 and verify_isometry(iso)
+            assert linalg.mat_eq(iso.matrix, linalg.identity(4))
+            # the target kernel, read in T-coordinates, is the source kernel
+            assert linalg.mat_eq(linalg.matmul(iso.target.basis, model.T.basis), iso.source.basis)
+            assert abs(linalg.det(iso.target.basis)) == order_of(surface.brauer)
+            values = surface.km_brauer.values
+            assert all(sum(c * v for c, v in zip(row, values)).denominator == 1
+                       for row in iso.target.basis)
+
+    def test_differing_kernel_bases_rejected(self, monkeypatch):
+        surface = TwistedSurface(product_abelian_model(3), product_bfield(3))
+        km_lattice = surface.kummer.T_km
+        original = kummer_module.kernel_with_coords
+
+        def skewed(alpha):
+            sub, coords = original(alpha)
+            if alpha.T.ambient == km_lattice:
+                coords = [[2 * x for x in coords[0]]] + [list(row) for row in coords[1:]]
+            return sub, coords
+
+        monkeypatch.setattr(kummer_module, "kernel_with_coords", skewed)
+        with pytest.raises(CertificationError, match="kernel coordinate lattices disagree"):
+            surface.kernel_map
 
 
 class TestTransport:

@@ -53,9 +53,9 @@ class TestParse:
 
     def test_surface_model_resolution(self):
         doc = parse_spec(GOOD_DOC)
-        model, bfield = doc.surface_model()
-        assert model.T.rank == 4
-        assert bfield.coords[1] == Fraction(1, 2)
+        surface = doc.surface_model()
+        assert surface.model.T.rank == 4
+        assert surface.bfield.coords[1] == Fraction(1, 2)
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# leading comment\n\n" + GOOD_DOC
