@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import lcm
+from types import MappingProxyType
 
 from . import linalg
 from .lattice import Lattice, LatticeError, Sublattice, orthogonal_complement
@@ -58,29 +61,31 @@ class SymbolBasis:
                 if dict(combo) != {other: Fraction(1)}:
                     raise LatticeError('"1" must act as the identity on %s' % other)
                 continue  # identity products are implicit
-            key = frozenset((left, right)) if left != right else frozenset((left,))
+            key = (min(left, right), max(left, right))
             if key in table and table[key] != combo:
                 raise LatticeError("conflicting product declarations for %s*%s" % (left, right))
             table[key] = combo
-        object.__setattr__(
-            self,
-            "products",
-            tuple(sorted((min(k), max(k), v) for k, v in
-                         ((tuple(sorted(key)) if len(key) == 2 else (next(iter(key)), next(iter(key))), val)
-                          for key, val in table.items()))),
-        )
+        object.__setattr__(self, "products", tuple(sorted(key + (combo,) for key, combo in table.items())))
+        # both orders of every declared pair, read by product, and the lcm
+        # of the coefficients' denominators, read by period_pairing; they
+        # are not fields, so they take no part in == or hashing
+        lookup = {}
+        for (a, b), combo in table.items():
+            lookup[a, b] = lookup[b, a] = MappingProxyType(dict(combo))
+        object.__setattr__(self, "_product_table", lookup)
+        object.__setattr__(self, "coefficient_den",
+                           lcm(*(c.denominator for combo in table.values() for _, c in combo)))
 
     def product(self, left, right):
-        """The declared product as a {symbol: Fraction} dict."""
+        """The declared product as a read-only {symbol: Fraction} mapping."""
         if left == "1":
             return {right: Fraction(1)}
         if right == "1":
             return {left: Fraction(1)}
-        a, b = sorted((left, right))
-        for x, y, combo in self.products:
-            if (x, y) == (a, b):
-                return {s: c for s, c in combo}
-        raise UndeclaredProduct(left, right)
+        try:
+            return self._product_table[left, right]
+        except KeyError:
+            raise UndeclaredProduct(left, right) from None
 
     def index_of(self, symbol):
         return self.symbols.index(symbol)
@@ -99,7 +104,9 @@ class PeriodVector:
     """A formal period: one rational coefficient column per symbol.
 
     coeffs[i][s] is the coefficient of lattice basis vector i in the
-    column of symbol number s.
+    column of symbol number s. The symbol columns and their cleared
+    integer form are built on first read and kept with the object; they
+    are not fields, so they take no part in == or hashing.
     """
 
     lattice: Lattice
@@ -117,12 +124,24 @@ class PeriodVector:
         if not any(any(row) for row in coeffs):
             raise LatticeError("period must have a nonzero column")
 
+    @cached_property
+    def symbol_columns(self):
+        """The coefficient vectors of the symbols, in symbol order."""
+        return tuple(zip(*self.coeffs))
+
+    @cached_property
+    def cleared(self):
+        """(integer columns, den): symbol_columns scaled by den, the lcm of every denominator."""
+        flat, den = linalg.clear_denominators([x for col in self.symbol_columns for x in col])
+        n = len(self.coeffs)
+        return tuple(tuple(flat[k:k + n]) for k in range(0, len(flat), n)), den
+
     def column(self, s):
         """Coefficient vector of symbol number s."""
-        return tuple(row[s] for row in self.coeffs)
+        return self.symbol_columns[s]
 
     def columns(self):
-        return [self.column(s) for s in range(len(self.symbols.symbols))]
+        return list(self.symbol_columns)
 
     def map_by(self, matrix, target_lattice):
         """Push the period through a row-vector map into target_lattice."""
@@ -159,26 +178,40 @@ def period_pairing(sigma, tau):
     Returns {symbol: Fraction} with zero entries dropped, so an empty
     dict means the pairing vanishes. Raises UndeclaredProduct when a
     product with a nonzero lattice pairing is missing from the table.
+    The work runs in integers on the periods' cleared columns; Fractions
+    are made only for the returned values.
     """
     if sigma.lattice != tau.lattice:
         raise LatticeError("periods live on different lattices")
     if sigma.symbols != tau.symbols:
         raise LatticeError("periods use different symbol bases")
-    # one integer product C_sigma * G * C_tau^T of the denominator-cleared
-    # symbol columns gives every lattice pairing of a column pair
-    left, left_dens = zip(*map(linalg.clear_denominators, sigma.columns()))
-    right, right_dens = zip(*map(linalg.clear_denominators, tau.columns()))
-    gram = linalg.matmul(linalg.matmul(left, sigma.lattice.gram), linalg.transpose(right))
-    out = {}
-    names = sigma.symbols.symbols
-    for si, row, di in zip(names, gram, left_dens):
-        for sj, p, dj in zip(names, row, right_dens):
-            if p == 0:
-                continue
-            c = Fraction(p, di * dj)
-            for sym, coeff in sigma.symbols.product(si, sj).items():
-                out[sym] = out.get(sym, Fraction(0)) + c * coeff
-    return {k: v for k, v in out.items() if v != 0}
+    # the cleared columns pair in integers, through their nonzero entries;
+    # each symbol's numerator over den = (sigma's den) (tau's den) (the
+    # lcm of the product coefficients' denominators) is summed, and
+    # divided by den at the end
+    basis = sigma.symbols
+    left, left_den = sigma.cleared
+    right, right_den = tau.cleared
+    scale = basis.coefficient_den
+    gram = sigma.lattice.gram  # symmetric, so v * gram is a sum of its rows
+    right = [(sj, [(j, y) for j, y in enumerate(w) if y]) for sj, w in zip(basis.symbols, right)]
+    totals = {}
+    for si, v in zip(basis.symbols, left):
+        vg = None
+        for i, x in enumerate(v):
+            if x:
+                vg = [x * g for g in gram[i]] if vg is None else [a + x * g for a, g in zip(vg, gram[i])]
+        if vg is None:
+            continue
+        for sj, w in right:
+            p = 0
+            for j, y in w:
+                p += vg[j] * y
+            if p:
+                for sym, coeff in basis.product(si, sj).items():
+                    totals[sym] = totals.get(sym, 0) + p * coeff.numerator * (scale // coeff.denominator)
+    den = left_den * right_den * scale
+    return {sym: Fraction(t, den) for sym, t in totals.items() if t}
 
 
 @dataclass(frozen=True)
@@ -291,16 +324,11 @@ def wedge_square_map(theta):
 def transcendental_lattice(h):
     """Smallest primitive sublattice whose complexification holds the period.
 
-    Saturation of the integer row space spanned by the denominator-cleared
+    Saturation of the integer row space spanned by the period's cleared
     coefficient columns. Correct under the fixture assumption that the
     symbols are Q-linearly independent.
     """
-    rows = []
-    for col in h.period.columns():
-        if all(x == 0 for x in col):
-            continue
-        rows.append(linalg.clear_denominators(col)[0])
-    span = linalg.saturation(rows, h.lattice.rank)
+    span = linalg.saturation(h.period.cleared[0], h.lattice.rank)
     return Sublattice(h.lattice, span)
 
 

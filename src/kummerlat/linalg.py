@@ -5,7 +5,9 @@ point. A matrix is any sequence of equal-length rows, tuples and lists
 alike; no input is modified, and matrices come back as lists of lists.
 Maps act on row vectors: the image of v under M is v*M, so compositions
 read left to right. det, rank and solve run on one fraction-free
-elimination, echelon; invert is solve against the identity.
+elimination, echelon; invert is solve against the identity. saturation
+is one unimodular triangularization, which keeps its inverse, and one
+hnf.
 
 Empty matrices are legitimate inputs for the kernel/saturation helpers;
 the ambient dimension is passed explicitly where it cannot be inferred.
@@ -44,8 +46,8 @@ def transpose(rows):
 def matmul(a, b):
     if not a:
         return []
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def vec_times_mat(v, m):
@@ -240,11 +242,44 @@ def right_kernel(rows, ncols):
 
 
 def saturation(rows, ncols):
-    """HNF basis of (Q-span of rows) intersected with Z^ncols."""
+    """HNF basis of (Q-span of rows) intersected with Z^ncols, for integer rows.
+
+    One unimodular triangularization U * A = H of A = rows^T, keeping
+    V = U^-1 up to date by the inverse column operations. As A = V * H
+    and H is zero below its first r = rank rows, every row lies in the
+    span of the first r columns of V. Those columns are part of a basis
+    of Z^ncols, so their span is primitive: it is the saturation, and
+    its HNF is returned.
+    """
     rows = [r for r in rows if not is_zero_row(r)]
     if not rows:
         return []
-    return right_kernel(right_kernel(rows, ncols), ncols)
+    a = transpose(rows)
+    v = identity(ncols)  # v[k] is column k of V
+    r = 0
+    for c in range(len(rows)):
+        piv = next((i for i in range(r, ncols) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        v[r], v[piv] = v[piv], v[r]
+        for i in range(r + 1, ncols):
+            if a[i][c] == 0:
+                continue
+            p, q = a[r][c], a[i][c]
+            g, x, y = xgcd(p, q)
+            pp, qq = p // g, q // g
+            # rows (r, i) of A by [[x, y], [-qq, pp]], columns (r, i) of V by its inverse
+            a[r], a[i] = (
+                [x * s + y * t for s, t in zip(a[r], a[i])],
+                [-qq * s + pp * t for s, t in zip(a[r], a[i])],
+            )
+            v[r], v[i] = (
+                [pp * s + qq * t for s, t in zip(v[r], v[i])],
+                [-y * s + x * t for s, t in zip(v[r], v[i])],
+            )
+        r += 1
+    return hnf(v[:r])
 
 
 def snf_with_transforms(rows):
@@ -381,10 +416,13 @@ def invert_unimodular(rows):
 def scalar_ratio(a, b):
     """The rational lam != 0 with a == lam * b entry by entry, or None.
 
-    a and b are matrices of one shape. Entries that are zero on both
-    sides are skipped; a zero entry against a nonzero one, entries in
-    different ratios, or no nonzero entry at all give None.
+    a and b are matrices of one shape; other shapes raise ValueError.
+    Entries that are zero on both sides are skipped; a zero entry
+    against a nonzero one, entries in different ratios, or no nonzero
+    entry at all give None.
     """
+    if len(a) != len(b) or any(len(row_a) != len(row_b) for row_a, row_b in zip(a, b)):
+        raise ValueError("scalar_ratio needs two matrices of one shape")
     lam = None
     for row_a, row_b in zip(a, b):
         for x, y in zip(row_a, row_b):

@@ -205,7 +205,7 @@ def test_criterion_7_octagon_commutativity():
         except Exception:
             bad += 1
         done += 1
-    _line(7, bad == 0, "both octagon paths agree as matrices on %d transport fixtures "
+    _line(7, bad == 0, "both octagon paths scale the period alike on %d transport fixtures "
           "(%d failures)" % (done, bad))
 
 

@@ -4,13 +4,18 @@ import pytest
 
 from kummerlat import (
     CertificationError,
+    Lattice,
     LatticeError,
     MATCH_OR_UNKNOWN,
     NonIntegralTwist,
+    SymbolBasis,
+    UndeclaredProduct,
     construction,
     genus_equal,
     kummer,
+    linalg,
     orthogonal_complement,
+    transcendental_lattice,
 )
 from kummerlat.construction import (
     base_abelian_model,
@@ -23,6 +28,7 @@ from kummerlat.construction import (
     u_plus_u,
 )
 from kummerlat.report import INCONCLUSIVE, REFUTED, VERIFIED
+from util import two_kernel_saturation
 
 CHECK_NAMES = [
     "period-isotropy",
@@ -173,3 +179,62 @@ class TestRunExample:
         assert a5 is a9  # T(A_n, 0) serves steps 5 and 9
         # each side's doubling map is built once, on the surfaces transported
         assert len(doubled) == 2 and all(x is y for x, y in zip(doubled, transported[0][3:]))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_transport_scalar_is_the_witness_scalar(self, n):
+        # both doubling maps carry the period at scalar 1, so the composite
+        # on the Kummer side scales it as the witness g does
+        by_name = {c.name: c for c in run_example43(n, 3).checks}
+        lam = by_name["twisted-equivalence"].values["lambda"]
+        certificate = by_name["kummer-brauer-order"].certificate
+        assert certificate["km_lambda"] == lam == "-1"
+        assert certificate["paths_agree"] == "true"
+
+
+class TestKernelsWorkOnce:
+    """Each exact kernel of the example43 path does its work once."""
+
+    def test_lattice_det_is_kept_from_the_nondegeneracy_check(self, monkeypatch):
+        calls = []
+        det = linalg.det
+
+        def counting(rows):
+            calls.append(rows)
+            return det(rows)
+
+        monkeypatch.setattr(linalg, "det", counting)
+        lat = Lattice([[2, 1, 0], [1, 3, 0], [0, 0, -1]])
+        assert len(calls) == 1
+        assert lat.det == -5 and lat.det == -5
+        assert len(calls) == 1
+        # and the kept value takes no part in equality or hashing
+        same = Lattice(lat.gram)
+        assert same == lat and hash(same) == hash(lat)
+
+    def test_degenerate_gram_still_rejected(self):
+        with pytest.raises(LatticeError):
+            Lattice([[1, 2], [2, 4]])
+        with pytest.raises(LatticeError):
+            Lattice([[0, 0], [0, 0]])
+
+    def test_saturation_makes_no_right_kernel_call(self, monkeypatch):
+        rows = [[2, 4, 6], [1, 1, 1], [0, 0, 0], [3, 3, 3]]
+        expected = two_kernel_saturation(rows, 3)
+        h = base_abelian_model(2).h2
+        expected_t = transcendental_lattice(h).basis
+
+        def forbidden(*args):
+            raise AssertionError("right_kernel called")
+
+        monkeypatch.setattr(linalg, "right_kernel", forbidden)
+        assert linalg.saturation(rows, 3) == expected == [[1, 0, -1], [0, 1, 2]]
+        assert transcendental_lattice(h).basis == expected_t
+
+    def test_undeclared_product_still_raises(self):
+        sb = SymbolBasis(("1", "a", "b"), products=(("a", "a", (("b", 1),)),))
+        assert sb.product("a", "a") == {"b": 1}
+        assert sb.product("1", "b") == {"b": 1}
+        for left, right in (("a", "b"), ("b", "a"), ("b", "b")):
+            with pytest.raises(UndeclaredProduct) as raised:
+                sb.product(left, right)
+            assert (raised.value.left, raised.value.right) == (left, right)

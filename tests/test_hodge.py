@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummerlat import (
+    BField,
     H1Frame,
+    Lattice,
     LatticeError,
     MATCH_OR_UNKNOWN,
     Sublattice,
     SymbolBasis,
+    TwistedSurface,
     UndeclaredProduct,
     direct_sum,
     find_isometry,
@@ -35,7 +39,13 @@ from kummerlat.construction import (
     u_plus_u,
     u_plus_u_period,
 )
-from util import simple_full_rank_period
+from util import (
+    fraction_period_pairing,
+    random_rational_vector,
+    random_surface_fixture,
+    random_symmetric_lattice_gram,
+    simple_full_rank_period,
+)
 
 theta_entries = st.lists(
     st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=4, max_size=4
@@ -152,6 +162,14 @@ class TestWedgeSquareMap:
             assert tgt.pair(ia, ib) == linalg.det(theta) * src.pair(a, b)
 
 
+def pairing_outcome(pair, sigma, tau):
+    """("value", the pairing) or ("raised", the undeclared pair) of pair(sigma, tau)."""
+    try:
+        return "value", pair(sigma, tau)
+    except UndeclaredProduct as e:
+        return "raised", (e.left, e.right)
+
+
 class TestPeriodPairing:
     def test_base_model_period_is_isotropic(self):
         sigma = u_plus_u_period(3)
@@ -166,6 +184,94 @@ class TestPeriodPairing:
         sigma = period_from_columns(make_standard("rank1", 2), sb, {"w1": (1,)})
         with pytest.raises(UndeclaredProduct):
             period_pairing(sigma, sigma)
+
+    def test_matches_fraction_oracle_on_surface_and_twisted_periods(self):
+        rng = random.Random(1515)
+        outcomes = set()
+        for _ in range(6):
+            model, _, _ = random_surface_fixture(rng)
+            bfield = BField(model.h2.lattice, random_rational_vector(rng, 6, max_den=4, max_num=3))
+            surface = TwistedSurface(model, bfield)
+            for h in (model.h2, surface.twisted.hodge, surface.km_twisted.hodge):
+                sigma = h.period
+                tau = sigma.scaled(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+                for left, right in ((sigma, sigma), (sigma, tau), (tau, sigma)):
+                    assert period_pairing(left, right) == fraction_period_pairing(left, right) == {}
+                # the columns moved one symbol on pair to nonzero values: over
+                # omega_symbols some product is undeclared, over a full table
+                # with rational coefficients every one is declared
+                cols = sigma.columns()
+                names = sigma.symbols.symbols
+                full = SymbolBasis(names, products=tuple(
+                    (a, b, (("1", Fraction(k + 1, 2)), (b, -1)))
+                    for k, (a, b) in enumerate(combinations_with_replacement(names[1:], 2))))
+                for basis in (sigma.symbols, full):
+                    rotated = period_from_columns(sigma.lattice, basis,
+                                                  {s: cols[k - 1] for k, s in enumerate(names)})
+                    again = period_from_columns(sigma.lattice, basis, dict(zip(names, cols)))
+                    for left, right in ((rotated, rotated), (again, rotated), (rotated, again)):
+                        outcome = pairing_outcome(fraction_period_pairing, left, right)
+                        assert pairing_outcome(period_pairing, left, right) == outcome
+                        outcomes.add(outcome[0])
+        assert outcomes == {"raised", "value"}
+
+    def test_rational_products_match_fraction_oracle(self):
+        # rational product coefficients; c * c and b * c are left undeclared
+        sb = SymbolBasis(
+            ("1", "a", "b", "c"),
+            products=(
+                ("a", "a", (("1", Fraction(1, 3)), ("b", Fraction(-2, 5)))),
+                ("a", "b", (("c", Fraction(3, 7)),)),
+                ("b", "b", (("1", 2),)),
+                ("a", "c", (("a", Fraction(5, 2)), ("c", -1))),
+            ),
+        )
+        rng = random.Random(1516)
+        outcomes = set()
+        for _ in range(150):
+            lat = Lattice(random_symmetric_lattice_gram(rng, rng.randint(1, 4), bound=3))
+
+            def period():
+                cols = {s: random_rational_vector(rng, lat.rank, max_den=4, max_num=3)
+                        for s in sb.symbols if rng.random() < 0.6}
+                cols["1"] = random_rational_vector(rng, lat.rank, max_den=4, max_num=3)
+                if not any(x for col in cols.values() for x in col):
+                    cols["1"] = (1,) + (0,) * (lat.rank - 1)
+                return period_from_columns(lat, sb, cols)
+
+            sigma, tau = period(), period()
+            for left, right in ((sigma, sigma), (sigma, tau)):
+                outcome = pairing_outcome(fraction_period_pairing, left, right)
+                assert pairing_outcome(period_pairing, left, right) == outcome
+                outcomes.add(outcome[0])
+        assert outcomes == {"raised", "value"}
+
+    def test_undeclared_product_raises_only_on_nonzero_pairing(self):
+        sb = SymbolBasis(("1", "a", "b"))  # no product of a and b is declared
+        u = make_standard("U")
+        # a and b both sit on the isotropic e1: every a/b pairing vanishes
+        sigma = period_from_columns(u, sb, {"1": (0, 1), "a": (1, 0), "b": (2, 0)})
+        assert period_pairing(sigma, sigma) == fraction_period_pairing(sigma, sigma)
+        assert period_pairing(sigma, sigma) == {"a": 2, "b": 4}
+        tau = period_from_columns(u, sb, {"a": (1, 0), "b": (0, Fraction(1, 3))})
+        with pytest.raises(UndeclaredProduct) as raised:
+            period_pairing(tau, tau)
+        assert {raised.value.left, raised.value.right} == {"a", "b"}
+        with pytest.raises(UndeclaredProduct):
+            fraction_period_pairing(tau, tau)
+
+    def test_cleared_columns(self):
+        sb = SymbolBasis(("1", "a"))
+        sigma = period_from_columns(make_standard("U"), sb,
+                                    {"1": (Fraction(1, 2), 0), "a": (Fraction(-2, 3), 1)})
+        assert sigma.symbol_columns == ((Fraction(1, 2), 0), (Fraction(-2, 3), 1))
+        assert sigma.cleared == (((3, 0), (-4, 6)), 6)
+        assert sigma.columns() == list(sigma.symbol_columns)
+        # the cached forms take no part in equality or hashing
+        fresh = period_from_columns(make_standard("U"), sb,
+                                    {"1": (Fraction(1, 2), 0), "a": (Fraction(-2, 3), 1)})
+        assert fresh == sigma and hash(fresh) == hash(sigma)
+        assert "cleared" not in vars(fresh) and "cleared" in vars(sigma)
 
     def test_nonisotropic_period_rejected_when_checkable(self):
         sigma = period_from_columns(

@@ -298,8 +298,31 @@ class TestTransport:
             result = transport_isometry(TwistedSurface(model1, b1), TwistedSurface(model2, b2), g)
             assert result.paths_agree
             assert verify_isometry(result.map)
-            assert result.map.lam is not None and result.map.lam != 0
+            assert result.map.lam is not None and result.map.lam == g.lam
             done += 1
+
+    def test_negated_doubling_breaks_path_agreement(self, monkeypatch):
+        rng = random.Random(23)
+        model1, _, _ = random_surface_fixture(rng)
+        q = random_u3_isometry(rng)
+        model2 = transformed_model(model1, q)
+        b1 = BField(model1.h2.lattice, random_rational_vector(rng, 6, max_den=4, max_num=3))
+        b2 = BField(model2.h2.lattice, tuple(linalg.vec_times_mat(list(b1.coords), q)))
+        g = witness_between(model1, b1, model2, b2, q)
+        surface1, surface2 = TwistedSurface(model1, b1), TwistedSurface(model2, b2)
+        down = surface2.doubling
+        negated = IsometryMap(source=down.source, target=down.target,
+                              matrix=[[-x for x in row] for row in down.matrix], scale=down.scale)
+        verify_isometry(negated)
+        monkeypatch.setitem(vars(surface2), "doubling", negated)
+        result = transport_isometry(surface1, surface2, g)
+        # the composite is still a certified Hodge isometry, at scalar -lambda(g)
+        assert verify_isometry(result.map) and result.map.lam == -g.lam
+        assert not result.paths_agree
+        # the two matrix paths agree by associativity whatever the doubling maps are
+        top = linalg.matmul(g.matrix, negated.matrix)
+        bottom = linalg.matmul(surface1.doubling.matrix, result.map.matrix)
+        assert top == bottom
 
 
 class TestTEquivalence:

@@ -7,7 +7,7 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from kummerlat import linalg
-from util import brute_det, naive_pair, random_rational_vector, random_unimodular
+from util import brute_det, naive_pair, random_rational_vector, random_unimodular, two_kernel_saturation
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -235,6 +235,48 @@ def test_saturation_contains_rows_with_trivial_quotient(rows):
     # and the saturation has no further index to give
     diag = linalg.snf_diagonal(sat)
     assert all(d == 1 for d in diag)
+
+
+def test_saturation_matches_two_kernel_oracle():
+    # 0-9 rows, 1-8 columns; some inputs gain a combination of their rows,
+    # a common factor or a zero row
+    rng = random.Random(15)
+    for _ in range(1500):
+        ncols = rng.randint(1, 8)
+        rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(rng.randint(0, 9))]
+        if rows and rng.random() < 0.3:
+            rows.append([sum(rng.randint(-2, 2) * r[j] for r in rows) for j in range(ncols)])
+        if rng.random() < 0.3:
+            k = rng.randint(2, 6)
+            rows = [[k * x for x in r] for r in rows]
+        if rng.random() < 0.2:
+            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        assert linalg.saturation(rows, ncols) == two_kernel_saturation(rows, ncols)
+
+
+def test_saturation_of_scaled_rank_deficient_rows():
+    # 2 * (1, 2, 3) and 4 * (1, 2, 3) span the line of the primitive (1, 2, 3)
+    assert linalg.saturation([[2, 4, 6], [0, 0, 0], [4, 8, 12]], 3) == [[1, 2, 3]]
+    assert linalg.saturation([[0, 0]], 2) == []
+
+
+def test_scalar_ratio_rejects_shape_mismatch():
+    assert linalg.scalar_ratio([[2, 4]], [[1, 2]]) == 2
+    for a, b in [([[2, 4]], [[1, 2, 3]]), ([[2, 4], [1, 1]], [[1, 2]]), ([[2]], [])]:
+        with pytest.raises(ValueError):
+            linalg.scalar_ratio(a, b)
+        with pytest.raises(ValueError):
+            linalg.scalar_ratio(b, a)
+
+
+def test_matmul_over_ints_and_fractions():
+    a = [[1, 2], [3, 4], [5, 6]]
+    b = [[Fraction(1, 2), -1, 0], [2, Fraction(1, 3), 1]]
+    h = Fraction(1, 2)
+    assert linalg.matmul(a, b) == [[9 * h, Fraction(-1, 3), 2], [19 * h, Fraction(-5, 3), 4], [29 * h, -3, 6]]
+    product = linalg.matmul(a, [[1, 0], [0, 1]])
+    assert product == a and all(type(x) is int for row in product for x in row)
+    assert linalg.matmul([], [[1]]) == []
 
 
 def test_solve_and_invert_roundtrip():

@@ -15,6 +15,7 @@ from math import gcd, isqrt
 from kummerlat import (
     AbelianSurfaceModel,
     BField,
+    UndeclaredProduct,
     hodge_lattice,
     period_from_columns,
     omega_symbols,
@@ -43,6 +44,52 @@ def brute_det(rows):
 def naive_pair(gram, v, w):
     """v * gram * w^T as the plain double sum; independent of linalg."""
     return sum(v[i] * gram[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
+
+
+def two_kernel_saturation(rows, ncols):
+    """Saturation as the kernel of the kernel: the oracle for linalg.saturation.
+
+    Four Hermite reductions where linalg.saturation makes one; the
+    result is the HNF basis of the same lattice.
+    """
+    from kummerlat import linalg
+
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return []
+    return linalg.right_kernel(linalg.right_kernel(rows, ncols), ncols)
+
+
+def fraction_period_pairing(sigma, tau):
+    """pair(sigma, tau) expanded in Fraction arithmetic: the oracle for hodge.period_pairing.
+
+    Every symbol column pair is paired as a plain double sum and
+    multiplied out through the products, read from the declared tuple
+    with "1" as the identity; a missing product raises
+    UndeclaredProduct only when the pair's lattice pairing is nonzero.
+    """
+    table = {}
+    for a, b, combo in sigma.symbols.products:
+        table[a, b] = table[b, a] = dict(combo)
+    names = sigma.symbols.symbols
+    out = {}
+    for i, si in enumerate(names):
+        for j, sj in enumerate(names):
+            p = naive_pair(sigma.lattice.gram, [row[i] for row in sigma.coeffs],
+                           [row[j] for row in tau.coeffs])
+            if p == 0:
+                continue
+            if si == "1":
+                combo = {sj: 1}
+            elif sj == "1":
+                combo = {si: 1}
+            elif (si, sj) in table:
+                combo = table[si, sj]
+            else:
+                raise UndeclaredProduct(si, sj)
+            for sym, c in combo.items():
+                out[sym] = out.get(sym, Fraction(0)) + p * c
+    return {sym: v for sym, v in out.items() if v}
 
 
 def box_pool(gram, norm, bound):
