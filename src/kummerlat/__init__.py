@@ -31,6 +31,7 @@ from .hodge import (
     omega_symbols,
     period_from_columns,
     period_pairing,
+    period_scalar,
     restrict_period,
     transcendental_lattice,
     wedge_square_lattice,

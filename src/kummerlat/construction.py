@@ -36,6 +36,7 @@ from .hodge import (
     omega_symbols,
     period_from_columns,
     period_pairing,
+    period_scalar,
     transcendental_lattice,
     wedge_square_lattice,
     wedge_square_map,
@@ -228,8 +229,7 @@ def run_example43(n, bound=3):
 
     # (2) the wedge-square of the pullback scales sigma_S onto n sigma_ExF
     wmap = wedge_square_map(quotient_pullback_matrix(n))
-    pushed = s_hodge.period.map_by(wmap, ef_model.h2.lattice)
-    lam = linalg.scalar_ratio(pushed.coeffs, ef_model.h2.period.coeffs)
+    lam = period_scalar(s_hodge.period, wmap, ef_model.h2.period)
     rep.add(
         "wedge-pullback-scaling",
         VERIFIED if lam == n else REFUTED,

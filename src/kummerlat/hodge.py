@@ -172,6 +172,19 @@ def period_from_columns(lattice, symbols, columns):
     return PeriodVector(lattice, symbols, coeffs)
 
 
+def period_scalar(source_period, matrix, target_period):
+    """lam != 0 with (source column) * matrix == lam * (target column) for every symbol, or None.
+
+    The linalg.scalar_ratio of the transported columns against the
+    target's, taken on the cleared integer columns, so that the product
+    runs in integers for an integer matrix, then rescaled by the two
+    denominators.
+    """
+    (src, src_den), (tgt, tgt_den) = source_period.cleared, target_period.cleared
+    mu = linalg.scalar_ratio(linalg.matmul(src, matrix), tgt)
+    return None if mu is None else mu * tgt_den / src_den
+
+
 def period_pairing(sigma, tau):
     """Expand pair(sigma, tau) in the symbol algebra.
 
@@ -338,7 +351,7 @@ def ns_and_picard(h):
     return ns, ns.rank
 
 
-def restrict_period(sub, period, labels=None):
+def restrict_period(sub, period):
     """Rewrite an ambient period in the coordinates of a sublattice.
 
     The period must lie in the rational span of the sublattice. Every
@@ -347,6 +360,6 @@ def restrict_period(sub, period, labels=None):
     """
     if period.lattice != sub.ambient:
         raise LatticeError("period is not defined over the sublattice ambient")
-    abstract = sub.as_lattice(labels)
+    abstract = sub.as_lattice()
     cols = sub.coordinates_of(period.columns())
     return PeriodVector(abstract, period.symbols, tuple(zip(*cols)))

@@ -31,6 +31,7 @@ from math import gcd, isqrt
 from operator import mul
 
 from . import linalg
+from .hodge import period_scalar
 from .lattice import Lattice, LatticeError, Sublattice, _integer_matrix, genus_of
 
 DIFFER = "differ"
@@ -73,9 +74,6 @@ class IsometryMap:
         object.__setattr__(self, "scale", Fraction(self.scale))
         if self.lam is not None:
             object.__setattr__(self, "lam", Fraction(self.lam))
-
-    def apply(self, v):
-        return tuple(linalg.vec_times_mat(v, self.matrix))
 
     def inverse(self):
         return IsometryMap(
@@ -133,12 +131,8 @@ def verify_isometry(iso):
             raise CertificationError("the periods use different symbol bases")
         if iso.source_period.lattice.gram != g_s or iso.target_period.lattice.gram != g_t:
             raise CertificationError("a period does not sit on its endpoint's lattice")
-        src_cols = iso.source_period.columns()
-        tgt_cols = iso.target_period.columns()
-        for cs, ct in zip(src_cols, tgt_cols):
-            image = linalg.vec_times_mat(cs, m)
-            if [Fraction(x) for x in image] != [iso.lam * Fraction(x) for x in ct]:
-                raise CertificationError("period is not transported at scalar %s" % iso.lam)
+        if period_scalar(iso.source_period, m, iso.target_period) != iso.lam:
+            raise CertificationError("period is not transported at scalar %s" % iso.lam)
         if iso.lam == 0:
             raise CertificationError("period scalar must be nonzero")
     return True
@@ -386,7 +380,7 @@ def _hodge_witness(h1, h2, bound):
     d = linalg.det(m0)
     if d == 0:
         for m in _search(g1, g2, bound):
-            lam = linalg.scalar_ratio(linalg.matmul(cs, m), ct)
+            lam = period_scalar(h1.period, m, h2.period)
             if lam is not None:
                 return m, lam, None
         return None, None, "no witness with entries bounded by %d" % bound
@@ -418,11 +412,16 @@ def find_hodge_isometry(h1, h2, bound):
     which step failed), not non-isometry. The certificate records the
     scalar lam.
     """
+    return _certified_hodge_witness(h1, h2, bound)[0]
+
+
+def _certified_hodge_witness(h1, h2, bound):
+    """(certified witness, None) or (None, why not), from one _hodge_witness run."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    m, lam, _ = _hodge_witness(h1, h2, bound)
+    m, lam, reason = _hodge_witness(h1, h2, bound)
     if m is None:
-        return None
+        return None, reason
     iso = IsometryMap(
         source=h1.lattice,
         target=h2.lattice,
@@ -432,7 +431,7 @@ def find_hodge_isometry(h1, h2, bound):
         target_period=h2.period,
     )
     verify_isometry(iso)
-    return iso
+    return iso, None
 
 
 def hodge_miss_reason(h1, h2, bound):

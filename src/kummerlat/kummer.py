@@ -24,13 +24,18 @@ from .brauer import (
     kernel_with_coords,
     twisted_period,
 )
-from .hodge import HodgeLattice, hodge_lattice, restrict_period, transcendental_lattice
+from .hodge import (
+    HodgeLattice,
+    hodge_lattice,
+    period_scalar,
+    restrict_period,
+    transcendental_lattice,
+)
 from .isometry import (
     CertificationError,
     IsometryMap,
+    _certified_hodge_witness,
     _rational_sqrt,
-    find_hodge_isometry,
-    hodge_miss_reason,
     verify_isometry,
 )
 from .lattice import LatticeError, Sublattice, genus_of, orthogonal_complement
@@ -240,8 +245,9 @@ class TEquivalenceVerdict:
 def hodge_verdict(h1, h2, bound=3):
     """T-equivalence verdict for two Hodge lattices, with certificates.
 
-    Refutes via genus invariants, proves via find_hodge_isometry, and
-    otherwise reports the step that failed.
+    Refutes via genus invariants, proves with the witness of
+    find_hodge_isometry, and otherwise reports the step that failed,
+    read from the same witness run.
     """
     g1, g2 = genus_of(h1.lattice), genus_of(h2.lattice)
     if g1 != g2:
@@ -250,12 +256,12 @@ def hodge_verdict(h1, h2, bound=3):
             reason="genus invariants differ: [%s] vs [%s]" % (g1.describe(), g2.describe()),
             bound=bound,
         )
-    witness = find_hodge_isometry(h1, h2, bound)
+    witness, miss = _certified_hodge_witness(h1, h2, bound)
     if witness is not None:
         return TEquivalenceVerdict(kind="equivalent", witness=witness, bound=bound)
     return TEquivalenceVerdict(
         kind="inconclusive",
-        reason="%s; not a proof of non-isometry" % hodge_miss_reason(h1, h2, bound),
+        reason="%s; not a proof of non-isometry" % miss,
         bound=bound,
     )
 
@@ -299,8 +305,7 @@ def transport_isometry(surface1, surface2, g):
         target=tgt.lattice,
         matrix=f.matrix,
         scale=Fraction(1),
-        lam=linalg.scalar_ratio(linalg.matmul(src.period.columns(), f.matrix),
-                                tgt.period.columns()),
+        lam=period_scalar(src.period, f.matrix, tgt.period),
         source_period=src.period,
         target_period=tgt.period,
     )

@@ -52,7 +52,12 @@ def _integer_matrix(rows, error=LatticeError):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Free Z-module with a nondegenerate symmetric integer Gram matrix."""
+    """Free Z-module with a nondegenerate symmetric integer Gram matrix.
+
+    det, the determinant of gram, is a plain attribute kept from the
+    nondegeneracy check; it is not a field, so it takes no part in ==
+    or hashing.
+    """
 
     gram: tuple
     labels: tuple = None
@@ -72,7 +77,7 @@ class Lattice:
         det = linalg.det(gram)
         if det == 0:
             raise LatticeError("gram matrix must be nondegenerate")
-        self.__dict__["det"] = det  # the value of the det cached property
+        object.__setattr__(self, "det", det)
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != n:
@@ -84,10 +89,6 @@ class Lattice:
     @property
     def rank(self):
         return len(self.gram)
-
-    @cached_property
-    def det(self):
-        return linalg.det(self.gram)
 
     def pair(self, v, w):
         """v * gram * w^T; integer for integer vectors, Fraction otherwise."""
@@ -213,9 +214,9 @@ class Sublattice:
         rows = linalg.matmul(self.basis, self.ambient.gram)
         return tuple(tuple(sum(map(mul, r, b)) for b in self.basis) for r in rows)
 
-    def as_lattice(self, labels=None):
+    def as_lattice(self):
         """The abstract lattice carried by this sublattice (nondegenerate only)."""
-        return Lattice(self.gram(), labels)
+        return Lattice(self.gram())
 
     def contains(self, v):
         """Whether the ambient vector v lies in the sublattice."""
@@ -269,14 +270,9 @@ def sublattice_quotient(s):
         if s.ambient.rank == 0:
             return 1, []
         return None, []
-    diag = linalg.snf_diagonal(s.basis)
+    diag, _ = linalg.snf_with_transforms(s.basis)
     divisors = [d for d in diag if d > 1]
-    if s.rank == s.ambient.rank:
-        index = 1
-        for d in diag:
-            index *= d
-        return index, divisors
-    return None, divisors
+    return (prod(diag) if s.rank == s.ambient.rank else None), divisors
 
 
 @dataclass(frozen=True)
@@ -332,20 +328,21 @@ def discriminant_form(lattice):
     With D = S G T the Smith form of the Gram matrix G (S, T unimodular),
     the dual basis vectors e_i S^-1 G^-1 generate dual/L. Since G is
     symmetric, G^-1 = T D^-1 S, so that vector is column i of T divided
-    by d_i: no matrix is inverted. L = Z^n in these coordinates, so each
-    generator is stored as its fractional part, the same class with
-    entries in [0, 1). A generator g of order d = 2^e m, m odd, gives
-    m g of order 2^e, and these generate A_2 for the profile.
+    by d_i: no matrix is inverted, and S is never built. L = Z^n in
+    these coordinates, so each generator is stored as its fractional
+    part, the same class with entries in [0, 1). A generator g of order
+    d = 2^e m, m odd, gives m g of order 2^e, and these generate A_2
+    for the profile.
     """
     n = lattice.rank
-    d, _, t = linalg.snf_with_transforms(lattice.gram)
+    diag, t = linalg.snf_with_transforms(lattice.gram)
     modulus = 2 if lattice.is_even() else 1
     divisors = []
     gens = []
-    for i in range(n):
-        if d[i][i] > 1:
-            divisors.append(d[i][i])
-            gens.append(tuple(Fraction(t[j][i], d[i][i]) % 1 for j in range(n)))
+    for i, d in enumerate(diag):
+        if d > 1:
+            divisors.append(d)
+            gens.append(tuple(Fraction(t[j][i], d) % 1 for j in range(n)))
     two_divisors = []
     two_gens = []
     for dv, g in zip(divisors, gens):

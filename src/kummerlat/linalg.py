@@ -5,9 +5,10 @@ point. A matrix is any sequence of equal-length rows, tuples and lists
 alike; no input is modified, and matrices come back as lists of lists.
 Maps act on row vectors: the image of v under M is v*M, so compositions
 read left to right. det, rank and solve run on one fraction-free
-elimination, echelon; invert is solve against the identity. saturation
-is one unimodular triangularization, which keeps its inverse, and one
-hnf.
+elimination, echelon; invert is solve against the identity. hnf, the
+one Hermite reduction, carries no transform; hnf_with_transform and
+right_kernel are blocks of hnf([A | I]). saturation is one unimodular
+triangularization, which keeps its inverse, and one hnf.
 
 Empty matrices are legitimate inputs for the kernel/saturation helpers;
 the ambient dimension is passed explicitly where it cannot be inferred.
@@ -178,16 +179,14 @@ def rank(rows):
     return len(echelon(rows)[1])
 
 
-def hnf_with_transform(rows):
-    """Row-style Hermite normal form with unimodular transform.
+def hnf(rows):
+    """Row-style Hermite normal form, zero rows dropped; no transform is kept.
 
-    Returns (H, U) with U * rows = H, U unimodular. H is in row-echelon
-    form with positive pivots and entries above each pivot reduced into
-    [0, pivot); zero rows sit at the bottom.
+    Echelon rows with positive pivots and the entries above each pivot
+    reduced into [0, pivot), spanning the lattice of the input rows.
     """
     m = len(rows)
     a = [list(r) for r in rows]
-    u = identity(m)
     ncols = len(a[0]) if m else 0
     r = 0
     for c in range(ncols):
@@ -195,7 +194,6 @@ def hnf_with_transform(rows):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        u[r], u[piv] = u[piv], u[r]
         for i in range(r + 1, m):
             if a[i][c] == 0:
                 continue
@@ -206,39 +204,38 @@ def hnf_with_transform(rows):
                 [x * s + y * t for s, t in zip(a[r], a[i])],
                 [-qq * s + pp * t for s, t in zip(a[r], a[i])],
             )
-            u[r], u[i] = (
-                [x * s + y * t for s, t in zip(u[r], u[i])],
-                [-qq * s + pp * t for s, t in zip(u[r], u[i])],
-            )
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = a[i][c] // a[r][c]
             if q:
                 a[i] = [s - q * t for s, t in zip(a[i], a[r])]
-                u[i] = [s - q * t for s, t in zip(u[i], u[r])]
         r += 1
-    return a, u
+    return a[:r]
 
 
-def hnf(rows):
-    """Hermite normal form rows with zero rows dropped."""
-    h, _ = hnf_with_transform(rows)
-    return [r for r in h if not is_zero_row(r)]
+def hnf_with_transform(rows):
+    """Row-style Hermite normal form with unimodular transform.
+
+    (H, U) with U * rows = H, U unimodular: the left and right blocks of
+    hnf([rows | I]), which has all m rows. H is in hnf's form, with its
+    zero rows at the bottom.
+    """
+    n = len(rows[0]) if rows else 0
+    full = hnf([list(row) + e for row, e in zip(rows, identity(len(rows)))])
+    return [row[:n] for row in full], [row[n:] for row in full]
 
 
 def right_kernel(rows, ncols):
     """HNF basis of {x in Z^ncols : r . x = 0 for every row r}.
 
-    The result spans the full integer kernel (it is saturated).
+    hnf([rows^T | I]) = [H | U] with U * rows^T = H, U unimodular; the
+    rows of U beside the zero rows of H span the kernel and are already
+    in Hermite form, so one reduction gives it.
     """
-    rows = [r for r in rows if not is_zero_row(r)]
-    if not rows:
-        return identity(ncols)
-    h, u = hnf_with_transform(transpose(rows))
-    ker = [u[i] for i in range(len(h)) if is_zero_row(h[i])]
-    return hnf(ker)
+    k = len(rows)
+    full = hnf([[r[j] for r in rows] + e for j, e in enumerate(identity(ncols))])
+    return [row[k:] for row in full if is_zero_row(row[:k])]
 
 
 def saturation(rows, ncols):
@@ -283,29 +280,21 @@ def saturation(rows, ncols):
 
 
 def snf_with_transforms(rows):
-    """Smith normal form D = S * A * T with S, T unimodular.
+    """Smith normal form D = S * A * T, S and T unimodular, as (diagonal, T).
 
-    D is diagonal with nonnegative entries d_1 | d_2 | ... .
+    diagonal holds the min(m, n) entries d_1 | d_2 | ... of D, all
+    nonnegative. S is not built: A * T = S^-1 * D.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(r) for r in rows]
-    s = identity(m)
     t = identity(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        s[i], s[j] = s[j], s[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in t:
             row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        s[dst] = [x + f * y for x, y in zip(s[dst], s[src])]
 
     def add_col(src, dst, f):
         for row in a:
@@ -323,7 +312,7 @@ def snf_with_transforms(rows):
                     best = (i, j)
         if best is None:
             break
-        swap_rows(k, best[0])
+        a[k], a[best[0]] = a[best[0]], a[k]
         swap_cols(k, best[1])
         dirty = True
         while dirty:
@@ -331,9 +320,9 @@ def snf_with_transforms(rows):
             for i in range(k + 1, m):
                 if a[i][k]:
                     q = a[i][k] // a[k][k]
-                    add_row(k, i, -q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
                     if a[i][k]:
-                        swap_rows(k, i)
+                        a[k], a[i] = a[i], a[k]
                         dirty = True
             if dirty:
                 # clear column k first: sweeping row k now would multiply
@@ -357,24 +346,10 @@ def snf_with_transforms(rows):
             if offender is not None:
                 break
         if offender is not None:
-            add_row(offender, k, 1)
+            a[k] = [x + y for x, y in zip(a[k], a[offender])]
             continue
         k += 1
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            s[i] = [-x for x in s[i]]
-    return a, s, t
-
-
-def snf_diagonal(rows):
-    """Nonzero Smith normal form diagonal entries d_1 | d_2 | ... ."""
-    d, _, _ = snf_with_transforms(rows)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return out
+    return [abs(a[i][i]) for i in range(min(m, n))], t
 
 
 def solve(a_rows, b):

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .brauer import BField
-from .hodge import PeriodVector, SymbolBasis, hodge_lattice
+from .hodge import SymbolBasis, hodge_lattice, period_from_columns
 from .kummer import AbelianSurfaceModel, TwistedSurface
 from .lattice import Lattice, LatticeError, Sublattice
 
@@ -224,7 +224,6 @@ def _build_period(doc, sec):
         raise SpecParseError(
             sec["line"], "period %r needs lattice and symbols entries" % sec["name"]
         )
-    width = len(symbols.symbols)
     columns = {}
     for (lineno, sym), vec in coeffs.items():
         if sym not in symbols.symbols:
@@ -234,12 +233,8 @@ def _build_period(doc, sec):
                 lineno, "coeff vector needs %d entries, got %d" % (lattice.rank, len(vec))
             )
         columns[sym] = vec
-    cols = []
-    for s in symbols.symbols:
-        cols.append(columns.get(s, [Fraction(0)] * lattice.rank))
-    coeff_rows = tuple(tuple(cols[j][i] for j in range(width)) for i in range(lattice.rank))
     try:
-        doc.periods[sec["name"]] = PeriodVector(lattice, symbols, coeff_rows)
+        doc.periods[sec["name"]] = period_from_columns(lattice, symbols, columns)
     except LatticeError as exc:
         raise SpecParseError(sec["line"], "period %r: %s" % (sec["name"], exc))
 

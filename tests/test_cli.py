@@ -16,7 +16,7 @@ from kummerlat.construction import (
 )
 from kummerlat.kummer import twisted_transcendental_model
 from kummerlat.specdoc import SpecDocument, render_spec
-from util import _eichler
+from util import _eichler, brute_det
 
 U_DOC = """\
 lattice U
@@ -122,6 +122,36 @@ DISC_GOLDEN = [
 ]
 
 
+# SHA-256 of the `disc` stdout and --report bytes of every Gram in
+# disc_corpus(), concatenated in order. Recorded while
+# snf_with_transforms still built S: the generators are read off T's
+# columns, so this pins T's operation sequence.
+DISC_CORPUS_SHA256 = "dcb1d7add3ebbd12ca37b92ea1e29d6b73ac0b952e1acbab2e49c7d818d8cae4"
+
+
+def disc_corpus():
+    """300 seeded nondegenerate symmetric Grams of rank 1-6, entries in [-6, 6].
+
+    Even and odd lattices alternate: an even one has every diagonal
+    entry even, an odd one at least one odd diagonal entry.
+    """
+    rng = random.Random(1717)
+    grams = []
+    while len(grams) < 300:
+        n = rng.randint(1, 6)
+        even = len(grams) % 2 == 0
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-6, 6)
+        if even:
+            for i in range(n):
+                m[i][i] -= m[i][i] % 2
+        if all(m[i][i] % 2 == 0 for i in range(n)) == even and brute_det(m):
+            grams.append(m)
+    return grams
+
+
 @pytest.fixture
 def u_doc(tmp_path):
     path = tmp_path / "u.doc"
@@ -154,6 +184,18 @@ class TestInfoCommands:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == out_digest
         assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+
+    def test_disc_corpus_bytes_match_digest(self, tmp_path, capsys):
+        doc = tmp_path / "l.doc"
+        report = tmp_path / "rep.json"
+        digest = hashlib.sha256()
+        for gram in disc_corpus():
+            doc.write_text("lattice L\n" + "".join(
+                "  gram %s\n" % " ".join(map(str, row)) for row in gram))
+            assert main(["disc", str(doc), "--name", "L", "--report", str(report)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+            digest.update(report.read_bytes())
+        assert digest.hexdigest() == DISC_CORPUS_SHA256
 
     def test_twist(self, u_doc, capsys):
         assert main(["twist", u_doc, "--name", "U", "--by", "3"]) == 0

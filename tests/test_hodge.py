@@ -24,6 +24,7 @@ from kummerlat import (
     omega_symbols,
     period_from_columns,
     period_pairing,
+    period_scalar,
     restrict_period,
     transcendental_lattice,
     wedge_square_lattice,
@@ -44,6 +45,7 @@ from util import (
     random_rational_vector,
     random_surface_fixture,
     random_symmetric_lattice_gram,
+    random_u3_isometry,
     simple_full_rank_period,
 )
 
@@ -410,6 +412,40 @@ class TestProportionality:
             },
         )
         assert scalar_ratio(sigma.coeffs, permuted.coeffs) is None
+
+
+def column_scalar(source, matrix, target):
+    """period_scalar column by column: the lam != 0 with cs * M == lam * ct for every symbol."""
+    pairs = [([sum(c * matrix[i][j] for i, c in enumerate(cs)) for j in range(len(ct))], ct)
+             for cs, ct in zip(source.columns(), target.columns())]
+    ratios = [Fraction(x) / y for image, ct in pairs for x, y in zip(image, ct) if y]
+    if not ratios or not ratios[0]:
+        return None
+    lam = ratios[0]
+    if all([Fraction(x) for x in image] == [lam * y for y in ct] for image, ct in pairs):
+        return lam
+    return None
+
+
+class TestPeriodScalar:
+    def test_against_column_definition(self):
+        rng = random.Random(171)
+        seen = {"none": 0, "one": 0, "other": 0}
+        for _ in range(40):
+            model, n, p = random_surface_fixture(rng)
+            base = base_abelian_model(n).h2.period
+            target = model.h2.period
+            q = linalg.matmul(p, random_u3_isometry(rng))
+            k = Fraction(rng.choice((-3, -2, 2, 5)), rng.randint(1, 4))
+            cases = [(base, p, target), (base, p, target.scaled(k)), (base, q, target),
+                     (target, linalg.invert_unimodular(p), base), (base, linalg.identity(6), target)]
+            for source, matrix, tgt in cases:
+                got = period_scalar(source, matrix, tgt)
+                assert got == column_scalar(source, matrix, tgt)
+                seen["none" if got is None else "one" if got == 1 else "other"] += 1
+            assert period_scalar(base, p, target) == 1
+            assert period_scalar(base, p, target.scaled(k)) == 1 / k
+        assert all(seen.values())
 
 
 class TestRestrictPeriod:

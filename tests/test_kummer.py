@@ -31,7 +31,7 @@ from kummerlat import (
     twisted_transcendental_model,
     verify_isometry,
 )
-from kummerlat import kummer as kummer_module, lattice as lattice_module, linalg
+from kummerlat import isometry as isometry_module, kummer as kummer_module, lattice as lattice_module, linalg
 from kummerlat.construction import base_abelian_model, product_bfield, product_abelian_model, u_cubed
 from util import random_rational_vector, random_surface_fixture, random_u3_isometry
 
@@ -473,6 +473,26 @@ class TestMissCauses:
         assert find_hodge_isometry(h1, h2, 3) is None
         assert "+-lambda*M0 is not unimodular: det = 4" in hodge_miss_reason(h1, h2, 3)
         assert hodge_verdict(h1, h2).kind == "refuted"
+
+    def test_witness_runs_once_per_verdict(self, monkeypatch):
+        # a period that does not span falls back to the bounded search; the
+        # verdict reads its reason from the same run instead of a second one
+        calls = []
+        real = isometry_module._hodge_witness
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(isometry_module, "_hodge_witness", counting)
+        h1, h2 = self.pair({"s": (1, 0)}, {"s": (1, 1)}, SymbolBasis(("1", "s")))
+        verdict = hodge_verdict(h1, h2, bound=3)
+        assert verdict.kind == "inconclusive"
+        assert verdict.reason == "no witness with entries bounded by 3; not a proof of non-isometry"
+        assert len(calls) == 1
+        del calls[:]
+        verdict = hodge_verdict(*self.moved([[2, 0], [0, 1]]), bound=3)
+        assert verdict.kind == "inconclusive" and len(calls) == 1
 
     def test_moved_by_an_isometry_is_found(self):
         # the same construction with an integral isometry of U is decided

@@ -32,6 +32,7 @@ from util import (
     random_symmetric_lattice_gram,
     random_unimodular,
     signature_oracle,
+    smith_left_transform,
     two_primary,
     value_counts_mod,
 )
@@ -348,13 +349,13 @@ class TestDiscriminantForm:
         lat = Lattice(gram)
         d = discriminant_form(lat)
         assert all(0 <= x < 1 for g in d.generators for x in g)
-        diag, s, _ = linalg.snf_with_transforms(gram)
-        s_inv = linalg.invert_unimodular(s)
+        diag, t = linalg.snf_with_transforms(gram)
+        s_inv = linalg.invert_unimodular(smith_left_transform(gram, diag, t))
         g_inv = linalg.invert(gram)
         raw = [
             linalg.vec_times_mat([row[i] for row in s_inv], g_inv)
             for i in range(6)
-            if diag[i][i] > 1
+            if diag[i] > 1
         ]
         assert max(abs(x) for g in raw for x in g) > 1
         modulus = 2 if lat.is_even() else 1
@@ -395,7 +396,8 @@ class TestDiscriminantForm:
         assert discriminant_form(Lattice(((1, 0), (0, 3)))).modulus == 1
 
     def test_generators_against_sympy_inverses(self):
-        # column i of S^-1 times G^-1, with both inverses taken by sympy
+        # column i of S^-1 times G^-1, with both inverses taken by sympy and
+        # S = D T^-1 G^-1 derived from the Smith diagonal and T
         rng = random.Random(149)
         grams = [REGRESSION_GRAM]
         while len(grams) < 31:
@@ -406,11 +408,11 @@ class TestDiscriminantForm:
             n = len(gram)
             lat = Lattice(gram)
             d = discriminant_form(lat)
-            diag, s, _ = linalg.snf_with_transforms(gram)
-            s_inv, g_inv = Matrix(s).inv(), Matrix(gram).inv()
+            diag, t = linalg.snf_with_transforms(gram)
+            s_inv, g_inv = Matrix(smith_left_transform(gram, diag, t)).inv(), Matrix(gram).inv()
             raw = []
             for i in range(n):
-                if diag[i][i] > 1:
+                if diag[i] > 1:
                     v = s_inv[:, i].T * g_inv
                     raw.append([Fraction(int(x.p), int(x.q)) for x in v])
             assert d.generators == tuple(tuple(x % 1 for x in g) for g in raw)

@@ -7,7 +7,15 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from kummerlat import linalg
-from util import brute_det, naive_pair, random_rational_vector, random_unimodular, two_kernel_saturation
+from util import (
+    assert_smith_columns,
+    brute_det,
+    naive_pair,
+    random_rational_vector,
+    random_unimodular,
+    smith_left_transform,
+    two_kernel_saturation,
+)
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -145,16 +153,13 @@ def test_hnf_is_row_space_canonical(rows):
 @settings(max_examples=80)
 @given(small_matrix)
 def test_snf_transforms(rows):
-    d, s, t = linalg.snf_with_transforms(rows)
-    assert abs(linalg.det(s)) == 1
+    diag, t = linalg.snf_with_transforms(rows)
     assert abs(linalg.det(t)) == 1
-    assert linalg.mat_eq(linalg.matmul(linalg.matmul(s, rows), t), d)
     m, n = len(rows), len(rows[0])
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert d[i][j] == 0
-    diag = [d[i][i] for i in range(min(m, n))]
+    assert len(diag) == min(m, n)
+    assert_smith_columns(rows, diag, t)
+    if m == n and brute_det(rows):
+        smith_left_transform(rows, diag, t)
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
         if a and b:
@@ -174,9 +179,9 @@ def test_snf_terminates_without_coefficient_growth():
         [22, -16, 0, 0, 20, -11],
         [-13, 13, 0, 0, -11, 8],
     ]
-    d, s, t = linalg.snf_with_transforms(gram)
-    assert [d[i][i] for i in range(6)] == [1, 1, 1, 3, 3, 30]
-    assert linalg.mat_eq(linalg.matmul(linalg.matmul(s, gram), t), d)
+    diag, t = linalg.snf_with_transforms(gram)
+    assert diag == [1, 1, 1, 3, 3, 30]
+    s = smith_left_transform(gram, diag, t)
     assert abs(linalg.det(s)) == 1 and abs(linalg.det(t)) == 1
 
 
@@ -187,10 +192,13 @@ def test_snf_against_sympy():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.5:
             rows = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
-        d, s, t = linalg.snf_with_transforms(rows)
+        diag, t = linalg.snf_with_transforms(rows)
         ref = smith_normal_form(Matrix(rows), domain=ZZ)
-        assert [d[i][i] for i in range(n)] == [abs(int(ref[i, i])) for i in range(n)]
-        assert linalg.mat_eq(linalg.matmul(linalg.matmul(s, rows), t), d)
+        assert diag == [abs(int(ref[i, i])) for i in range(n)]
+        if brute_det(rows):
+            smith_left_transform(rows, diag, t)
+        else:
+            assert_smith_columns(rows, diag, t)
 
 
 @settings(max_examples=60)
@@ -209,6 +217,38 @@ def test_right_kernel_is_complete_and_saturated(rows):
 def test_right_kernel_empty_input():
     assert linalg.right_kernel([], 3) == linalg.identity(3)
     assert linalg.right_kernel([[0, 0]], 2) == linalg.identity(2)
+
+
+def test_hnf_carries_no_transform(monkeypatch):
+    def forbidden(rows):
+        raise AssertionError("hnf_with_transform called")
+
+    monkeypatch.setattr(linalg, "hnf_with_transform", forbidden)
+    assert linalg.hnf([[2, 4, 6], [0, 3, 3], [4, 8, 12]]) == [[2, 1, 3], [0, 3, 3]]
+
+
+def test_right_kernel_is_one_reduction(monkeypatch):
+    calls = []
+    real = linalg.hnf
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    def forbidden(rows):
+        raise AssertionError("hnf_with_transform called")
+
+    # one reduction: a single hnf of the augmented ncols-row matrix
+    monkeypatch.setattr(linalg, "hnf", counting)
+    monkeypatch.setattr(linalg, "hnf_with_transform", forbidden)
+    rng = random.Random(29)
+    for _ in range(20):
+        ncols = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(0, 5))]
+        del calls[:]
+        ker = linalg.right_kernel(rows, ncols)
+        assert calls == [ncols]
+        assert all(linalg.dot(k, r) == 0 for k in ker for r in rows)
 
 
 def test_saturation_examples():
@@ -233,8 +273,8 @@ def test_saturation_contains_rows_with_trivial_quotient(rows):
         else:
             assert linalg.is_zero_row(r)
     # and the saturation has no further index to give
-    diag = linalg.snf_diagonal(sat)
-    assert all(d == 1 for d in diag)
+    diag, _ = linalg.snf_with_transforms(sat)
+    assert diag == [1] * len(sat)
 
 
 def test_saturation_matches_two_kernel_oracle():

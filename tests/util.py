@@ -12,6 +12,9 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, isqrt
 
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form
+
 from kummerlat import (
     AbelianSurfaceModel,
     BField,
@@ -58,6 +61,46 @@ def two_kernel_saturation(rows, ncols):
     if not rows:
         return []
     return linalg.right_kernel(linalg.right_kernel(rows, ncols), ncols)
+
+
+def smith_left_transform(rows, diag, t):
+    """The S with S * rows * T = D, for a square nonsingular matrix rows.
+
+    linalg.snf_with_transforms builds T alone; S = D * T^-1 * rows^-1 is
+    taken with sympy inverses and asserted integral with determinant
+    +-1, and S * rows * T = D is checked, before S is returned as int
+    rows.
+    """
+    d = Matrix.diag(*diag)
+    s = d * Matrix(t).inv() * Matrix(rows).inv()
+    assert all(x.is_integer for x in s)
+    assert abs(s.det()) == 1
+    assert s * Matrix(rows) * Matrix(t) == d
+    return [[int(x) for x in s.row(i)] for i in range(s.rows)]
+
+
+def assert_smith_columns(rows, diag, t):
+    """rows * T is the Smith form up to a unimodular S, for any shape.
+
+    Column j of rows * T must be d_j * w_j (d_j = 0 past the diagonal),
+    the w_j with d_j != 0 must form a primitive system (sympy's Smith
+    form of them is all ones), and the columns with d_j = 0 must be
+    zero. Then any unimodular W whose first columns are those w_j gives
+    W^-1 * rows * T = D, so S = W^-1 exists.
+    """
+    at = Matrix(rows) * Matrix(t)
+    d = list(diag) + [0] * (at.cols - len(diag))
+    ws = []
+    for j, dj in enumerate(d):
+        col = at[:, j]
+        if dj == 0:
+            assert col.is_zero_matrix
+        else:
+            assert all(x % dj == 0 for x in col)
+            ws.append(col / dj)
+    if ws:
+        ref = smith_normal_form(Matrix.hstack(*ws), domain=ZZ)
+        assert [abs(ref[i, i]) for i in range(len(ws))] == [1] * len(ws)
 
 
 def fraction_period_pairing(sigma, tau):
