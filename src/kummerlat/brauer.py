@@ -16,7 +16,7 @@ from math import lcm
 from . import linalg
 from .hodge import PeriodVector, transcendental_lattice, hodge_lattice
 from .isometry import CertificationError, IsometryMap, verify_isometry
-from .lattice import Lattice, LatticeError, Sublattice, saturate
+from .lattice import Lattice, LatticeError, Sublattice
 
 
 class NonIntegralTwist(Exception):
@@ -165,23 +165,20 @@ def generalized_transcendental(sigma, bfield):
     return transcendental_lattice(hodge_lattice(phi.lattice, phi))
 
 
-def exp_b_embedding(kernel, bfield, k=1, target=None):
-    """The Hodge isometry gamma -> (0, gamma, pair(B, gamma)).
+def exp_b_embedding(kernel, bfield, target):
+    """The Hodge isometry gamma -> (0, gamma, pair(B, gamma)) onto target.
 
     kernel must consist of vectors pairing integrally with B (otherwise
-    NonIntegralTwist). The embedding preserves the form exactly, hence
-    also at the twist k in {1, 2}, which is recorded for certification.
-    When target (the generalized transcendental sublattice) is given,
-    the image is certified to land onto it after saturation. The image
-    is saturated once, and its rows are written over the target basis
-    in one elimination.
+    NonIntegralTwist); target is the generalized transcendental
+    sublattice of the Mukai extension. The image rows are written over
+    the target basis in one elimination, and the certificate is that
+    coordinate matrix: integral, unimodular and carrying the form of the
+    target back to that of the kernel. Integral and unimodular means the
+    image is the target itself.
     """
-    if k not in (1, 2):
-        raise LatticeError("k must be 1 or 2")
     ambient = kernel.ambient
     if ambient != bfield.lattice:
         raise LatticeError("kernel and B-field have different ambients")
-    mukai = mukai_lattice(ambient)
     image_rows = []
     for row in kernel.basis:
         h4 = ambient.pair(row, bfield.coords)
@@ -190,17 +187,16 @@ def exp_b_embedding(kernel, bfield, k=1, target=None):
                 "vector %r pairs with B to %s, not an integer" % (list(row), h4)
             )
         image_rows.append([0] + list(row) + [int(h4)])
-    saturated = saturate(Sublattice(mukai, image_rows))
-    if target is None:
-        target = saturated
-    elif not saturated.same_span(saturate(target)):
-        raise CertificationError("exp(B) image does not saturate onto the target")
-    coords = target.coordinates_of(image_rows) if image_rows else ()
+    if target.ambient != mukai_lattice(ambient):
+        raise CertificationError("target is not in the Mukai extension of the kernel's ambient")
+    try:
+        coords = target.coordinates_of(image_rows) if image_rows else ()
+    except LatticeError as exc:
+        raise CertificationError("exp(B) image is not in the span of the target") from exc
     if any(c.denominator != 1 for row in coords for c in row):
         raise CertificationError("exp(B) image is not integral over the target basis")
     matrix = [[int(c) for c in row] for row in coords]
-    iso = IsometryMap(source=kernel, target=target,
-                      matrix=matrix, scale=Fraction(1))
+    iso = IsometryMap(source=kernel, target=target, matrix=matrix)
     verify_isometry(iso)
     return iso
 

@@ -305,7 +305,7 @@ def run_example43(n, bound=3):
     sigma_u2 = u_plus_u_period(n)
     target = generalized_transcendental(sigma_u2, b_u2)
     try:
-        embed = exp_b_embedding(kernel, b_u2, k=1, target=target)
+        embed = exp_b_embedding(kernel, b_u2, target)
     except (LatticeError, NonIntegralTwist, CertificationError) as exc:
         # a failed certification is a verdict; any other error propagates
         rep.add("exp-b-image", REFUTED, values={"error": str(exc)})

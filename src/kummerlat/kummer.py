@@ -8,6 +8,8 @@ part, and twisted transcendental lattices move via exp(B) embeddings.
 A TwistedSurface holds one pair (A, B) and builds everything on the
 Kummer side that the pair fixes: T(Km), p(B)/2, the transported class,
 the twist-kernel map and the doubling map T(A, B) -> T(Km, p(B)/2).
+Each map on the Kummer side is one integer matrix product, certified
+once by verify_isometry.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .brauer import (
 )
 from .hodge import (
     HodgeLattice,
+    PeriodVector,
     hodge_lattice,
     period_scalar,
     restrict_period,
@@ -87,7 +90,7 @@ def kummer_transcendental(model):
     t_hodge = model.transcendental_hodge()
     t_km = t_hodge.lattice.twist(2)
     period = t_hodge.period
-    km_period = period.map_by(linalg.identity(t_km.rank), t_km)
+    km_period = PeriodVector(t_km, period.symbols, period.coeffs)
     pi_star = IsometryMap(
         source=model.T,
         target=t_km,
@@ -199,7 +202,9 @@ class TwistedSurface:
         Source: the kernel of alpha inside T(A); target: the kernel of
         beta inside T_km. Both kernel bases are Hermite normal forms over
         the same T-coordinates, so the kernels are equal exactly when the
-        bases are; the identity is then certified at scale 2.
+        bases are; the identity is then certified at scale 2. Its matrix
+        is the identity by construction: the equality check and the
+        scale-2 certificate are the kernel identification.
         """
         k_a, coords_a = kernel_with_coords(self.brauer)
         k_km, coords_km = kernel_with_coords(self.km_brauer)
@@ -212,15 +217,22 @@ class TwistedSurface:
 
     @cached_property
     def doubling(self):
-        """The certified map T(A, B) -> T(Km, p(B)/2).
+        """The certified map T(A, B) -> T(Km, p(B)/2), at scale 2.
 
-        The inverse exp(B)-embedding of the kernel of alpha, the kernel
-        map, then the exp(p(B)/2)-embedding of the kernel of beta.
+        The inverse exp(B)-embedding E1 of the kernel of alpha, the kernel
+        map, then the exp(p(B)/2)-embedding E2 of the kernel of beta. The
+        kernel map is the identity, so the matrix is E1^-1 * E2; the
+        product is certified once as a map of the two twisted lattices.
         """
         f_map = self.kernel_map
-        embed = exp_b_embedding(f_map.source, self.bfield, k=2, target=self.twisted.sub)
-        km_embed = exp_b_embedding(f_map.target, self.km_bfield, k=1, target=self.km_twisted.sub)
-        return embed.inverse().then(f_map).then(km_embed)
+        embed = exp_b_embedding(f_map.source, self.bfield, self.twisted.sub)
+        km_embed = exp_b_embedding(f_map.target, self.km_bfield, self.km_twisted.sub)
+        iso = IsometryMap(source=embed.target, target=km_embed.target,
+                          matrix=linalg.matmul(linalg.invert_unimodular(embed.matrix),
+                                               km_embed.matrix),
+                          scale=Fraction(2))
+        verify_isometry(iso)
+        return iso
 
 
 @dataclass(frozen=True)
@@ -289,23 +301,24 @@ class TransportResult:
 def transport_isometry(surface1, surface2, g):
     """Carry g: T(A1, B1) -> T(A2, B2) around the doubling diagram.
 
-    Composes g with the doubling maps of the two TwistedSurfaces, which
-    read the models t_equivalence built and certify every factor. Both
-    doubling maps carry the period at scalar 1, so going around the
-    diagram either way scales it by the same factor: paths_agree reports
-    whether the certified scalar of the composite equals that of g.
+    The matrix is D1^-1 * g * D2 for the doubling maps D1, D2 of the two
+    TwistedSurfaces, which read the models t_equivalence built. g is
+    verified on entry; the product is certified once, with the Kummer-side
+    periods attached. Both doubling maps carry the period at scalar 1, so
+    going around the diagram either way scales it by the same factor:
+    paths_agree reports whether the certified scalar of the composite
+    equals that of g.
     """
     verify_isometry(g)
     down1, down2 = surface1.doubling, surface2.doubling
-    f = down1.inverse().then(g).then(down2)
-    # periods are attached end to end for certification of the composite
+    matrix = linalg.matmul(linalg.matmul(linalg.invert_unimodular(down1.matrix), g.matrix),
+                           down2.matrix)
     src, tgt = surface1.km_twisted.hodge, surface2.km_twisted.hodge
     f = IsometryMap(
         source=src.lattice,
         target=tgt.lattice,
-        matrix=f.matrix,
-        scale=Fraction(1),
-        lam=period_scalar(src.period, f.matrix, tgt.period),
+        matrix=matrix,
+        lam=period_scalar(src.period, matrix, tgt.period),
         source_period=src.period,
         target_period=tgt.period,
     )

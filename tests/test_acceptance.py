@@ -37,6 +37,7 @@ from kummerlat.cli import main
 from kummerlat.construction import run_example43
 from kummerlat.report import REFUTED, VERIFIED
 from util import (
+    random_class_fixtures,
     random_rational_vector,
     random_symmetric_lattice_gram,
     random_surface_fixture,
@@ -48,19 +49,6 @@ from test_kummer import transformed_model, witness_between
 def _line(num, ok, text):
     print("[%s] criterion %d: %s" % ("PASS" if ok else "FAIL", num, text))
     assert ok, "criterion %d failed: %s" % (num, text)
-
-
-def _random_class_fixtures(seed, count):
-    """(lattice, B-field, class) fixtures: rank <= 4, |gram| <= 5, den <= 6."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        rank = rng.randint(1, 4)
-        gram = random_symmetric_lattice_gram(rng, rank, bound=5)
-        lat = Lattice(gram)
-        b = BField(lat, random_rational_vector(rng, rank, max_den=6))
-        out.append((lat, b, brauer_class_of(b, lat.full_sublattice())))
-    return out
 
 
 def test_criterion_1_worked_example_all_orders():
@@ -91,7 +79,7 @@ def test_criterion_1_worked_example_all_orders():
 
 
 def test_criterion_2_kernel_index_law():
-    fixtures = _random_class_fixtures(202, 200)
+    fixtures = random_class_fixtures(202, 200)
     bad = 0
     for lat, b, alpha in fixtures:
         _, coords = kernel_with_coords(alpha)
@@ -104,7 +92,7 @@ def test_criterion_2_kernel_index_law():
 def test_criterion_3_exp_b_isometry():
     from util import simple_full_rank_period
 
-    fixtures = _random_class_fixtures(303, 200)
+    fixtures = random_class_fixtures(303, 200)
     bad = 0
     for lat, b, alpha in fixtures:
         sigma = simple_full_rank_period(lat)
@@ -115,7 +103,7 @@ def test_criterion_3_exp_b_isometry():
         ok = True
         for k in (1, 2):
             try:
-                iso = exp_b_embedding(kernel, b, k=k, target=target)
+                iso = exp_b_embedding(kernel, b, target)
                 verify_isometry(iso)
             except Exception:
                 ok = False

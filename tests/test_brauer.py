@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -25,20 +26,35 @@ from kummerlat import (
     mukai_pair,
     order_of,
     pushforward_brauer,
-    saturate,
     twisted_period,
     verify_isometry,
 )
-from kummerlat import brauer as brauer_module, linalg
+from kummerlat import linalg
 from kummerlat.construction import u_plus_u, u_plus_u_period
 from util import (
+    random_class_fixtures,
     random_rational_vector,
     random_symmetric_lattice_gram,
     random_unimodular,
+    saturation_exp_b_embedding,
     simple_full_rank_period,
 )
 
 U = make_standard("U")
+
+
+def u_target(b):
+    """T(U, B) for the full-rank period on U, the target of exp(B) embeddings from U."""
+    return generalized_transcendental(simple_full_rank_period(U), b)
+
+
+def h0_shifted(mukai):
+    """The Mukai form with its h0 diagonal entry set to 2.
+
+    It restricts to the Mukai form on the h0 = 0 plane, where every
+    exp(B) image lies, but is another ambient lattice.
+    """
+    return Lattice([[2] + list(mukai.gram[0][1:])] + [list(r) for r in mukai.gram[1:]])
 
 
 class TestMukaiLattice:
@@ -190,7 +206,7 @@ class TestExpBEmbedding:
         b = BField(U, (Fraction(1, 2), 0))
         alpha = brauer_class_of(b, U.full_sublattice())
         kernel = kernel_lattice(alpha)
-        iso = exp_b_embedding(kernel, b)
+        iso = exp_b_embedding(kernel, b, u_target(b))
         # kernel basis is (e, 2f); images are (0, e, 0) and (0, 2f, 1)
         image_rows = [
             [0] + list(row) + [int(U.pair(row, b.coords))] for row in kernel.basis
@@ -202,18 +218,15 @@ class TestExpBEmbedding:
         assert verify_isometry(iso)
 
     def test_zero_field_is_inclusion(self):
-        iso = exp_b_embedding(U.full_sublattice(), BField.zero(U))
+        b = BField.zero(U)
+        iso = exp_b_embedding(U.full_sublattice(), b, u_target(b))
         assert iso.matrix == ((1, 0), (0, 1))
         assert iso.target.basis == ((0, 1, 0, 0), (0, 0, 1, 0))
 
     def test_non_kernel_vector_rejected(self):
         b = BField(U, (Fraction(1, 2), 0))
         with pytest.raises(NonIntegralTwist):
-            exp_b_embedding(U.full_sublattice(), b)
-
-    def test_k_validation(self):
-        with pytest.raises(Exception):
-            exp_b_embedding(U.full_sublattice(), BField.zero(U), k=3)
+            exp_b_embedding(U.full_sublattice(), b, u_target(b))
 
     def test_image_saturates_onto_twisted_lattice(self):
         rng = random.Random(71)
@@ -225,15 +238,14 @@ class TestExpBEmbedding:
             alpha = brauer_class_of(b, lat.full_sublattice())
             kernel = kernel_lattice(alpha)
             target = generalized_transcendental(sigma, b)
-            for k in (1, 2):
-                iso = exp_b_embedding(kernel, b, k=k, target=target)
-                assert verify_isometry(iso)
-                # Mukai pairing of embedded vectors equals the source pairing
-                mukai = mukai_lattice(lat)
-                rows = [[0] + list(r) + [int(lat.pair(r, b.coords))] for r in kernel.basis]
-                for i, ri in enumerate(rows):
-                    for j, rj in enumerate(rows):
-                        assert mukai.pair(ri, rj) == lat.pair(kernel.basis[i], kernel.basis[j])
+            iso = exp_b_embedding(kernel, b, target)
+            assert verify_isometry(iso)
+            # Mukai pairing of embedded vectors equals the source pairing
+            mukai = mukai_lattice(lat)
+            rows = [[0] + list(r) + [int(lat.pair(r, b.coords))] for r in kernel.basis]
+            for i, ri in enumerate(rows):
+                for j, rj in enumerate(rows):
+                    assert mukai.pair(ri, rj) == lat.pair(kernel.basis[i], kernel.basis[j])
 
     def test_wrong_target_rejected(self):
         b = BField(U, (Fraction(1, 2), 0))
@@ -241,33 +253,78 @@ class TestExpBEmbedding:
         kernel = kernel_lattice(alpha)
         mukai = mukai_lattice(U)
         wrong = Sublattice(mukai, ((1, 0, 0, 0), (0, 1, 0, 0)))
-        with pytest.raises(CertificationError):
+        with pytest.raises(CertificationError, match="not in the span of the target"):
             exp_b_embedding(kernel, b, target=wrong)
+        target = u_target(b)
+        rows = [list(r) for r in target.basis]
+        index_two = Sublattice(mukai, [[2 * x for x in rows[0]]] + rows[1:])
+        with pytest.raises(CertificationError, match="not integral over the target basis"):
+            exp_b_embedding(kernel, b, index_two)
+        with pytest.raises(CertificationError, match="Mukai extension"):
+            exp_b_embedding(kernel, b, Sublattice(h0_shifted(mukai), rows))
+        # an index-2 kernel embeds with integral coordinates of determinant 2
+        smaller = Sublattice(U, [[2 * x for x in kernel.basis[0]]] + [list(kernel.basis[1])])
+        with pytest.raises(CertificationError, match="not unimodular"):
+            exp_b_embedding(smaller, b, target)
 
-    def test_one_saturation_and_one_elimination(self, monkeypatch):
+    def test_no_saturation_and_one_elimination(self, monkeypatch):
+        b = BField(U, (Fraction(1, 2), 0))
+        kernel = kernel_lattice(brauer_class_of(b, U.full_sublattice()))
+        target = u_target(b)
         saturated, solved = [], []
-        original_saturate, original_coordinates = brauer_module.saturate, Sublattice.coordinates_of
+        original_saturation, original_coordinates = linalg.saturation, Sublattice.coordinates_of
 
-        def counting_saturate(s):
-            saturated.append(s)
-            return original_saturate(s)
+        def counting_saturation(rows, ncols):
+            saturated.append(rows)
+            return original_saturation(rows, ncols)
 
         def counting_coordinates(s, v):
             solved.append(v)
             return original_coordinates(s, v)
 
-        monkeypatch.setattr(brauer_module, "saturate", counting_saturate)
+        monkeypatch.setattr(linalg, "saturation", counting_saturation)
         monkeypatch.setattr(Sublattice, "coordinates_of", counting_coordinates)
-        b = BField(U, (Fraction(1, 2), 0))
-        kernel = kernel_lattice(brauer_class_of(b, U.full_sublattice()))
-        target = generalized_transcendental(simple_full_rank_period(U), b)
-        # the image and the given target are saturated once each
-        for given, saturations in ((None, 1), (target, 2)):
-            del saturated[:], solved[:]
-            iso = exp_b_embedding(kernel, b, target=given)
-            assert len(saturated) == saturations and len(solved) == 1
-            assert solved[0] == [[0, 1, 0, 0], [0, 0, 2, 1]]
-            assert verify_isometry(iso)
+        iso = exp_b_embedding(kernel, b, target)
+        # the certificate is the one coordinate matrix; nothing is saturated
+        assert saturated == [] and solved == [[[0, 1, 0, 0], [0, 0, 2, 1]]]
+        assert verify_isometry(iso)
+
+    def test_matches_saturation_oracle(self):
+        # six targets per fixture: T(X, B), T(X, B') for another B', an
+        # index-2 sublattice, a sublattice missing a row, and the rows of
+        # T(X, B) over the Mukai lattice with the form negated and with
+        # the h0 diagonal entry set to 2; and an index-2 kernel onto T(X, B)
+        rng = random.Random(331)
+        outcomes = Counter()
+        for lat, b, alpha in random_class_fixtures(330, 300):
+            sigma = simple_full_rank_period(lat)
+            kernel = kernel_lattice(alpha)
+            mukai = mukai_lattice(lat)
+            other = BField(lat, random_rational_vector(rng, lat.rank, max_den=6))
+            target = generalized_transcendental(sigma, b)
+            rows = [list(r) for r in target.basis]
+            negated = Lattice([[-x for x in row] for row in mukai.gram])
+            smaller = Sublattice(lat, [[2 * x for x in kernel.basis[0]]]
+                                 + [list(r) for r in kernel.basis[1:]])
+            cases = [(kernel, given) for given in (
+                target,
+                generalized_transcendental(sigma, other),
+                Sublattice(mukai, [[2 * x for x in rows[0]]] + rows[1:]),
+                Sublattice(mukai, rows[:-1]),
+                Sublattice(negated, rows),
+                Sublattice(h0_shifted(mukai), rows),
+            )] + [(smaller, target)]
+            for source, given in cases:
+                results = []
+                for embed in (exp_b_embedding, saturation_exp_b_embedding):
+                    try:
+                        results.append(embed(source, b, given).matrix)
+                    except Exception as exc:
+                        results.append(type(exc))
+                assert results[0] == results[1], (lat.gram, b.coords, source.basis, given.basis)
+                outcomes[results[0] if isinstance(results[0], type) else "map"] += 1
+        # every kind of outcome is reached
+        assert outcomes["map"] >= 300 and outcomes[CertificationError] >= 1500
 
 
 class TestBrauerEqual:

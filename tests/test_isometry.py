@@ -671,6 +671,13 @@ class TestVerifier:
         with pytest.raises(CertificationError):
             verify_isometry(bad)
 
+    def test_zero_period_scalar_rejected(self):
+        h2 = base_abelian_model(2).h2
+        bad = IsometryMap(source=h2.lattice, target=h2.lattice, matrix=linalg.identity(6),
+                          lam=0, source_period=h2.period, target_period=h2.period)
+        with pytest.raises(CertificationError, match="period is not transported at scalar 0"):
+            verify_isometry(bad)
+
     def test_periods_on_other_symbol_bases_rejected(self):
         h = base_abelian_model(2).transcendental_hodge()
         iso = find_hodge_isometry(h, h, 1)

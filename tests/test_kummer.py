@@ -275,6 +275,30 @@ class TestInducedKummerIsometry:
             surface.kernel_map
 
 
+class TestDoubling:
+    def test_composite_is_certified(self, monkeypatch):
+        surface = TwistedSurface(product_abelian_model(3), product_bfield(3))
+        original = kummer_module.exp_b_embedding
+
+        def doubled_row(kernel, bfield, target):
+            iso = original(kernel, bfield, target)
+            if target is not surface.km_twisted.sub:
+                return iso
+            # an unverified factor whose first row is doubled
+            matrix = [[2 * x for x in iso.matrix[0]]] + [list(row) for row in iso.matrix[1:]]
+            return IsometryMap(source=iso.source, target=iso.target, matrix=matrix)
+
+        monkeypatch.setattr(kummer_module, "exp_b_embedding", doubled_row)
+        with pytest.raises(CertificationError, match="not unimodular"):
+            surface.doubling
+
+    def test_one_product_at_scale_two(self):
+        surface = TwistedSurface(product_abelian_model(3), product_bfield(3))
+        iso = surface.doubling
+        assert iso.source is surface.twisted.sub and iso.target is surface.km_twisted.sub
+        assert iso.scale == 2 and iso.lam is None and verify_isometry(iso)
+
+
 class TestTransport:
     def test_identity_fixture(self):
         model = base_abelian_model(2)

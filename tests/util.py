@@ -7,6 +7,7 @@ as plain double sums, norm pools by scanning the whole box, and
 membership checks by direct enumeration.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -18,10 +19,19 @@ from sympy.matrices.normalforms import smith_normal_form
 from kummerlat import (
     AbelianSurfaceModel,
     BField,
+    CertificationError,
+    IsometryMap,
+    Lattice,
+    NonIntegralTwist,
+    Sublattice,
     UndeclaredProduct,
+    brauer_class_of,
     hodge_lattice,
+    mukai_lattice,
     period_from_columns,
     omega_symbols,
+    saturate,
+    verify_isometry,
 )
 from kummerlat.construction import base_abelian_model, u_cubed
 
@@ -319,6 +329,44 @@ def random_rational_vector(rng, n, max_den=6, max_num=6):
     return tuple(
         Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den)) for _ in range(n)
     )
+
+
+def random_class_fixtures(seed, count):
+    """(lattice, B-field, class) fixtures: rank <= 4, |gram| <= 5, den <= 6."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rank = rng.randint(1, 4)
+        gram = random_symmetric_lattice_gram(rng, rank, bound=5)
+        lat = Lattice(gram)
+        b = BField(lat, random_rational_vector(rng, rank, max_den=6))
+        out.append((lat, b, brauer_class_of(b, lat.full_sublattice())))
+    return out
+
+
+def saturation_exp_b_embedding(kernel, bfield, target):
+    """The exp(B) embedding certified by comparing saturations first.
+
+    The one-way oracle for brauer.exp_b_embedding: the image and the
+    target are saturated and their Hermite bases compared before the
+    image is written over the target and the map verified.
+    """
+    ambient = kernel.ambient
+    mukai = mukai_lattice(ambient)
+    image_rows = []
+    for row in kernel.basis:
+        h4 = ambient.pair(row, bfield.coords)
+        if Fraction(h4).denominator != 1:
+            raise NonIntegralTwist("vector %r pairs with B to %s" % (list(row), h4))
+        image_rows.append([0] + list(row) + [int(h4)])
+    if not saturate(Sublattice(mukai, image_rows)).same_span(saturate(target)):
+        raise CertificationError("exp(B) image does not saturate onto the target")
+    coords = target.coordinates_of(image_rows) if image_rows else ()
+    if any(c.denominator != 1 for row in coords for c in row):
+        raise CertificationError("exp(B) image is not integral over the target basis")
+    iso = IsometryMap(source=kernel, target=target, matrix=[[int(c) for c in row] for row in coords])
+    verify_isometry(iso)
+    return iso
 
 
 def _u3_block_isometries():
