@@ -11,7 +11,10 @@ Three routes, all exact:
     never claims non-isometry. Both forms must be nondegenerate, so every
     witness M is unimodular: its rows are primitive, and since
     M G2 = G1 M^-T, row i has gcd(v_i G2) = gcd(G1[i]); each row's
-    candidates are cut to the norm-pool vectors with both properties;
+    candidates are cut to the norm-pool vectors with both properties.
+    One pass builds the pools of every row norm: one integer
+    Fincke-Pohst enumeration for a definite target (complete pools),
+    one scan of the entry box for an indefinite one;
   * for Hodge lattices whose periods span, a closed form: a Hodge
     isometry with rational scalar lam is +-lam M0 for the one rational
     M0 carrying one period onto the other, so at most two candidates
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 
 from . import linalg
@@ -142,72 +145,103 @@ def _definite_sign(gram):
 def short_vectors(gram, norm):
     """All integer vectors of exact given norm for a definite Gram matrix.
 
-    Exact Fincke-Pohst enumeration in integers: no entry bound, no floats,
-    no fractions. With the rows a of linalg.echelon of the (sign-corrected)
-    Gram matrix and M_i = a[i][i], M_-1 = 1,
-        Q(x) = sum_i (M_i x_i + s_i)^2 / (M_i M_{i-1}),
-        s_i = sum_{j>i} a[i][j] x_j,
-    and scaling by P = prod M_i makes every weight P / (M_i M_{i-1}) an
-    integer, so each x_i ranges exactly over
-    |M_i x_i + s_i| <= isqrt(remaining // weight). Returns a
-    lexicographically sorted list; only vectors whose first nonzero entry
-    is positive are listed (the rest are the negatives of these).
+    The positive half of the one-norm pool of _norm_pools: a
+    lexicographically sorted list of the vectors whose first nonzero
+    entry is positive (the rest are the negatives of these). Raises
+    ValueError for a Gram matrix that is not definite.
     """
-    n = len(gram)
     sign = _definite_sign(gram)
     if sign == 0:
         raise ValueError("short_vectors needs a definite Gram matrix")
-    target = sign * norm
-    if target <= 0:
-        return []
-    a = linalg.echelon([[sign * x for x in row] for row in gram])[0]
-    minors = [a[i][i] for i in range(n)]
-    scale = 1
-    for m in minors:
-        scale *= m
-    weights = [scale // (m * prev) for m, prev in zip(minors, [1] + minors)]
-    out = []
-    x = [0] * n
-
-    def rec(i, remaining):
-        if i < 0:
-            if remaining == 0 and any(x):
-                out.append(tuple(x))
-            return
-        m, w, row = minors[i], weights[i], a[i]
-        s = sum(row[j] * x[j] for j in range(i + 1, n))
-        r = isqrt(remaining // w)
-        for xi in range(-((r + s) // m), (r - s) // m + 1):
-            x[i] = xi
-            y = m * xi + s
-            rec(i - 1, remaining - w * y * y)
-        x[i] = 0
-
-    rec(n - 1, scale * target)
-    return sorted(v for v in out if next(c for c in v if c) > 0)
+    pool = _norm_pools(gram, (norm,), None, sign)[norm]
+    return [v for v in pool if next(c for c in v if c) > 0]
 
 
-def _candidate_pool(gram, norm, bound, definite_sign):
-    """Candidate image vectors of a given norm, in lexicographic order.
+def _norm_pools(gram, norms, bound, sign):
+    """{norm: every candidate image vector of that norm, lex-sorted}, from one pass.
 
-    Definite targets take every vector of the norm (Fincke-Pohst).
-    Indefinite targets take the vectors with entries in [-bound, bound]:
-    for each prefix of all coordinates but the last, in lexicographic
-    order, the norm equation g t^2 + 2 b t + c = 0 is solved exactly for
-    the last coordinate t, whose solutions are listed in ascending order.
+    sign is _definite_sign(gram). Definite targets take every vector of
+    each norm (bound plays no part), from one exact Fincke-Pohst
+    enumeration in integers up to the largest norm: no entry bound, no
+    floats, no fractions. With the rows a of linalg.echelon of the
+    sign-corrected Gram matrix and M_i = a[i][i], M_-1 = 1,
+        Q(x) = sum_i (M_i x_i + s_i)^2 / (M_i M_{i-1}),
+        s_i = sum_{j>i} a[i][j] x_j,
+    and scaling by P = prod M_i makes every weight w_i = P / (M_i M_{i-1})
+    an integer, so each x_i with i > 0 ranges exactly over
+    |M_i x_i + s_i| <= isqrt(rest // w_i). At i = 0 no x_0 is tried:
+    with rest what the levels above leave of P times the largest norm,
+    the vector has norm N exactly when y = M_0 x_0 + s_0 solves
+    w_0 y^2 = rest - P (largest - N), so x_0 = (+-y - s_0) / M_0 when
+    that is integral. w_0 divides that right-hand side: for every
+    integer x_0, rest - w_0 y^2 = P (largest - Q(x)) and P = M_0 w_0.
+    The norms are walked from the largest down, and the walk stops at
+    the first negative right-hand side. A norm of the wrong sign, or 0,
+    gets an empty pool.
+
+    Indefinite targets take the vectors with entries in [-bound, bound],
+    from one scan of the prefixes of all coordinates but the last, in
+    lexicographic order: each prefix's b and q(prefix) are computed
+    once, and for each norm the equation g t^2 + 2 b t + q - norm = 0 is
+    solved exactly for the last coordinate t (_norm_roots).
     """
-    if definite_sign != 0:
-        halved = short_vectors(gram, norm)
-        return sorted(halved + [tuple(-c for c in v) for v in halved])
+    pools = {norm: [] for norm in norms}
+    if sign:
+        wanted = sorted((sign * norm for norm in pools if sign * norm > 0), reverse=True)
+        if not wanted:
+            return pools
+        n = len(gram)
+        a = linalg.echelon([[sign * x for x in row] for row in gram])[0]
+        minors = [a[i][i] for i in range(n)]
+        scale = prod(minors)
+        weights = [scale // (m * prev) for m, prev in zip(minors, [1] + minors)]
+        top = wanted[0]
+        offsets = [(scale * (top - t), pools[sign * t]) for t in wanted]
+        m0, w0, row0 = minors[0], weights[0], a[0]
+        x = [0] * n
+
+        def rec(i, remaining):
+            if i == 0:
+                s = sum(row0[j] * x[j] for j in range(1, n))
+                for offset, pool in offsets:
+                    rest = remaining - offset
+                    if rest < 0:
+                        break
+                    y2 = rest // w0
+                    y = isqrt(y2)
+                    if y * y != y2:
+                        continue
+                    for num in (y - s, -y - s) if y else (-s,):
+                        x0, r = divmod(num, m0)
+                        if not r:
+                            x[0] = x0
+                            pool.append(tuple(x))
+                return
+            m, w, row = minors[i], weights[i], a[i]
+            s = sum(row[j] * x[j] for j in range(i + 1, n))
+            r = isqrt(remaining // w)
+            for xi in range(-((r + s) // m), (r - s) // m + 1):
+                x[i] = xi
+                y = m * xi + s
+                rec(i - 1, remaining - w * y * y)
+            x[i] = 0
+
+        rec(n - 1, scale * top)
+        for pool in pools.values():
+            pool.sort()
+        return pools
     head = [row[:-1] for row in gram[:-1]]
     last_col = [row[-1] for row in gram[:-1]]
     g = gram[-1][-1]
-    pool = []
+    wanted = list(pools.items())
     for prefix in product(range(-bound, bound + 1), repeat=len(gram) - 1):
         b = sum(map(mul, last_col, prefix))
-        c = sum(map(mul, prefix, [sum(map(mul, row, prefix)) for row in head])) - norm
-        pool.extend(prefix + (t,) for t in _norm_roots(g, b, c, bound))
-    return pool
+        q = sum(map(mul, prefix, [sum(map(mul, row, prefix)) for row in head]))
+        for norm, pool in wanted:
+            roots = _norm_roots(g, b, q - norm, bound)
+            if roots:
+                pool.extend(prefix + (t,) for t in roots)
+    return pools
 
 
 def _norm_roots(g, b, c, bound):
@@ -239,23 +273,23 @@ def _row_domains(g1, g2, bound):
     M G2 = G1 M^-T and right multiplication by a unimodular matrix keeps
     the gcd of a row's entries, so gcd(v_i G2) = gcd(G1[i]). Row i's
     domain is therefore the norm pool of G1[i][i] cut down to the
-    primitive vectors v with gcd(v G2) = gcd(G1[i]); one domain is built
-    per (norm, divisor) key, from one pool per norm.
+    primitive vectors v with gcd(v G2) = gcd(G1[i]). One _norm_pools
+    pass builds the pools of every diagonal norm of G1 at once, v.G2 is
+    computed once per pool vector, and one domain is built per
+    (norm, divisor) key.
     """
-    sign = _definite_sign(g2)
-    pools, domains = {}, {}
     keys = [(row[i], gcd(*row)) for i, row in enumerate(g1)]
+    pools = {
+        norm: [(v, linalg.vec_times_mat(v, g2)) for v in pool]
+        for norm, pool in _norm_pools(g2, [norm for norm, _ in keys], bound,
+                                      _definite_sign(g2)).items()
+    }
+    domains = {}
     for norm, divisor in keys:
-        if (norm, divisor) in domains:
-            continue
-        if norm not in pools:
-            pools[norm] = [
-                (v, linalg.vec_times_mat(v, g2))
-                for v in _candidate_pool(g2, norm, bound, sign)
+        if (norm, divisor) not in domains:
+            domains[norm, divisor] = [
+                (v, vg) for v, vg in pools[norm] if gcd(*v) == 1 and gcd(*vg) == divisor
             ]
-        domains[norm, divisor] = [
-            (v, vg) for v, vg in pools[norm] if gcd(*v) == 1 and gcd(*vg) == divisor
-        ]
     return [domains[key] for key in keys]
 
 

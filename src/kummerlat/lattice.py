@@ -279,9 +279,13 @@ def sublattice_quotient(s):
 class DiscriminantForm:
     """The finite quadratic form on A = dual/lattice, with canonical invariants.
 
-    q values live in Q/2Z for even lattices and Q/Z for odd ones (the
-    finer value is not well defined in the odd case); pairings live in
-    Q/Z. Only display reads them, so they are computed on first read.
+    `columns` holds, for each elementary divisor d_i, the integer column
+    of the Smith transform reduced mod d_i; the generator g_i is that
+    column over d_i, an element of [0, 1)^n. The generators, as
+    Fractions, and their q values and pairings are computed on first
+    read; only display reads them. q values live in Q/2Z for even
+    lattices and Q/Z for odd ones (the finer value is not well defined
+    in the odd case); pairings live in Q/Z.
     `==` compares the presentation-independent fields: the divisors, the
     parity `modulus` and two invariants of the p-parts A_p of A.
     `odd_symbols` holds, for each odd prime p | |A| that trial division
@@ -295,11 +299,18 @@ class DiscriminantForm:
     """
 
     elementary_divisors: tuple
-    generators: tuple = field(repr=False, compare=False, default=())
+    columns: tuple = field(repr=False, compare=False, default=())
     gram: tuple = field(repr=False, compare=False, default=())
     modulus: int = 2
     profile: tuple = field(repr=False, default=None)
     odd_symbols: tuple = field(repr=False, default=())
+
+    @cached_property
+    def generators(self):
+        return tuple(
+            tuple(Fraction(c, d) for c in col)
+            for d, col in zip(self.elementary_divisors, self.columns)
+        )
 
     @cached_property
     def q_values(self):
@@ -329,30 +340,31 @@ def discriminant_form(lattice):
     the dual basis vectors e_i S^-1 G^-1 generate dual/L. Since G is
     symmetric, G^-1 = T D^-1 S, so that vector is column i of T divided
     by d_i: no matrix is inverted, and S is never built. L = Z^n in
-    these coordinates, so each generator is stored as its fractional
-    part, the same class with entries in [0, 1). A generator g of order
-    d = 2^e m, m odd, gives m g of order 2^e, and these generate A_2
-    for the profile.
+    these coordinates, so only the class of the generator matters: its
+    integer column is kept reduced mod d_i (`columns`), and no Fraction
+    is built here. A generator of order d = 2^e m, m odd, gives m g of
+    order 2^e, the column mod 2^e over 2^e; these generate A_2 for the
+    profile, which is computed in integers.
     """
     n = lattice.rank
     diag, t = linalg.snf_with_transforms(lattice.gram)
     modulus = 2 if lattice.is_even() else 1
     divisors = []
-    gens = []
+    columns = []
     for i, d in enumerate(diag):
         if d > 1:
             divisors.append(d)
-            gens.append(tuple(Fraction(t[j][i], d) % 1 for j in range(n)))
+            columns.append(tuple(t[j][i] % d for j in range(n)))
     two_divisors = []
-    two_gens = []
-    for dv, g in zip(divisors, gens):
+    two_columns = []
+    for dv, col in zip(divisors, columns):
         two = dv & -dv
         if two > 1:
             two_divisors.append(two)
-            two_gens.append(tuple(x * (dv // two) % 1 for x in g))
+            two_columns.append([c % two for c in col])
     profile = None
     if prod(two_divisors) <= _PROFILE_CAP:
-        profile = _value_profile(lattice, two_divisors, two_gens, modulus)
+        profile = _value_profile(lattice.gram, two_divisors, two_columns, modulus)
     odd_symbols = ()
     if divisors:
         odd_symbols = tuple(
@@ -361,7 +373,7 @@ def discriminant_form(lattice):
         )
     return DiscriminantForm(
         elementary_divisors=tuple(divisors),
-        generators=tuple(gens),
+        columns=tuple(columns),
         gram=lattice.gram,
         modulus=modulus,
         profile=profile,
@@ -450,15 +462,16 @@ def _odd_symbol(gram, p, v):
     )
 
 
-def _value_profile(lattice, divisors, gens, modulus):
+def _value_profile(gram, divisors, columns, modulus):
     """Sorted multiset of (order, q) over the group the generators span.
 
-    The generators have the given orders, which divide each other; the
-    group is the direct sum of their cyclic groups. With den the common
-    denominator of the generators and Q their Gram scaled by den^2,
-    q(sum a_k g_k) is the integer form a Q a^T over den^2; its numerator
-    is reduced modulo modulus * den^2. The divisors divide each other,
-    so the last one is the largest: for each prefix a of
+    Generator k is the integer vector columns[k] over divisors[k], its
+    order. The orders divide each other, so the last one, den, is the
+    largest and a common denominator: with the numerators over den as
+    rows, Q is their Gram, and q(sum a_k g_k) is the integer form
+    a Q a^T over den^2; its numerator is reduced modulo
+    modulus * den^2, which keeps each value canonical. The group is the
+    direct sum of the generators' cyclic groups: for each prefix a of
     coefficients over the other factors, with c = a Q a^T and b the last
     entry of a Q, the numerators over the last factor are the one
     progression c + t (2b + g t), g the last diagonal entry of Q, and
@@ -467,10 +480,9 @@ def _value_profile(lattice, divisors, gens, modulus):
     """
     if not divisors:
         return ((1, Fraction(0)),)
-    n = lattice.rank
-    flat, den = linalg.clear_denominators([x for g in gens for x in g])
-    scaled = [flat[k:k + n] for k in range(0, len(flat), n)]
-    form = linalg.matmul(linalg.matmul(scaled, lattice.gram), linalg.transpose(scaled))
+    den = divisors[-1]
+    scaled = [[c * (den // d) for c in col] for d, col in zip(divisors, columns)]
+    form = linalg.matmul(linalg.matmul(scaled, gram), linalg.transpose(scaled))
     wrap = modulus * den * den
     *head, last = divisors
     cols = list(zip(*form))

@@ -33,7 +33,8 @@ from kummerlat import (
 )
 from kummerlat import linalg
 from kummerlat.construction import base_abelian_model, quotient_surface_hodge
-from kummerlat.isometry import _candidate_pool, _definite_sign, _row_domains, _search
+from kummerlat import isometry
+from kummerlat.isometry import _definite_sign, _norm_pools, _row_domains, _search
 from kummerlat.linalg import scalar_ratio
 from util import (
     box_pool,
@@ -282,14 +283,84 @@ class TestCandidatePool:
                 for j in range(i, n):
                     gram[i][j] = gram[j][i] = rng.choice((0, 0, rng.randint(-4, 4)))
             norm = rng.randint(-6, 6)
-            assert _candidate_pool(gram, norm, bound, 0) == box_pool(gram, norm, bound)
+            assert _norm_pools(gram, [norm], bound, 0)[norm] == box_pool(gram, norm, bound)
 
     def test_degenerate_last_coordinate(self):
         # g = 0 with b != 0, and g = b = 0 where every t in the range solves
-        assert _candidate_pool([[1, 1], [1, 0]], 3, 2, 0) == box_pool([[1, 1], [1, 0]], 3, 2)
-        assert _candidate_pool([[1, 0], [0, 0]], 1, 1, 0) == [
+        assert _norm_pools([[1, 1], [1, 0]], [3], 2, 0)[3] == box_pool([[1, 1], [1, 0]], 3, 2)
+        assert _norm_pools([[1, 0], [0, 0]], [1], 1, 0)[1] == [
             (-1, -1), (-1, 0), (-1, 1), (1, -1), (1, 0), (1, 1)
         ]
+
+
+class TestNormPools:
+    """One _norm_pools pass against one oracle pool per norm."""
+
+    def norm_sets(self, rng, norms):
+        # duplicates, norms of either sign and 0, most with no vectors at all
+        return [rng.choices(norms, k=rng.randint(1, 5)) for _ in range(3)]
+
+    def test_definite_against_fraction_oracle(self):
+        rng = random.Random(401)
+        nonempty = empty = 0
+        for n in range(1, 7):
+            for _ in range(5):
+                sign = rng.choice((1, -1))
+                gram = [[sign * x for x in row] for row in _random_definite_gram(rng, n)]
+                norms = [sign * k for k in range(-3, 13)]
+                for wanted in self.norm_sets(rng, norms):
+                    pools = _norm_pools(gram, wanted, 2, sign)
+                    assert sorted(pools) == sorted(set(wanted))
+                    for norm in wanted:
+                        halved = fraction_short_vectors(gram, norm)
+                        assert pools[norm] == sorted(halved + [tuple(-c for c in v) for v in halved])
+                        nonempty += bool(pools[norm])
+                        empty += not pools[norm]
+        assert nonempty > 100 and empty > 100
+
+    def test_indefinite_against_box_scan(self):
+        # singular Grams and zero diagonals included, the last one often 0
+        rng = random.Random(409)
+        last_zero = 0
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            bound = rng.randint(1, 3) if n < 4 else 1
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = rng.choice((0, 0, rng.randint(-4, 4)))
+            last_zero += gram[-1][-1] == 0
+            for wanted in self.norm_sets(rng, range(-6, 7)):
+                pools = _norm_pools(gram, wanted, bound, 0)
+                assert sorted(pools) == sorted(set(wanted))
+                for norm in wanted:
+                    assert pools[norm] == box_pool(gram, norm, bound)
+        assert last_zero > 50
+
+    def test_one_enumeration_per_row_domains(self, monkeypatch):
+        # three distinct row norms make one pass: one box scan, or one
+        # echelon for the enumeration besides the one of _definite_sign
+        echelons, scans = [], []
+        echelon, scan = linalg.echelon, isometry.product
+
+        def counted_echelon(rows):
+            echelons.append(rows)
+            return echelon(rows)
+
+        def counted_scan(*args, **kwargs):
+            scans.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "echelon", counted_echelon)
+        monkeypatch.setattr(isometry, "product", counted_scan)
+        definite = [[2, 1, 0], [1, 4, 1], [0, 1, 6]]
+        indefinite = [[2, 1, 0], [1, -4, 1], [0, 1, 6]]
+        for g1, echelon_calls, scan_calls in ((definite, 2, 0), (indefinite, 1, 1)):
+            echelons.clear()
+            scans.clear()
+            domains = _row_domains(g1, g1, 2)
+            assert all(domains)
+            assert len(echelons) == echelon_calls and len(scans) == scan_calls
 
 
 class TestFindIsometry:
@@ -514,7 +585,7 @@ class TestRowDomains:
         # which leaves 4 of the 177 isotropic box vectors
         g1 = transcendental_lattice(quotient_surface_hodge(4)).as_lattice().gram
         g2 = direct_sum(U, make_standard("U_n", 4)).gram
-        assert len(_candidate_pool(g2, 0, 3, 0)) == 177
+        assert len(_norm_pools(g2, [0], 3, 0)[0]) == 177
         assert [v for v, _ in _row_domains(g1, g2, 3)[0]] == [
             (0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 1), (0, 0, 1, 0)
         ]
@@ -571,9 +642,37 @@ class TestSearchAgainstReference:
             pairs = [(t_s, u_un), (_conjugate(rng, t_s)[1], u_un), (t_s, _conjugate(rng, u_un)[1])]
             for g1, g2 in pairs:
                 found += self.assert_same(g1, g2, (1, 2))
-                pools = [_candidate_pool(g2, row[i], 2, 0) for i, row in enumerate(g1)]
+                pools = [_norm_pools(g2, [row[i]], 2, 0)[row[i]] for i, row in enumerate(g1)]
                 cut += sum(map(len, pools)) > sum(map(len, _row_domains(g1, g2, 2)))
         assert 0 < found < 24 and cut == 12
+
+    def test_three_norm_pairs(self):
+        # find_isometry against the plain backtracker on pairs whose rows
+        # carry at least three distinct norms, so one pool pass serves them
+        rng = random.Random(419)
+        found = missed = 0
+        for definite in (True, False):
+            pairs = 0
+            while pairs < 12:
+                n = rng.randint(3, 5)
+                if definite:
+                    gram = _random_definite_gram(rng, n)
+                else:
+                    gram = _random_indefinite_gram(rng, n)
+                conj = _conjugate(rng, gram)[1]
+                norms = {conj[i][i] for i in range(n)}
+                # definite pools hold every vector of the norm: keep them small
+                if len(norms) < 3 or definite and max(norms) > 40:
+                    continue
+                pairs += 1
+                for g1, g2 in ((conj, gram), (gram, conj)):
+                    for bound in (1, 2):
+                        iso = find_isometry(Lattice(g1), Lattice(g2), bound)
+                        ref = reference_search(g1, g2, bound, None)
+                        assert (iso and iso.matrix) == ref
+                        found += ref is not None
+                        missed += ref is None
+        assert found and missed
 
     def test_non_isometric_pairs(self):
         odd_u = [[1, 0], [0, -1]]

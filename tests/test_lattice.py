@@ -425,6 +425,29 @@ class TestDiscriminantForm:
                 gram, d.elementary_divisors, raw, modulus
             ))
 
+    def test_genus_record_builds_no_generator(self):
+        # the genus record keeps the Smith columns as integers; the Fraction
+        # generators, q values and pairings are built only when read, and
+        # reading them leaves the record's == unchanged
+        rng = random.Random(157)
+        for gram in [REGRESSION_GRAM] + [
+            random_symmetric_lattice_gram(rng, rng.randint(1, 6), bound=4) for _ in range(40)
+        ]:
+            lat = Lattice(gram)
+            genus = genus_of(lat)
+            disc = genus.disc
+            assert not {"generators", "q_values", "pairings"} & set(disc.__dict__)
+            assert all(
+                isinstance(c, int) and 0 <= c < d
+                for d, col in zip(disc.elementary_divisors, disc.columns) for c in col
+            )
+            assert disc.generators == tuple(
+                tuple(Fraction(c, d) for c in col)
+                for d, col in zip(disc.elementary_divisors, disc.columns)
+            )
+            assert "generators" in disc.__dict__
+            assert genus == genus_of(lat)
+
     def test_large_group_skips_profile_but_stays_sound(self):
         # |A_2| above the enumeration cap: divisors and odd symbols still
         # compare, and a conjugate is not separated

@@ -480,11 +480,10 @@ def reference_search(g1, g2, bound, period_data):
     each candidate is checked with a naive pairing against every row
     already assigned. No forward checking, so the first complete solution
     is the row-major lexicographically least witness by construction.
-    Pools come from short_vectors for definite targets and from a scan of
-    the whole box for indefinite ones.
+    Pools come from fraction_short_vectors for definite targets and from
+    a scan of the whole box for indefinite ones, so no pool comes from
+    the library's own enumeration.
     """
-    from kummerlat.isometry import short_vectors
-
     n = len(g1)
     if len(g2) != n or brute_det(g1) != brute_det(g2):
         return None
@@ -495,7 +494,7 @@ def reference_search(g1, g2, bound, period_data):
         if norm in pools:
             continue
         if definite:
-            halved = short_vectors(g2, norm)
+            halved = fraction_short_vectors(g2, norm)
             pools[norm] = sorted(halved + [tuple(-c for c in v) for v in halved])
         else:
             pools[norm] = box_pool(g2, norm, bound)
