@@ -144,16 +144,14 @@ def twisted_period(sigma, bfield):
     """The generalized Calabi-Yau period exp(B) sigma = (0, sigma, B.sigma).
 
     Per symbol column v the Mukai coefficients are (0, v, pair(B, v)).
+    With sigma = num / den and B = b / d_B, b integral, the column of
+    num[s] is (0, num[s] d_B, pair(b, num[s])) over den d_B, in integers.
     """
     if sigma.lattice != bfield.lattice:
         raise LatticeError("period and B-field live on different lattices")
-    mukai = mukai_lattice(sigma.lattice)
-    cols = []
-    for v in sigma.columns():
-        h4 = sigma.lattice.pair(bfield.coords, v)
-        cols.append((Fraction(0),) + tuple(Fraction(x) for x in v) + (Fraction(h4),))
-    coeffs = tuple(tuple(col[i] for col in cols) for i in range(mukai.rank))
-    return PeriodVector(mukai, sigma.symbols, coeffs)
+    b, d_b = linalg.clear_denominators(bfield.coords)
+    num = [(0,) + tuple(x * d_b for x in v) + (sigma.lattice.pair(b, v),) for v in sigma.num]
+    return PeriodVector(mukai_lattice(sigma.lattice), sigma.symbols, num, sigma.den * d_b)
 
 
 def generalized_transcendental(sigma, bfield):

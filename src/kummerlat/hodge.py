@@ -1,23 +1,22 @@
 """Formal weight-two Hodge structures over a symbol algebra.
 
-Transcendental periods are written exactly as rational coefficient
-matrices over a finite list of formal symbols (``1``, ``w1``, ``w2``,
-``w1w2`` in the worked fixtures). The symbols are assumed Q-linearly
-independent; multiplication is a partial table and anything the table
-does not declare raises UndeclaredProduct instead of guessing.
+Transcendental periods are written exactly as integer coefficient
+columns over one denominator, one per formal symbol (``1``, ``w1``,
+``w2``, ``w1w2`` in the worked fixtures). The symbols are assumed
+Q-linearly independent; multiplication is a partial table and anything
+the table does not declare raises UndeclaredProduct instead of guessing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from . import linalg
-from .lattice import Lattice, LatticeError, Sublattice, orthogonal_complement
+from .lattice import Lattice, LatticeError, Sublattice, _integer, _integer_matrix, orthogonal_complement
 
 
 class UndeclaredProduct(Exception):
@@ -66,10 +65,12 @@ class SymbolBasis:
                 raise LatticeError("conflicting product declarations for %s*%s" % (left, right))
             table[key] = combo
         object.__setattr__(self, "products", tuple(sorted(key + (combo,) for key, combo in table.items())))
-        # both orders of every declared pair, read by product, and the lcm
-        # of the coefficients' denominators, read by period_pairing; they
-        # are not fields, so they take no part in == or hashing
+        # both orders of every product, "1" included, read by product, and
+        # the lcm of the coefficients' denominators, read by period_pairing;
+        # they are not fields, so they take no part in == or hashing
         lookup = {}
+        for s in symbols:
+            lookup["1", s] = lookup[s, "1"] = MappingProxyType({s: Fraction(1)})
         for (a, b), combo in table.items():
             lookup[a, b] = lookup[b, a] = MappingProxyType(dict(combo))
         object.__setattr__(self, "_product_table", lookup)
@@ -78,10 +79,6 @@ class SymbolBasis:
 
     def product(self, left, right):
         """The declared product as a read-only {symbol: Fraction} mapping."""
-        if left == "1":
-            return {right: Fraction(1)}
-        if right == "1":
-            return {left: Fraction(1)}
         try:
             return self._product_table[left, right]
         except KeyError:
@@ -101,75 +98,76 @@ def omega_symbols():
 
 @dataclass(frozen=True)
 class PeriodVector:
-    """A formal period: one rational coefficient column per symbol.
+    """A formal period: integer columns over one positive denominator.
 
-    coeffs[i][s] is the coefficient of lattice basis vector i in the
-    column of symbol number s. The symbol columns and their cleared
-    integer form are built on first read and kept with the object; they
-    are not fields, so they take no part in == or hashing.
+    num[s][i] / den is the coefficient of lattice basis vector i in the
+    column of symbol number s, in lowest terms, so == and hashing compare
+    the rational period. column and columns are the rational view.
     """
 
     lattice: Lattice
     symbols: SymbolBasis
-    coeffs: tuple
+    num: tuple
+    den: int = 1
 
     def __post_init__(self):
-        coeffs = tuple(tuple(Fraction(x) for x in row) for row in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(coeffs) != self.lattice.rank:
-            raise LatticeError("period needs one coefficient row per basis vector")
-        width = len(self.symbols.symbols)
-        if any(len(row) != width for row in coeffs):
+        num = _integer_matrix(self.num)
+        den = _integer(self.den, "period denominator")
+        if den == 0:
+            raise LatticeError("period denominator must be nonzero")
+        if len(num) != len(self.symbols.symbols):
             raise LatticeError("period needs one coefficient column per symbol")
-        if not any(any(row) for row in coeffs):
+        if any(len(col) != self.lattice.rank for col in num):
+            raise LatticeError("period needs one coefficient per basis vector")
+        if not any(any(col) for col in num):
             raise LatticeError("period must have a nonzero column")
-
-    @cached_property
-    def symbol_columns(self):
-        """The coefficient vectors of the symbols, in symbol order."""
-        return tuple(zip(*self.coeffs))
-
-    @cached_property
-    def cleared(self):
-        """(integer columns, den): symbol_columns scaled by den, the lcm of every denominator."""
-        flat, den = linalg.clear_denominators([x for col in self.symbol_columns for x in col])
-        n = len(self.coeffs)
-        return tuple(tuple(flat[k:k + n]) for k in range(0, len(flat), n)), den
+        g = gcd(den, *(x for col in num for x in col))
+        g = g if den > 0 else -g
+        object.__setattr__(self, "num", tuple(tuple(x // g for x in col) for col in num))
+        object.__setattr__(self, "den", den // g)
 
     def column(self, s):
-        """Coefficient vector of symbol number s."""
-        return self.symbol_columns[s]
+        """Coefficient vector of symbol number s, as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num[s])
 
     def columns(self):
-        return list(self.symbol_columns)
+        return [self.column(s) for s in range(len(self.num))]
 
     def map_by(self, matrix, target_lattice):
-        """Push the period through a row-vector map into target_lattice."""
-        cols = [linalg.vec_times_mat(c, matrix) for c in self.columns()]
-        coeffs = tuple(tuple(col[i] for col in cols) for i in range(target_lattice.rank))
-        return PeriodVector(target_lattice, self.symbols, coeffs)
+        """Push the period through an integer row-vector map into target_lattice."""
+        matrix = _integer_matrix(matrix)
+        if len(matrix) != self.lattice.rank:
+            raise LatticeError("map needs one row per basis vector of the period's lattice")
+        return PeriodVector(target_lattice, self.symbols, linalg.matmul(self.num, matrix), self.den)
 
     def scaled(self, factor):
         factor = Fraction(factor)
         if factor == 0:
             raise LatticeError("period scale factor must be nonzero")
-        return PeriodVector(
-            self.lattice,
-            self.symbols,
-            tuple(tuple(factor * x for x in row) for row in self.coeffs),
-        )
+        return PeriodVector(self.lattice, self.symbols,
+                            [[factor.numerator * x for x in col] for col in self.num],
+                            factor.denominator * self.den)
+
+
+def _cleared_columns(columns, n):
+    """(integer columns, den) for rational columns of length n, cleared together."""
+    flat, den = linalg.clear_denominators([x for col in columns for x in col])
+    return [flat[k:k + n] for k in range(0, len(flat), n)], den
 
 
 def period_from_columns(lattice, symbols, columns):
-    """Build a PeriodVector from {symbol: coefficient vector}."""
-    width = len(symbols.symbols)
-    cols = []
-    for s in symbols.symbols:
-        vec = columns.get(s)
-        cols.append(tuple(Fraction(x) for x in vec) if vec is not None
-                    else tuple(Fraction(0) for _ in range(lattice.rank)))
-    coeffs = tuple(tuple(cols[j][i] for j in range(width)) for i in range(lattice.rank))
-    return PeriodVector(lattice, symbols, coeffs)
+    """Build a PeriodVector from {symbol: rational coefficient vector}.
+
+    Symbols not in columns get a zero column. A key that names no
+    symbol, or a vector without one entry per basis vector, raises
+    LatticeError.
+    """
+    for s, vec in columns.items():
+        if s not in symbols.symbols or len(vec) != lattice.rank:
+            raise LatticeError("column %r needs a declared symbol and %d entries" % (s, lattice.rank))
+    zero = (0,) * lattice.rank
+    num, den = _cleared_columns([columns.get(s, zero) for s in symbols.symbols], lattice.rank)
+    return PeriodVector(lattice, symbols, num, den)
 
 
 def period_scalar(source_period, matrix, target_period):
@@ -180,9 +178,8 @@ def period_scalar(source_period, matrix, target_period):
     runs in integers for an integer matrix, then rescaled by the two
     denominators.
     """
-    (src, src_den), (tgt, tgt_den) = source_period.cleared, target_period.cleared
-    mu = linalg.scalar_ratio(linalg.matmul(src, matrix), tgt)
-    return None if mu is None else mu * tgt_den / src_den
+    mu = linalg.scalar_ratio(linalg.matmul(source_period.num, matrix), target_period.num)
+    return None if mu is None else mu * target_period.den / source_period.den
 
 
 def period_pairing(sigma, tau):
@@ -203,8 +200,8 @@ def period_pairing(sigma, tau):
     # lcm of the product coefficients' denominators) is summed, and
     # divided by den at the end
     basis = sigma.symbols
-    left, left_den = sigma.cleared
-    right, right_den = tau.cleared
+    left, left_den = sigma.num, sigma.den
+    right, right_den = tau.num, tau.den
     scale = basis.coefficient_den
     gram = sigma.lattice.gram  # symmetric, so v * gram is a sum of its rows
     right = [(sj, [(j, y) for j, y in enumerate(w) if y]) for sj, w in zip(basis.symbols, right)]
@@ -341,7 +338,7 @@ def transcendental_lattice(h):
     coefficient columns. Correct under the fixture assumption that the
     symbols are Q-linearly independent.
     """
-    span = linalg.saturation(h.period.cleared[0], h.lattice.rank)
+    span = linalg.saturation(h.period.num, h.lattice.rank)
     return Sublattice(h.lattice, span)
 
 
@@ -355,11 +352,11 @@ def restrict_period(sub, period):
     """Rewrite an ambient period in the coordinates of a sublattice.
 
     The period must lie in the rational span of the sublattice. Every
-    symbol column is solved for in one elimination. Returns a
-    PeriodVector over sub.as_lattice().
+    symbol column is solved for in one elimination and cleared once.
+    Returns a PeriodVector over sub.as_lattice().
     """
     if period.lattice != sub.ambient:
         raise LatticeError("period is not defined over the sublattice ambient")
     abstract = sub.as_lattice()
-    cols = sub.coordinates_of(period.columns())
-    return PeriodVector(abstract, period.symbols, tuple(zip(*cols)))
+    num, den = _cleared_columns(sub.coordinates_of(period.num), abstract.rank)
+    return PeriodVector(abstract, period.symbols, num, period.den * den)

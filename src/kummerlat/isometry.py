@@ -35,7 +35,7 @@ from operator import mul
 
 from . import linalg
 from .hodge import period_scalar
-from .lattice import Lattice, LatticeError, Sublattice, _integer_matrix, genus_of
+from .lattice import Lattice, LatticeError, Sublattice, _integer, _integer_matrix, genus_of
 
 DIFFER = "differ"
 MATCH_OR_UNKNOWN = "match_or_unknown"
@@ -58,8 +58,8 @@ class IsometryMap:
     """An integer matrix certified to carry one form onto another.
 
     Rows are images of source basis vectors in target coordinates, so
-    matrix * gram(target) * matrix^T == scale * gram(source). For plain
-    isometries scale is 1; scale 2 records maps onto a doubled form. For
+    matrix * gram(target) * matrix^T == scale * gram(source). The integer
+    scale is 1 for plain isometries and 2 for maps onto a doubled form. For
     Hodge-compatible maps, lam is the rational scalar with
     (transported source period) == lam * (target period). A composite
     map is built from its matrix product and certified once.
@@ -68,14 +68,14 @@ class IsometryMap:
     source: object
     target: object
     matrix: tuple
-    scale: Fraction = Fraction(1)
+    scale: int = 1
     lam: Fraction = None
     source_period: object = None
     target_period: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _integer_matrix(self.matrix, CertificationError))
-        object.__setattr__(self, "scale", Fraction(self.scale))
+        object.__setattr__(self, "scale", _integer(self.scale, "scale", CertificationError))
         if self.lam is not None:
             object.__setattr__(self, "lam", Fraction(self.lam))
 

@@ -90,12 +90,12 @@ def kummer_transcendental(model):
     t_hodge = model.transcendental_hodge()
     t_km = t_hodge.lattice.twist(2)
     period = t_hodge.period
-    km_period = PeriodVector(t_km, period.symbols, period.coeffs)
+    km_period = PeriodVector(t_km, period.symbols, period.num, period.den)
     pi_star = IsometryMap(
         source=model.T,
         target=t_km,
         matrix=linalg.identity(t_km.rank),
-        scale=Fraction(2),
+        scale=2,
         lam=Fraction(1),
         source_period=period,
         target_period=km_period,
@@ -211,7 +211,7 @@ class TwistedSurface:
         if coords_a != coords_km:
             raise CertificationError("kernel coordinate lattices disagree")
         iso = IsometryMap(source=k_a, target=k_km,
-                          matrix=linalg.identity(len(coords_a)), scale=Fraction(2))
+                          matrix=linalg.identity(len(coords_a)), scale=2)
         verify_isometry(iso)
         return iso
 
@@ -230,7 +230,7 @@ class TwistedSurface:
         iso = IsometryMap(source=embed.target, target=km_embed.target,
                           matrix=linalg.matmul(linalg.invert_unimodular(embed.matrix),
                                                km_embed.matrix),
-                          scale=Fraction(2))
+                          scale=2)
         verify_isometry(iso)
         return iso
 

@@ -11,6 +11,7 @@ from kummerlat import (
     Lattice,
     LatticeError,
     MATCH_OR_UNKNOWN,
+    PeriodVector,
     Sublattice,
     SymbolBasis,
     TwistedSurface,
@@ -27,6 +28,7 @@ from kummerlat import (
     period_scalar,
     restrict_period,
     transcendental_lattice,
+    twisted_period,
     wedge_square_lattice,
     wedge_square_map,
 )
@@ -263,17 +265,25 @@ class TestPeriodPairing:
             fraction_period_pairing(tau, tau)
 
     def test_cleared_columns(self):
-        sb = SymbolBasis(("1", "a"))
-        sigma = period_from_columns(make_standard("U"), sb,
-                                    {"1": (Fraction(1, 2), 0), "a": (Fraction(-2, 3), 1)})
-        assert sigma.symbol_columns == ((Fraction(1, 2), 0), (Fraction(-2, 3), 1))
-        assert sigma.cleared == (((3, 0), (-4, 6)), 6)
-        assert sigma.columns() == list(sigma.symbol_columns)
-        # the cached forms take no part in equality or hashing
-        fresh = period_from_columns(make_standard("U"), sb,
-                                    {"1": (Fraction(1, 2), 0), "a": (Fraction(-2, 3), 1)})
-        assert fresh == sigma and hash(fresh) == hash(sigma)
-        assert "cleared" not in vars(fresh) and "cleared" in vars(sigma)
+        u, sb = make_standard("U"), SymbolBasis(("1", "a"))
+        sigma = period_from_columns(u, sb, {"1": (Fraction(1, 2), 0), "a": (Fraction(-2, 3), 1)})
+        assert (sigma.num, sigma.den) == (((3, 0), (-4, 6)), 6)
+        assert sigma.columns() == [(Fraction(1, 2), 0), (Fraction(-2, 3), 1)]
+        # the same period over k * den, a negative den included, is
+        # brought to lowest terms: equal, with one hash
+        for k in (2, 5, -1, -7):
+            other = PeriodVector(u, sb, [[k * x for x in col] for col in sigma.num], k * sigma.den)
+            assert (other.num, other.den) == (sigma.num, sigma.den)
+            assert other == sigma and hash(other) == hash(sigma)
+        with pytest.raises(LatticeError):
+            PeriodVector(u, sb, sigma.num, 0)
+        with pytest.raises(LatticeError):
+            PeriodVector(u, sb, ((Fraction(1, 2), 0), (0, 1)))
+        # rejected although the product with sigma's columns is integral
+        with pytest.raises(LatticeError):
+            sigma.map_by(((0, 1), (Fraction(1, 2), 0)), u)
+        with pytest.raises(LatticeError):
+            sigma.map_by(((0, 1),), u)
 
     def test_nonisotropic_period_rejected_when_checkable(self):
         sigma = period_from_columns(
@@ -281,6 +291,55 @@ class TestPeriodPairing:
         )
         with pytest.raises(LatticeError):
             hodge_lattice(make_standard("U"), sigma)
+
+
+def fractions_built(monkeypatch, work):
+    """The number of Fractions that work() builds, counted at Fraction.__new__."""
+    calls = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return original(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        work()
+    return len(calls)
+
+
+class TestPeriodVector:
+    def test_period_from_columns_rejects_unknown_symbols_and_lengths(self):
+        u = make_standard("U")
+        for columns in ({"1": (1, 0, 7), "w3": (5, 5)}, {"1": (1, 0), "w3": (5, 5)},
+                        {"1": (1, 0, 7)}, {"w1": (1,)}, {"w1": ()}):
+            with pytest.raises(LatticeError):
+                period_from_columns(u, omega_symbols(), columns)
+        sigma = period_from_columns(u, omega_symbols(), {"w2": (Fraction(1, 2), 3)})
+        assert sigma.columns() == [(0, 0), (0, 0), (Fraction(1, 2), 3), (0, 0)]
+
+    def test_integer_kernels_build_no_fraction(self, monkeypatch):
+        assert fractions_built(monkeypatch, lambda: Fraction(1, 2) + Fraction(1, 3)) >= 3
+        model = base_abelian_model(3)
+        sigma = model.h2.period
+        lat, sb, num = sigma.lattice, sigma.symbols, [list(col) for col in sigma.num]
+        bfield = BField(lat, (Fraction(1, 2), 0, Fraction(-1, 3), 0, 0, 1))
+        p = random_u3_isometry(random.Random(21))
+        phi = twisted_period(sigma, bfield)
+        assert phi.den > 1
+        h_phi = hodge_lattice(phi.lattice, phi)
+        work = [
+            lambda: PeriodVector(lat, sb, num),
+            lambda: PeriodVector(lat, sb, [[4 * x for x in col] for col in num], -8),
+            lambda: period_from_columns(lat, sb, dict(zip(sb.symbols, num))),
+            lambda: sigma.map_by(p, lat),
+            lambda: twisted_period(sigma, bfield),
+            lambda: transcendental_lattice(model.h2),
+            lambda: transcendental_lattice(h_phi),
+            lambda: period_pairing(sigma, sigma),
+            lambda: period_pairing(phi, phi),
+        ]
+        assert [fractions_built(monkeypatch, w) for w in work] == [0] * len(work)
 
 
 class TestTranscendental:
@@ -380,15 +439,15 @@ class TestNeronSeveri:
 
 
 class TestProportionality:
-    """Periods compared by the one scalar reader, linalg.scalar_ratio, on their coefficients."""
+    """Periods compared by the one scalar reader, linalg.scalar_ratio, on their columns."""
 
     def test_self(self):
         sigma = u_plus_u_period(2)
-        assert scalar_ratio(sigma.coeffs, sigma.coeffs) == 1
+        assert scalar_ratio(sigma.columns(), sigma.columns()) == 1
 
     def test_scaled(self):
         sigma = u_plus_u_period(2)
-        assert scalar_ratio(sigma.scaled(Fraction(-2, 3)).coeffs, sigma.coeffs) == Fraction(-2, 3)
+        assert scalar_ratio(sigma.scaled(Fraction(-2, 3)).columns(), sigma.columns()) == Fraction(-2, 3)
 
     def test_wedge_pullback_scales_by_n(self):
         for n in (1, 2, 5):
@@ -396,7 +455,7 @@ class TestProportionality:
             ef = product_abelian_model(1).h2
             w = wedge_square_map(quotient_pullback_matrix(n))
             pushed = s.period.map_by(w, ef.lattice)
-            assert scalar_ratio(pushed.coeffs, ef.period.coeffs) == n
+            assert scalar_ratio(pushed.columns(), ef.period.columns()) == n
 
     def test_permuted_column_is_not_proportional(self):
         lat = u_plus_u()
@@ -411,7 +470,7 @@ class TestProportionality:
                 "w1w2": (1, 0, 0, 0),
             },
         )
-        assert scalar_ratio(sigma.coeffs, permuted.coeffs) is None
+        assert scalar_ratio(sigma.columns(), permuted.columns()) is None
 
 
 def column_scalar(source, matrix, target):

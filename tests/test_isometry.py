@@ -756,6 +756,12 @@ class TestVerifier:
         with pytest.raises(CertificationError):
             verify_isometry(bad)
 
+    def test_scale_is_an_integer(self):
+        doubled = IsometryMap(source=U, target=U.twist(2), matrix=((1, 0), (0, 1)), scale=Fraction(2))
+        assert type(doubled.scale) is int and verify_isometry(doubled)
+        with pytest.raises(CertificationError, match="scale"):
+            IsometryMap(source=U, target=U, matrix=((1, 0), (0, 1)), scale=Fraction(1, 2))
+
     def test_tampered_period_scalar_rejected(self):
         h = base_abelian_model(2).transcendental_hodge()
         iso = find_hodge_isometry(h, h, 1)
@@ -782,14 +788,14 @@ class TestVerifier:
         iso = find_hodge_isometry(h, h, 1)
         symbols = h.period.symbols.symbols
         renamed = SymbolBasis(tuple(s if s == "1" else s + "'" for s in symbols))
-        bad = replace(iso, target_period=PeriodVector(h.lattice, renamed, h.period.coeffs))
+        bad = replace(iso, target_period=PeriodVector(h.lattice, renamed, h.period.num, h.period.den))
         with pytest.raises(CertificationError, match="symbol bases"):
             verify_isometry(bad)
 
     def test_periods_off_the_endpoints_rejected(self):
         h = base_abelian_model(2).transcendental_hodge()
         iso = find_hodge_isometry(h, h, 1)
-        off = PeriodVector(h.lattice.twist(3), h.period.symbols, h.period.coeffs)
+        off = PeriodVector(h.lattice.twist(3), h.period.symbols, h.period.num, h.period.den)
         for bad in (replace(iso, source_period=off), replace(iso, target_period=off)):
             with pytest.raises(CertificationError, match="endpoint"):
                 verify_isometry(bad)

@@ -128,8 +128,7 @@ def fraction_period_pairing(sigma, tau):
     out = {}
     for i, si in enumerate(names):
         for j, sj in enumerate(names):
-            p = naive_pair(sigma.lattice.gram, [row[i] for row in sigma.coeffs],
-                           [row[j] for row in tau.coeffs])
+            p = naive_pair(sigma.lattice.gram, sigma.column(i), tau.column(j))
             if p == 0:
                 continue
             if si == "1":
