@@ -74,8 +74,13 @@ def mukai_lattice(h2):
     """H0 + H2 + H4 with pairing <a, b> = a2.b2 - a0 b4 - a4 b0.
 
     Coordinates are ordered (h0, h2 ..., h4); the h0/h4 block is
-    [[0, -1], [-1, 0]] placed at the outer corners.
+    [[0, -1], [-1, 0]] placed at the outer corners. The lattice is built
+    once per H2 Lattice object and kept on it, like Sublattice._gram; it
+    is not a field, so it takes no part in == or hashing.
     """
+    mukai = getattr(h2, "_mukai", None)
+    if mukai is not None:
+        return mukai
     n = h2.rank
     gram = [[0] * (n + 2) for _ in range(n + 2)]
     for i in range(n):
@@ -86,7 +91,9 @@ def mukai_lattice(h2):
     labels = None
     if h2.labels is not None:
         labels = ("h0",) + h2.labels + ("h4",)
-    return Lattice(gram, labels)
+    mukai = Lattice(gram, labels)
+    object.__setattr__(h2, "_mukai", mukai)
+    return mukai
 
 
 def mukai_pair(h2, a, b):
@@ -177,23 +184,24 @@ def exp_b_embedding(kernel, bfield, target):
     ambient = kernel.ambient
     if ambient != bfield.lattice:
         raise LatticeError("kernel and B-field have different ambients")
+    b, d_b = linalg.clear_denominators(bfield.coords)
     image_rows = []
     for row in kernel.basis:
-        h4 = ambient.pair(row, bfield.coords)
-        if Fraction(h4).denominator != 1:
+        h4 = ambient.pair(row, b)
+        if h4 % d_b:
             raise NonIntegralTwist(
-                "vector %r pairs with B to %s, not an integer" % (list(row), h4)
+                "vector %r pairs with B to %s, not an integer" % (list(row), Fraction(h4, d_b))
             )
-        image_rows.append([0] + list(row) + [int(h4)])
+        image_rows.append([0] + list(row) + [h4 // d_b])
     if target.ambient != mukai_lattice(ambient):
         raise CertificationError("target is not in the Mukai extension of the kernel's ambient")
     try:
-        coords = target.coordinates_of(image_rows) if image_rows else ()
+        coords, d = target.coordinates_of(image_rows) if image_rows else ((), 1)
     except LatticeError as exc:
         raise CertificationError("exp(B) image is not in the span of the target") from exc
-    if any(c.denominator != 1 for row in coords for c in row):
+    if any(c % d for row in coords for c in row):
         raise CertificationError("exp(B) image is not integral over the target basis")
-    matrix = [[int(c) for c in row] for row in coords]
+    matrix = [[c // d for c in row] for row in coords]
     iso = IsometryMap(source=kernel, target=target, matrix=matrix)
     verify_isometry(iso)
     return iso
@@ -221,13 +229,15 @@ def pushforward_brauer(g, alpha):
 def lift_to_bfield(alpha):
     """A deterministic B-field representing the class (non-canonical).
 
-    Solves pair(t_i, B) = values[i] exactly via Smith normal form; free
+    Solves pair(t_i, B) = values[i] exactly in one elimination; free
     coordinates are zero, which makes the lift reproducible.
     """
     T = alpha.T
     amb = T.ambient
     m = linalg.matmul(T.basis, amb.gram)
-    x = linalg.solve(m, [Fraction(v) for v in alpha.values])
-    if x is None:
+    values, den = linalg.clear_denominators(alpha.values)
+    solved = linalg.solve(m, values)
+    if solved is None:
         raise LatticeError("class admits no B-field lift on this ambient")
-    return BField(amb, tuple(x))
+    x, d = solved
+    return BField(amb, tuple(Fraction(c, d * den) for c in x))

@@ -149,12 +149,6 @@ class PeriodVector:
                             factor.denominator * self.den)
 
 
-def _cleared_columns(columns, n):
-    """(integer columns, den) for rational columns of length n, cleared together."""
-    flat, den = linalg.clear_denominators([x for col in columns for x in col])
-    return [flat[k:k + n] for k in range(0, len(flat), n)], den
-
-
 def period_from_columns(lattice, symbols, columns):
     """Build a PeriodVector from {symbol: rational coefficient vector}.
 
@@ -165,9 +159,10 @@ def period_from_columns(lattice, symbols, columns):
     for s, vec in columns.items():
         if s not in symbols.symbols or len(vec) != lattice.rank:
             raise LatticeError("column %r needs a declared symbol and %d entries" % (s, lattice.rank))
-    zero = (0,) * lattice.rank
-    num, den = _cleared_columns([columns.get(s, zero) for s in symbols.symbols], lattice.rank)
-    return PeriodVector(lattice, symbols, num, den)
+    n = lattice.rank
+    zero = (0,) * n
+    flat, den = linalg.clear_denominators([x for s in symbols.symbols for x in columns.get(s, zero)])
+    return PeriodVector(lattice, symbols, [flat[k:k + n] for k in range(0, len(flat), n)], den)
 
 
 def period_scalar(source_period, matrix, target_period):
@@ -352,11 +347,11 @@ def restrict_period(sub, period):
     """Rewrite an ambient period in the coordinates of a sublattice.
 
     The period must lie in the rational span of the sublattice. Every
-    symbol column is solved for in one elimination and cleared once.
+    symbol column is solved for in one elimination, whose integer
+    coordinates over d are the new columns over period.den * d.
     Returns a PeriodVector over sub.as_lattice().
     """
     if period.lattice != sub.ambient:
         raise LatticeError("period is not defined over the sublattice ambient")
-    abstract = sub.as_lattice()
-    num, den = _cleared_columns(sub.coordinates_of(period.num), abstract.rank)
-    return PeriodVector(abstract, period.symbols, num, period.den * den)
+    num, d = sub.coordinates_of(period.num)
+    return PeriodVector(sub.as_lattice(), period.symbols, num, period.den * d)

@@ -367,9 +367,11 @@ def _hodge_witness(h1, h2, bound):
 
     With the symbol columns C_s and C_t of the two periods as rows, a
     Hodge isometry M with rational scalar lam solves C_s M = lam C_t.
-    One elimination solves C_s M0 = C_t. When M0 is nonsingular, which
-    is exactly when both periods span Q^r, M0 is the only solution, so
-    M = +-lam M0, and M G2 M^T = G1 fixes lam^2 = G1 / (M0 G2 M0^T).
+    One elimination on the integer columns solves C_s M0 = C_t as
+    M0 = c N, N integral. When M0 is nonsingular, which is exactly when
+    both periods span Q^r, M0 is the only solution, so M = +-lam M0, and
+    M G2 M^T = G1 fixes lam^2 = G1 / (N G2 N^T) / c^2, in integers up
+    to that last division.
     The lex-least of the two signs is the witness, at any entry size;
     the reason names the first of these steps that fails. A period that
     spans less takes the first plain witness within the bound, in lex
@@ -380,31 +382,35 @@ def _hodge_witness(h1, h2, bound):
     g1, g2 = gram_of(h1.lattice), gram_of(h2.lattice)
     if len(g1) != len(g2):
         return None, None, "the lattices have different ranks"
-    cs, ct = h1.period.columns(), h2.period.columns()
-    m0 = linalg.solve(cs, ct)
-    if m0 is None:
+    p1, p2 = h1.period, h2.period
+    solved = linalg.solve(p1.num, p2.num)
+    if solved is None:
         return None, None, "no rational map carries the source period onto the target period"
-    d = linalg.det(m0)
-    if d == 0:
+    n, d = solved
+    det_n = linalg.det(n)
+    if det_n == 0:
         for m in _search(g1, g2, bound):
-            lam = period_scalar(h1.period, m, h2.period)
+            lam = period_scalar(p1, m, p2)
             if lam is not None:
                 return m, lam, None
         return None, None, "no witness with entries bounded by %d" % bound
-    lam_sq = linalg.scalar_ratio(g1, linalg.matmul(linalg.matmul(m0, g2), linalg.transpose(m0)))
+    # M0 = c N: the periods are num / den, and num_1 N = d num_2
+    c = Fraction(p1.den, p2.den * d)
+    lam_sq = linalg.scalar_ratio(g1, linalg.matmul(linalg.matmul(n, g2), linalg.transpose(n)))
     if lam_sq is None:
         return None, None, ("the period map M0 pulls the target form back to no multiple"
                             " of the source form")
+    lam_sq /= c * c
     lam = _rational_sqrt(lam_sq)
     if lam is None:
         return None, None, "lambda^2 = %s is not a rational square" % lam_sq
-    m = [[lam * x for x in row] for row in m0]
-    if any(x.denominator != 1 for row in m for x in row):
+    f = lam * c  # lam M0 = f N
+    if any(x * f.numerator % f.denominator for row in n for x in row):
         return None, None, "+-lambda*M0 is not integral for lambda = %s" % lam
-    det_m = lam ** len(m) * d
+    det_m = f ** len(n) * det_n
     if abs(det_m) != 1:
         return None, None, "+-lambda*M0 is not unimodular: det = %s" % det_m
-    m = tuple(tuple(int(x) for x in row) for row in m)
+    m = tuple(tuple(x * f.numerator // f.denominator for x in row) for row in n)
     neg = tuple(tuple(-x for x in row) for row in m)
     return (m, lam, None) if m < neg else (neg, -lam, None)
 

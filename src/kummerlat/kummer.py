@@ -117,8 +117,9 @@ def project_coords_on_T(model, bfield):
     gram_t = t.gram()
     if linalg.det(gram_t) == 0:
         raise LatticeError("restricted form on T is degenerate")
-    rhs = [t.ambient.pair(row, bfield.coords) for row in t.basis]
-    return tuple(linalg.solve(gram_t, rhs))
+    b, den = linalg.clear_denominators(bfield.coords)
+    x, d = linalg.solve(gram_t, [t.ambient.pair(row, b) for row in t.basis])
+    return tuple(Fraction(c, d * den) for c in x)
 
 
 def project_to_transcendental(model, bfield):

@@ -40,6 +40,8 @@ class LatticeError(ValueError):
 
 def _integer(x, what, error=LatticeError):
     """x as an int; raises error, naming x as what, when x is not integral."""
+    if type(x) is int:
+        return x
     if int(x) != x:
         raise error("%s %s is not an integer" % (what, x))
     return int(x)
@@ -47,7 +49,23 @@ def _integer(x, what, error=LatticeError):
 
 def _integer_matrix(rows, error=LatticeError):
     """rows as a tuple of int tuples; raises error on a non-integral entry."""
-    return tuple(tuple(_integer(x, "matrix entry", error) for x in row) for row in rows)
+    return tuple(tuple(x if type(x) is int else _integer(x, "matrix entry", error) for x in row)
+                 for row in rows)
+
+
+def _is_staircase(rows):
+    """Whether every row is nonzero and the leading columns strictly increase.
+
+    Such rows are linearly independent without an elimination; Hermite
+    forms, saturations, kernels and identities all have this shape.
+    """
+    last = -1
+    for row in rows:
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None or lead <= last:
+            return False
+        last = lead
+    return True
 
 
 @dataclass(frozen=True)
@@ -198,7 +216,7 @@ class Sublattice:
         n = self.ambient.rank
         if any(len(row) != n for row in basis):
             raise LatticeError("basis rows must have length %d" % n)
-        if linalg.rank(basis) != len(basis):
+        if not _is_staircase(basis) and linalg.rank(basis) != len(basis):
             raise LatticeError("basis rows must be linearly independent over Q")
 
     @property
@@ -218,28 +236,41 @@ class Sublattice:
         """The abstract lattice carried by this sublattice (nondegenerate only)."""
         return Lattice(self.gram())
 
+    def _checked_lengths(self, vectors):
+        if any(len(v) != self.ambient.rank for v in vectors):
+            raise LatticeError("vector length does not match rank %d" % self.ambient.rank)
+
     def contains(self, v):
         """Whether the ambient vector v lies in the sublattice."""
+        self._checked_lengths([v])
         if not self.basis:
             return all(x == 0 for x in v)
-        x = linalg.solve(linalg.transpose(self.basis), v)
-        return x is not None and all(c.denominator == 1 for c in x)
+        solved = linalg.solve(linalg.transpose(self.basis), v)
+        if solved is None:
+            return False
+        x, d = solved
+        return all(c % d == 0 for c in x)
 
     def coordinates_of(self, v):
-        """Coordinates of ambient vector v in this basis (exact, rational).
+        """(coords, d): coordinates of ambient vector v in this basis, over d.
 
+        coords holds ints and d is linalg.solve's nonzero int
+        denominator, so coords / d are the exact rational coordinates.
         v is one vector, or several as a matrix of rows, as in
-        linalg.solve; several vectors share one elimination and give one
-        coordinate tuple each. Raises LatticeError when any vector lies
-        outside the rational span.
+        linalg.solve; several vectors share one elimination and one d,
+        and give one coordinate tuple each. Raises LatticeError when any
+        vector lies outside the rational span or has a length other than
+        the ambient rank.
         """
         if not self.basis:
             raise LatticeError("rank-0 sublattice has no coordinates")
         several = bool(v) and isinstance(v[0], (list, tuple))
-        x = linalg.solve(linalg.transpose(self.basis), linalg.transpose(v) if several else v)
-        if x is None:
+        self._checked_lengths(v if several else [v])
+        solved = linalg.solve(linalg.transpose(self.basis), linalg.transpose(v) if several else v)
+        if solved is None:
             raise LatticeError("vector does not lie in the rational span")
-        return tuple(zip(*x)) if several else tuple(x)
+        x, d = solved
+        return (tuple(zip(*x)) if several else tuple(x)), d
 
     def same_span(self, other):
         """Set equality of sublattices of one ambient (via canonical HNF)."""

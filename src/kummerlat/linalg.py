@@ -5,7 +5,9 @@ point. A matrix is any sequence of equal-length rows, tuples and lists
 alike; no input is modified, and matrices come back as lists of lists.
 Maps act on row vectors: the image of v under M is v*M, so compositions
 read left to right. det, rank and solve run on one fraction-free
-elimination, echelon; invert is solve against the identity. hnf, the
+elimination, echelon; solve keeps its integer numerators over the one
+denominator that elimination gives, and invert_unimodular is solve
+against the identity, divided by that denominator. hnf, the
 one Hermite reduction, carries no transform; hnf_with_transform and
 right_kernel are blocks of hnf([A | I]). saturation is one unimodular
 triangularization, which keeps its inverse, and one hnf.
@@ -149,19 +151,18 @@ def echelon(rows):
     return a, pivots, swaps, den
 
 
-def _back_substitute(a, pivots, n, col):
-    """x in Q^n solving the echelon rows against their column col, free variables zero.
+def _back_substitute(a, pivots, n, col, d):
+    """Integer y in Z^n with y / d solving the echelon rows against their column col.
 
-    With d the last pivot, the minor on the pivot rows and columns,
-    Cramer's rule makes d * x integral, so the substitution runs in
-    integers with exact divisions.
+    d is the last pivot, the minor on the pivot rows and columns; Cramer's
+    rule makes d times the solution integral, so the substitution runs in
+    integers with exact divisions. Free variables are zero.
     """
-    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
     y = [0] * n
     for k in reversed(range(len(pivots))):
         row, c = a[k], pivots[k]
         y[c] = (d * row[col] - sum(row[j] * y[j] for j in pivots[k + 1:])) // row[c]
-    return [Fraction(v, d) for v in y]
+    return y
 
 
 def det(rows):
@@ -353,39 +354,44 @@ def snf_with_transforms(rows):
 
 
 def solve(a_rows, b):
-    """One exact solution of A x = b, or None if inconsistent.
+    """One exact solution of A x = b as (x, d): A x = d b, or None if inconsistent.
 
     b is one right-hand side, a vector, or several: a matrix B, for which
-    the result is a matrix X with A X = B, from the same elimination.
-    Free variables are set to zero, which makes the result deterministic.
+    x is a matrix X with A X = d B, from the same elimination. The
+    entries of A and b may be Fractions; x holds ints and d is a nonzero
+    int, the last pivot minor of linalg.echelon (its sign is not
+    normalised), so x / d is the rational solution. Free variables are
+    set to zero, which makes the result deterministic. A right-hand side
+    without one entry per row of A raises ValueError.
     """
-    n = len(a_rows[0]) if a_rows else 0
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
     several = bool(b) and isinstance(b[0], (list, tuple))
     rhs = b if several else [[x] for x in b]
+    k = len(rhs[0]) if several else 1
+    if len(rhs) != m or any(len(r) != k for r in rhs):
+        raise ValueError("solve needs one right-hand side entry per row of A")
     a, pivots, _, _ = echelon([list(row) + list(r) for row, r in zip(a_rows, rhs)])
     if pivots and pivots[-1] >= n:
         return None
-    cols = [_back_substitute(a, pivots, n, n + j) for j in range(len(rhs[0]) if several else 1)]
-    return transpose(cols) if several else cols[0]
-
-
-def invert(rows):
-    """Exact inverse of a nonsingular square matrix, as Fractions: A X = I."""
-    inv = solve(rows, identity(len(rows)))
-    if inv is None:
-        raise ZeroDivisionError("matrix is singular")
-    return inv
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    cols = [_back_substitute(a, pivots, n, n + j, d) for j in range(k)]
+    return (transpose(cols) if several else cols[0]), d
 
 
 def invert_unimodular(rows):
-    """Integer inverse of a matrix with determinant +-1."""
-    inv = invert(rows)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+    """Integer inverse of a matrix with determinant +-1.
+
+    One solve against the identity; a singular matrix raises
+    ZeroDivisionError, any other non-unimodular one ValueError.
+    """
+    solved = solve(rows, identity(len(rows)))
+    if solved is None:
+        raise ZeroDivisionError("matrix is singular")
+    inv, d = solved
+    if any(x % d for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[x // d for x in row] for row in inv]
 
 
 def scalar_ratio(a, b):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -75,6 +76,27 @@ class TestMukaiLattice:
     def test_labels(self):
         m = mukai_lattice(U)
         assert m.labels == ("h0", "e", "f", "h4")
+
+    def test_built_once_per_h2_object(self, monkeypatch):
+        u3 = direct_sum(direct_sum(U, U), U)
+        dets = []
+        original = linalg.det
+
+        def counting(rows):
+            dets.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(linalg, "det", counting)
+        first = mukai_lattice(u3)
+        assert mukai_lattice(u3) is first
+        assert mukai_pair(u3, MukaiVector(1, (0,) * 6, 0), MukaiVector(0, (0,) * 6, 1)) == -1
+        assert dets == [8]
+        # an equal lattice is another object, with its own Mukai lattice
+        twin = Lattice(u3.gram, u3.labels)
+        assert twin == u3 and hash(twin) == hash(u3)
+        assert mukai_lattice(twin) == first and mukai_lattice(twin) is not first
+        assert dets == [8, 6, 8]
+        assert "_mukai" not in {f.name for f in fields(Lattice)}
 
 
 class TestBrauerClassOf:

@@ -16,10 +16,14 @@ from kummerlat import (
     SymbolBasis,
     TwistedSurface,
     UndeclaredProduct,
+    brauer_class_of,
     direct_sum,
+    exp_b_embedding,
     find_isometry,
+    generalized_transcendental,
     genus_equal,
     hodge_lattice,
+    kernel_lattice,
     make_standard,
     ns_and_picard,
     omega_symbols,
@@ -328,6 +332,10 @@ class TestPeriodVector:
         phi = twisted_period(sigma, bfield)
         assert phi.den > 1
         h_phi = hodge_lattice(phi.lattice, phi)
+        t = model.T
+        kernel = kernel_lattice(brauer_class_of(bfield, t))
+        target = generalized_transcendental(sigma, bfield)
+        basis_t = linalg.transpose(t.basis)
         work = [
             lambda: PeriodVector(lat, sb, num),
             lambda: PeriodVector(lat, sb, [[4 * x for x in col] for col in num], -8),
@@ -338,6 +346,16 @@ class TestPeriodVector:
             lambda: transcendental_lattice(h_phi),
             lambda: period_pairing(sigma, sigma),
             lambda: period_pairing(phi, phi),
+            lambda: linalg.solve(basis_t, sigma.num[1]),
+            lambda: linalg.solve(basis_t, linalg.transpose(sigma.num)),
+            lambda: t.coordinates_of(sigma.num),
+            lambda: t.contains(sigma.num[1]),
+            lambda: restrict_period(t, sigma),
+            lambda: restrict_period(target, phi),
+            lambda: exp_b_embedding(kernel, bfield, target),
+            lambda: linalg.invert_unimodular(p),
+            lambda: Sublattice(lat, t.basis),
+            lambda: Sublattice(lat, p),
         ]
         assert [fractions_built(monkeypatch, w) for w in work] == [0] * len(work)
 

@@ -69,9 +69,9 @@ def witness_between(model1, b1, model2, b2, q):
     rows = []
     for r in tw1.sub.basis:
         image = linalg.vec_times_mat(r, mq)
-        coords = tw2.sub.coordinates_of(image)
-        assert all(c.denominator == 1 for c in coords)
-        rows.append([int(c) for c in coords])
+        coords, d = tw2.sub.coordinates_of(image)
+        assert all(c % d == 0 for c in coords)
+        rows.append([c // d for c in coords])
     iso = IsometryMap(
         source=tw1.hodge.lattice,
         target=tw2.hodge.lattice,

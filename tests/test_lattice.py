@@ -1,5 +1,5 @@
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
@@ -26,6 +26,7 @@ from kummerlat import linalg
 from util import (
     brute_det,
     fraction_value_profile,
+    invert,
     is_square_mod,
     naive_pair,
     random_rational_vector,
@@ -317,7 +318,7 @@ class TestDiscriminantForm:
             for combo in product(*(range(h[i][i]) for i in range(n))):
                 reps.append(list(combo))
             assert len(reps) == abs(lat.det)
-            ginv = linalg.invert(gram)
+            ginv = invert(gram)
             modulus = 2 if lat.is_even() else 1
             profile = []
             for z in reps:
@@ -351,7 +352,7 @@ class TestDiscriminantForm:
         assert all(0 <= x < 1 for g in d.generators for x in g)
         diag, t = linalg.snf_with_transforms(gram)
         s_inv = linalg.invert_unimodular(smith_left_transform(gram, diag, t))
-        g_inv = linalg.invert(gram)
+        g_inv = invert(gram)
         raw = [
             linalg.vec_times_mat([row[i] for row in s_inv], g_inv)
             for i in range(6)
@@ -712,7 +713,82 @@ class TestSublatticeValidation:
         s = Sublattice(U, ((1, 0), (0, 2)))
         assert s.contains((3, 4))
         assert not s.contains((0, 1))
-        assert s.coordinates_of((3, 4)) == (Fraction(3), Fraction(2))
+        coords, d = s.coordinates_of((3, 4))
+        assert tuple(Fraction(c, d) for c in coords) == (Fraction(3), Fraction(2))
+
+    def test_vectors_of_the_wrong_length_rejected(self):
+        s = Sublattice(direct_sum(U, U), ((1, 0, 0, 0), (0, 1, 0, 0)))
+        assert s.coordinates_of((1, 0, 0, 0)) == ((1, 0), 1)
+        for v in ((1, 0), (1, 0, 0, 0, 5), (), []):
+            with pytest.raises(LatticeError):
+                s.coordinates_of(v)
+            with pytest.raises(LatticeError):
+                s.contains(v)
+        for vectors in ([(1, 0, 0, 0), (1, 0)], [(1, 0), (0, 1)], [(0, 1, 0, 0, 5)]):
+            with pytest.raises(LatticeError):
+                s.coordinates_of(vectors)
+        with pytest.raises(LatticeError):
+            Sublattice(U, ()).contains((0,))
+        assert Sublattice(U, ()).contains((0, 0))
+
+    def test_staircase_bases_next_to_the_rule(self):
+        lat = direct_sum(U, U)
+        accepted = [
+            ((1, 0, 0, 0), (0, 1, 0, 0)),
+            ((0, 2, 5, 1), (0, 0, 0, 3)),
+            ((0, 1), (1, 0)),  # independent, not a staircase
+            ((1, 1, 0, 0), (2, 1, 0, 0), (0, 0, 0, 1)),
+        ]
+        rejected = [
+            ((1, 0, 0, 0), (2, 1, 0, 0), (3, 1, 0, 0)),  # equal leading columns
+            ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)),  # zero row last
+            ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0)),  # zero row in the middle
+            ((0, 0, 0, 0),),
+            ((0, 1, 0, 0), (0, 2, 0, 0)),
+        ]
+        for rows in accepted:
+            ambient = U if len(rows[0]) == 2 else lat
+            assert Sublattice(ambient, rows).basis == rows
+        for rows in rejected:
+            with pytest.raises(LatticeError, match="linearly independent"):
+                Sublattice(lat, rows)
+
+    def test_staircase_rule_against_rank(self, monkeypatch):
+        rng = random.Random(2207)
+        lat = direct_sum(direct_sum(U, U), U)
+        ranks = []
+        original = linalg.rank
+
+        def counting(rows):
+            ranks.append(rows)
+            return original(rows)
+
+        kinds = Counter()
+        for _ in range(300):
+            k = rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(6)] for _ in range(k)]
+            if rng.random() < 0.5:
+                rows = linalg.hnf(rows) or rows
+            independent = linalg.rank(rows) == len(rows)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "rank", counting)
+                del ranks[:]
+                try:
+                    Sublattice(lat, rows)
+                    accepted = True
+                except LatticeError:
+                    accepted = False
+            assert accepted == independent
+            staircase = _staircase(rows)
+            assert ranks == ([] if staircase else [tuple(map(tuple, rows))])
+            kinds[staircase, independent] += 1
+        assert kinds[True, True] > 30 and kinds[False, True] > 10 and kinds[False, False] > 30
+
+
+def _staircase(rows):
+    """Whether each row is nonzero and leads strictly right of the row above."""
+    leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
+    return None not in leads and all(a < b for a, b in zip(leads, leads[1:]))
 
 
 def _random_sublattice(rng, k):
@@ -746,13 +822,15 @@ class TestSublatticeKernels:
                 vectors = [tuple(sum(c * row[j] for c, row in zip(cs, s.basis))
                                  for j in range(s.ambient.rank)) for cs in coords]
                 del eliminations[:]
-                got = s.coordinates_of(vectors)
+                nums, d = s.coordinates_of(vectors)
                 assert len(eliminations) == 1
-                assert got == tuple(tuple(linalg.solve(linalg.transpose(s.basis), v))
-                                    for v in vectors)
+                assert all(type(c) is int for cs in nums for c in cs) and type(d) is int and d
+                got = tuple(tuple(Fraction(c, d) for c in cs) for cs in nums)
+                assert got == tuple(tuple(Fraction(c, e) for c in x) for x, e in (
+                    linalg.solve(linalg.transpose(s.basis), v) for v in vectors))
                 assert got == tuple(tuple(Fraction(c) for c in cs) for cs in coords)
-                assert all(type(c) is Fraction for cs in got for c in cs)
-                assert got == tuple(s.coordinates_of(v) for v in vectors)
+                assert got == tuple(tuple(Fraction(c, e) for c in x) for x, e in (
+                    s.coordinates_of(v) for v in vectors))
                 if k == s.ambient.rank:
                     continue
                 outside = next(row for row in linalg.identity(s.ambient.rank)

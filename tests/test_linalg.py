@@ -10,6 +10,8 @@ from kummerlat import linalg
 from util import (
     assert_smith_columns,
     brute_det,
+    fraction_solve,
+    invert,
     naive_pair,
     random_rational_vector,
     random_unimodular,
@@ -266,10 +268,11 @@ def test_saturation_contains_rows_with_trivial_quotient(rows):
     assert len(sat) == linalg.rank(rows)
     # every original row lies in the saturation's integer span
     for r in rows:
-        x = linalg.solve(linalg.transpose(sat), r) if sat else None
+        solved = linalg.solve(linalg.transpose(sat), r) if sat else None
         if sat:
-            assert x is not None
-            assert all(c.denominator == 1 for c in x)
+            assert solved is not None
+            x, d = solved
+            assert all(c % d == 0 for c in x)
         else:
             assert linalg.is_zero_row(r)
     # and the saturation has no further index to give
@@ -327,18 +330,87 @@ def test_solve_and_invert_roundtrip():
         if brute_det(m) == 0:
             continue
         b = [rng.randint(-7, 7) for _ in range(n)]
-        x = linalg.solve(m, b)
-        assert x is not None
+        x, d = linalg.solve(m, b)
         for i in range(n):
-            assert sum(m[i][j] * x[j] for j in range(n)) == b[i]
-        inv = linalg.invert(m)
+            assert sum(m[i][j] * x[j] for j in range(n)) == d * b[i]
+        inv, d = linalg.solve(m, linalg.identity(n))
+        assert linalg.mat_eq(linalg.matmul(m, inv), [[d * x for x in row] for row in linalg.identity(n)])
+        inv = invert(m)
         assert linalg.mat_eq(linalg.matmul(m, inv), linalg.identity(n))
 
 
 def test_solve_inconsistent_and_underdetermined():
     assert linalg.solve([[1, 1], [1, 1]], [0, 1]) is None
     x = linalg.solve([[1, 1]], [3])
-    assert x == [Fraction(3), Fraction(0)]  # free variable pinned to zero
+    assert x == ([3, 0], 1)  # free variable pinned to zero
+
+
+def test_solve_rejects_right_hand_sides_of_the_wrong_length():
+    identity = [[1, 0], [0, 1]]
+    assert linalg.solve(identity, [1, 2]) == ([1, 2], 1)
+    for b in ([1], [1, 2, 3], [], [[1], [2], [3]], [[1, 2], [3]], [[1, 2], [3, 4, 5]]):
+        with pytest.raises(ValueError):
+            linalg.solve(identity, b)
+    with pytest.raises(ValueError):
+        linalg.solve([], [1])
+    assert linalg.solve([], []) == ([], 1)
+
+
+def _random_system(rng, kind, several):
+    """(A, B) of one kind: full column rank, rank-deficient or inconsistent.
+
+    B is a vector when several is False, else a matrix of 2-4 columns.
+    Full-rank and rank-deficient systems are consistent by construction
+    (B = A X for a rational X); inconsistent ones get a right-hand side
+    column outside the column space of a rank-deficient A.
+    """
+    n = rng.randint(1, 5)
+    if kind == "full":
+        m = rng.randint(n, 6)
+        while True:
+            a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+            if linalg.rank(a) == n:
+                break
+    else:
+        m = rng.randint(2, 6)
+        r = rng.randint(0, min(m, n) - 1)
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if r else [0] * n
+             for row in left]
+    k = rng.randint(2, 4) if several else 1
+    x = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k)] for _ in range(n)]
+    b = [[sum(row[i] * x[i][j] for i in range(n)) for j in range(k)] for row in a]
+    if kind == "inconsistent":
+        while fraction_solve(a, b) is not None:
+            j = rng.randrange(k)
+            for row in b:
+                row[j] += rng.randint(-3, 3)
+    return a, (b if several else [row[0] for row in b])
+
+
+def test_solve_against_fraction_oracle():
+    rng = random.Random(2203)
+    seen = set()
+    for case in range(300):
+        kind = ("full", "deficient", "inconsistent")[case % 3]
+        several = case % 2 == 1
+        a, b = _random_system(rng, kind, several)
+        b_rows = b if several else [[x] for x in b]
+        expected = fraction_solve(a, b_rows)
+        got = linalg.solve(a, b)
+        seen.add((kind, several, got is None))
+        if expected is None:
+            assert got is None
+            continue
+        x, d = got
+        assert type(d) is int and d != 0
+        x_rows = x if several else [[v] for v in x]
+        assert all(type(v) is int for row in x_rows for v in row)
+        assert linalg.matmul(a, x_rows) == [[d * v for v in row] for row in b_rows]
+        assert [[Fraction(v, d) for v in row] for row in x_rows] == expected
+    assert seen == {(kind, several, kind == "inconsistent")
+                    for kind in ("full", "deficient", "inconsistent") for several in (False, True)}
 
 
 def test_invert_unimodular_rejects_index():
@@ -373,7 +445,8 @@ def _matrix(rows, m, n):
 
 
 class TestEliminationAgainstSympy:
-    """det, rank, solve and invert against sympy on seeded matrices of size 0-6."""
+    """det, rank and solve (one and several right-hand sides) against sympy, on
+    seeded matrices of size 0-6; the Fraction invert oracle alongside."""
 
     CASES = 200
 
@@ -402,13 +475,17 @@ class TestEliminationAgainstSympy:
             if ref.det() == 0:
                 singular += 1
                 with pytest.raises(ZeroDivisionError):
-                    linalg.invert(rows)
+                    invert(rows)
+                assert linalg.solve(rows, linalg.identity(n)) is None
                 continue
             inv = ref.inv()
             expected = [[_sympy_value(inv[i, j]) for j in range(n)] for i in range(n)]
-            got = linalg.invert(rows)
+            got = invert(rows)
             assert got == expected
             assert all(type(x) is Fraction for row in got for x in row)
+            x, d = linalg.solve(rows, linalg.identity(n))
+            assert [[Fraction(v, d) for v in row] for row in x] == expected
+            assert all(type(v) is int for row in x for v in row) and type(d) is int
             if abs(ref.det()) == 1 and all(type(x) is int for row in rows for x in row):
                 assert linalg.invert_unimodular(rows) == expected
         assert singular > 10
@@ -433,8 +510,9 @@ class TestEliminationAgainstSympy:
                 continue
             underdetermined += bool(params)
             sol = sol.subs({t: 0 for t in params})
-            assert got == [_sympy_value(sol[j]) for j in range(n)]
-            assert all(type(x) is Fraction for x in got)
+            x, d = got
+            assert [Fraction(v, d) for v in x] == [_sympy_value(sol[j]) for j in range(n)]
+            assert all(type(v) is int for v in x) and type(d) is int
         assert inconsistent > 10 and underdetermined > 10
 
 

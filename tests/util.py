@@ -54,6 +54,50 @@ def brute_det(rows):
     return total
 
 
+def fraction_solve(a_rows, b_rows):
+    """The solution X of A X = B with free variables zero, as Fractions, or None.
+
+    Plain Gauss-Jordan elimination over Fractions, independent of
+    linalg's fraction-free elimination. b_rows is a matrix with one row
+    per row of A; None means the system is inconsistent.
+    """
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    k = len(b_rows[0]) if b_rows else 0
+    rows = [[Fraction(x) for x in a] + [Fraction(x) for x in b] for a, b in zip(a_rows, b_rows)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, m) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if any(rows[i][n + j] for i in range(len(pivots), m) for j in range(k)):
+        return None
+    x = [[Fraction(0)] * k for _ in range(n)]
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][n:]
+    return x
+
+
+def invert(rows):
+    """The inverse of a nonsingular square matrix, as Fractions (fraction_solve against I).
+
+    Raises ZeroDivisionError for a singular matrix.
+    """
+    n = len(rows)
+    inv = fraction_solve(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+    if inv is None:
+        raise ZeroDivisionError("matrix is singular")
+    return inv
+
+
 def naive_pair(gram, v, w):
     """v * gram * w^T as the plain double sum; independent of linalg."""
     return sum(v[i] * gram[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
@@ -360,10 +404,10 @@ def saturation_exp_b_embedding(kernel, bfield, target):
         image_rows.append([0] + list(row) + [int(h4)])
     if not saturate(Sublattice(mukai, image_rows)).same_span(saturate(target)):
         raise CertificationError("exp(B) image does not saturate onto the target")
-    coords = target.coordinates_of(image_rows) if image_rows else ()
-    if any(c.denominator != 1 for row in coords for c in row):
+    coords, d = target.coordinates_of(image_rows) if image_rows else ((), 1)
+    if any(c % d for row in coords for c in row):
         raise CertificationError("exp(B) image is not integral over the target basis")
-    iso = IsometryMap(source=kernel, target=target, matrix=[[int(c) for c in row] for row in coords])
+    iso = IsometryMap(source=kernel, target=target, matrix=[[c // d for c in row] for row in coords])
     verify_isometry(iso)
     return iso
 
