@@ -52,17 +52,14 @@ from .isometry import (
 from .brauer import (
     BField,
     BrauerClass,
-    MukaiVector,
     NonIntegralTwist,
     brauer_class_of,
     brauer_equal,
     exp_b_embedding,
     generalized_transcendental,
-    kernel_lattice,
     kernel_with_coords,
     lift_to_bfield,
     mukai_lattice,
-    mukai_pair,
     order_of,
     pushforward_brauer,
     twisted_period,

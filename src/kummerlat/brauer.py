@@ -1,17 +1,19 @@
 """Brauer classes as B-fields and the exp(B) lattice machinery.
 
+B-fields and Brauer classes are stored like periods: integer numerators
+over one positive denominator, in lowest terms; Fractions are only views.
 A Brauer class of a surface with transcendental lattice T is stored by
 its value vector in Q/Z on a fixed basis of T (the representing B-field
-is not unique). The Mukai extension glues an H0/H4 hyperbolic block onto
-the H2 lattice; generalized transcendental lattices live inside it on
-the h0 = 0 plane.
+is not unique), reduced mod the denominator, which is then its order.
+The Mukai extension glues an H0/H4 hyperbolic block onto the H2 lattice;
+generalized transcendental lattices live inside it on the h0 = 0 plane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from . import linalg
 from .hodge import PeriodVector, transcendental_lattice, hodge_lattice
@@ -23,18 +25,45 @@ class NonIntegralTwist(Exception):
     """exp(B) was applied to a vector pairing non-integrally with B."""
 
 
+def _store_lowest_terms(obj, rank, modulo):
+    """Store obj.num / obj.den as rank ints over den > 0 in lowest terms, num mod den if modulo.
+
+    Entries are ints or Fractions, cleared into den once; den is a nonzero
+    int. Anything else, a float or a string, raises LatticeError.
+    """
+    num, den = tuple(obj.num), obj.den
+    if not set(map(type, num)) <= {int, Fraction} or type(den) is not int or den == 0:
+        raise LatticeError("need int or Fraction entries over a nonzero int denominator")
+    if len(num) != rank:
+        raise LatticeError("%s needs %d entries, one per basis vector" % (type(obj).__name__, rank))
+    num, scale = linalg.clear_denominators(num)
+    den *= scale
+    if modulo:
+        num = [x % den for x in num]
+    g = gcd(den, *num)
+    g = g if den > 0 else -g
+    object.__setattr__(obj, "num", tuple(x // g for x in num))
+    object.__setattr__(obj, "den", den // g)
+
+
 @dataclass(frozen=True)
 class BField:
-    """A rational class in (H2 of the surface) tensor Q."""
+    """A rational class num / den in (H2 of the surface) tensor Q.
+
+    Stored in lowest terms, so == and hashing compare the class; coords
+    is the Fraction view.
+    """
 
     lattice: Lattice
-    coords: tuple
+    num: tuple
+    den: int = 1
 
     def __post_init__(self):
-        coords = tuple(Fraction(x) for x in self.coords)
-        if len(coords) != self.lattice.rank:
-            raise LatticeError("B-field needs %d coordinates" % self.lattice.rank)
-        object.__setattr__(self, "coords", coords)
+        _store_lowest_terms(self, self.lattice.rank, modulo=False)
+
+    @property
+    def coords(self):
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @classmethod
     def zero(cls, lattice):
@@ -43,31 +72,25 @@ class BField:
 
 @dataclass(frozen=True)
 class BrauerClass:
-    """Hom(T, Q/Z) element: reduced values on the stored basis of T."""
+    """Hom(T, Q/Z) element: values num / den on the stored basis of T.
+
+    num is reduced into [0, den) and den is in lowest terms, so den is
+    the order; values is the Fraction view.
+    """
 
     T: Sublattice
-    values: tuple
+    num: tuple
+    den: int = 1
 
     def __post_init__(self):
-        values = tuple(linalg.frac_mod(Fraction(x), 1) for x in self.values)
-        if len(values) != self.T.rank:
-            raise LatticeError("need one value per basis vector of T")
-        object.__setattr__(self, "values", values)
+        _store_lowest_terms(self, self.T.rank, modulo=True)
+
+    @property
+    def values(self):
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def is_trivial(self):
-        return all(v == 0 for v in self.values)
-
-
-@dataclass(frozen=True)
-class MukaiVector:
-    """An integral class (h0, h2, h4) in the extended cohomology."""
-
-    h0: int
-    h2: tuple
-    h4: int
-
-    def coords(self):
-        return (self.h0,) + tuple(self.h2) + (self.h4,)
+        return self.den == 1
 
 
 def mukai_lattice(h2):
@@ -96,55 +119,41 @@ def mukai_lattice(h2):
     return mukai
 
 
-def mukai_pair(h2, a, b):
-    """Mukai pairing of two MukaiVector values over the H2 lattice h2."""
-    return mukai_lattice(h2).pair(a.coords(), b.coords())
-
-
 def brauer_class_of(bfield, T):
-    """The class t -> pair(t, B) mod Z on the basis of T."""
+    """The class t -> pair(t, B) mod Z on the basis of T, over B's denominator."""
     if T.ambient != bfield.lattice:
         raise LatticeError("B-field and sublattice have different ambients")
-    values = tuple(
-        linalg.frac_mod(T.ambient.pair(row, bfield.coords), 1) for row in T.basis
-    )
-    return BrauerClass(T, values)
+    return BrauerClass(T, [T.ambient.pair(row, bfield.num) for row in T.basis], bfield.den)
 
 
 def order_of(alpha):
-    """Order in Hom(T, Q/Z): lcm of value denominators; 1 iff trivial."""
-    return lcm(*(v.denominator for v in alpha.values))
+    """Order in Hom(T, Q/Z): the class's denominator; 1 iff trivial."""
+    return alpha.den
 
 
 def kernel_with_coords(alpha):
     """(kernel sublattice, its basis in T-coordinates).
 
-    Hermite reduction of the congruence system n*values . x = 0 (mod n)
-    in the coordinates of T's basis; the index in T equals order_of.
+    Hermite reduction of the congruence system num . x = 0 (mod den) in
+    the coordinates of T's basis; the index in T equals the order den.
     """
-    n = order_of(alpha)
+    n = alpha.den
     k = alpha.T.rank
     if n == 1 or k == 0:
         coords = linalg.identity(k)
     else:
-        c = [int(v * n) for v in alpha.values]
-        aug = linalg.right_kernel([c + [n]], k + 1)
+        aug = linalg.right_kernel([list(alpha.num) + [n]], k + 1)
         coords = linalg.hnf([row[:k] for row in aug])
     sub = Sublattice(alpha.T.ambient, linalg.matmul(coords, alpha.T.basis))
     return sub, coords
 
 
-def kernel_lattice(alpha):
-    """The finite-index sublattice of T where the class vanishes."""
-    return kernel_with_coords(alpha)[0]
-
-
 def brauer_equal(b1, b2, T):
-    """Whether two B-fields induce the same class on T."""
+    """Whether two B-fields induce the same class on T, by integer divisibility."""
     if b1.lattice != b2.lattice or T.ambient != b1.lattice:
         raise LatticeError("B-fields must share the sublattice ambient")
-    diff = [x - y for x, y in zip(b1.coords, b2.coords)]
-    return all(T.ambient.pair(row, diff).denominator == 1 for row in T.basis)
+    diff = [x * b2.den - y * b1.den for x, y in zip(b1.num, b2.num)]
+    return all(T.ambient.pair(row, diff) % (b1.den * b2.den) == 0 for row in T.basis)
 
 
 def twisted_period(sigma, bfield):
@@ -156,7 +165,7 @@ def twisted_period(sigma, bfield):
     """
     if sigma.lattice != bfield.lattice:
         raise LatticeError("period and B-field live on different lattices")
-    b, d_b = linalg.clear_denominators(bfield.coords)
+    b, d_b = bfield.num, bfield.den
     num = [(0,) + tuple(x * d_b for x in v) + (sigma.lattice.pair(b, v),) for v in sigma.num]
     return PeriodVector(mukai_lattice(sigma.lattice), sigma.symbols, num, sigma.den * d_b)
 
@@ -184,7 +193,7 @@ def exp_b_embedding(kernel, bfield, target):
     ambient = kernel.ambient
     if ambient != bfield.lattice:
         raise LatticeError("kernel and B-field have different ambients")
-    b, d_b = linalg.clear_denominators(bfield.coords)
+    b, d_b = bfield.num, bfield.den
     image_rows = []
     for row in kernel.basis:
         h4 = ambient.pair(row, b)
@@ -211,33 +220,26 @@ def pushforward_brauer(g, alpha):
     """Transport a class through a certified isometry g: T1 -> T2.
 
     The value on the j-th target basis vector is the source value of its
-    g-preimage; order is preserved.
+    g-preimage, an integer product over one denominator; order is preserved.
     """
     verify_isometry(g)
     inv = linalg.invert_unimodular(g.matrix)
-    values = []
-    for j in range(len(inv)):
-        pre = inv[j]
-        val = sum(Fraction(c) * v for c, v in zip(pre, alpha.values))
-        values.append(linalg.frac_mod(val, 1))
     target = g.target
     if isinstance(target, Lattice):
         target = target.full_sublattice()
-    return BrauerClass(target, tuple(values))
+    return BrauerClass(target, [linalg.dot(row, alpha.num) for row in inv], alpha.den)
 
 
 def lift_to_bfield(alpha):
     """A deterministic B-field representing the class (non-canonical).
 
-    Solves pair(t_i, B) = values[i] exactly in one elimination; free
-    coordinates are zero, which makes the lift reproducible.
+    Solves pair(t_i, x) = d num[i] in one elimination, so B = x / (d den);
+    free coordinates are zero, which makes the lift reproducible.
     """
     T = alpha.T
     amb = T.ambient
-    m = linalg.matmul(T.basis, amb.gram)
-    values, den = linalg.clear_denominators(alpha.values)
-    solved = linalg.solve(m, values)
+    solved = linalg.solve(linalg.matmul(T.basis, amb.gram), list(alpha.num))
     if solved is None:
         raise LatticeError("class admits no B-field lift on this ambient")
     x, d = solved
-    return BField(amb, tuple(Fraction(c, d * den) for c in x))
+    return BField(amb, x, d * alpha.den)

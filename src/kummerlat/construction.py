@@ -17,8 +17,6 @@ Basis conventions used by every fixture:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .brauer import (
     BField,
@@ -196,10 +194,7 @@ def u_plus_u_period(n):
 
 def product_bfield(n):
     """B = (dx1^dy2)/n on the product wedge lattice."""
-    lat = wedge_square_lattice(product_frame())
-    coords = [Fraction(0)] * 6
-    coords[2] = Fraction(1, n)
-    return BField(lat, tuple(coords))
+    return BField(wedge_square_lattice(product_frame()), (0, 0, 1, 0, 0, 0), n)
 
 
 def run_example43(n, bound=3):
@@ -290,7 +285,7 @@ def run_example43(n, bound=3):
     )
 
     # (7) the class of k2/n has order n with kernel the inclusion image
-    b_u2 = BField(u2, (0, 0, 0, Fraction(1, n)))
+    b_u2 = BField(u2, (0, 0, 0, 1), n)
     alpha = brauer_class_of(b_u2, u2.full_sublattice())
     kernel, _ = kernel_with_coords(alpha)
     ok7 = order_of(alpha) == n and kernel.same_span(image)

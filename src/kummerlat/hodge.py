@@ -88,12 +88,15 @@ class SymbolBasis:
         return self.symbols.index(symbol)
 
 
+_OMEGA_SYMBOLS = SymbolBasis(
+    symbols=("1", "w1", "w2", "w1w2"),
+    products=(("w1", "w2", (("w1w2", 1),)),),
+)
+
+
 def omega_symbols():
-    """The symbol basis {1, w1, w2, w1w2} with w1*w2 = w1w2 declared."""
-    return SymbolBasis(
-        symbols=("1", "w1", "w2", "w1w2"),
-        products=(("w1", "w2", (("w1w2", 1),)),),
-    )
+    """The symbol basis {1, w1, w2, w1w2} with w1*w2 = w1w2 declared, built once."""
+    return _OMEGA_SYMBOLS
 
 
 @dataclass(frozen=True)

@@ -107,30 +107,33 @@ def kummer_transcendental(model):
 def project_coords_on_T(model, bfield):
     """The orthogonal projection p(B) of B to T(A) tensor Q, in T-coordinates.
 
-    The unique p(B) in the span of T with B - p(B) orthogonal to T; needs
-    B on the model's H2 lattice and the form restricted to T to be
-    nondegenerate.
+    The unique p(B) in the span of T with B - p(B) orthogonal to T, as
+    (x, d): integer coordinates over a nonzero int d. Needs B on the
+    model's H2 lattice and a nondegenerate form on T: the Gram system,
+    solved with the identity beside it in one elimination, is
+    inconsistent exactly when that form is degenerate.
     """
     if bfield.lattice != model.h2.lattice:
         raise LatticeError("B-field is not on the model's H2 lattice")
     t = model.T
-    gram_t = t.gram()
-    if linalg.det(gram_t) == 0:
+    rhs = [[t.ambient.pair(row, bfield.num)] + e for row, e in zip(t.basis, linalg.identity(t.rank))]
+    solved = linalg.solve(t.gram(), rhs)
+    if solved is None:
         raise LatticeError("restricted form on T is degenerate")
-    b, den = linalg.clear_denominators(bfield.coords)
-    x, d = linalg.solve(gram_t, [t.ambient.pair(row, b) for row in t.basis])
-    return tuple(Fraction(c, d * den) for c in x)
+    x, d = solved
+    return [row[0] for row in x], d * bfield.den
 
 
 def project_to_transcendental(model, bfield):
-    """p(B) in ambient coordinates: its T-coordinates times T's basis."""
-    return tuple(linalg.vec_times_mat(project_coords_on_T(model, bfield), model.T.basis))
+    """p(B) in ambient coordinates, as Fractions: its T-coordinates times T's basis."""
+    x, d = project_coords_on_T(model, bfield)
+    return tuple(Fraction(c, d) for c in linalg.vec_times_mat(x, model.T.basis))
 
 
 def kummer_bfield(model, km, bfield):
     """The induced B-field p(B)/2 on the doubled lattice T_km."""
-    y = project_coords_on_T(model, bfield)
-    return BField(km.T_km, tuple(x / 2 for x in y))
+    x, d = project_coords_on_T(model, bfield)
+    return BField(km.T_km, x, 2 * d)
 
 
 @dataclass(frozen=True)

@@ -313,8 +313,9 @@ class DiscriminantForm:
     `columns` holds, for each elementary divisor d_i, the integer column
     of the Smith transform reduced mod d_i; the generator g_i is that
     column over d_i, an element of [0, 1)^n. The generators, as
-    Fractions, and their q values and pairings are computed on first
-    read; only display reads them. q values live in Q/2Z for even
+    Fractions, and their q values and pairings (integer pairings of the
+    columns, reduced over d_i d_j) are computed on first read; only
+    display reads them. q values live in Q/2Z for even
     lattices and Q/Z for odd ones (the finer value is not well defined
     in the odd case); pairings live in Q/Z.
     `==` compares the presentation-independent fields: the divisors, the
@@ -345,15 +346,16 @@ class DiscriminantForm:
 
     @cached_property
     def q_values(self):
-        gens = self.generators
-        return tuple(linalg.frac_mod(linalg.pair_with(self.gram, g, g), self.modulus) for g in gens)
+        return tuple(Fraction(linalg.pair_with(self.gram, c, c) % (self.modulus * d * d), d * d)
+                     for d, c in zip(self.elementary_divisors, self.columns))
 
     @cached_property
     def pairings(self):
-        gens = self.generators
+        gens = tuple(zip(self.elementary_divisors, self.columns))
         return tuple(
-            tuple(linalg.frac_mod(linalg.pair_with(self.gram, gi, gj), 1) for gj in gens)
-            for gi in gens
+            tuple(Fraction(linalg.pair_with(self.gram, ci, cj) % (di * dj), di * dj)
+                  for dj, cj in gens)
+            for di, ci in gens
         )
 
     @property

@@ -417,9 +417,3 @@ def scalar_ratio(a, b):
             elif x != lam * y:
                 return None
     return lam
-
-
-def frac_mod(x, modulus):
-    """Reduce a rational into [0, modulus)."""
-    x = Fraction(x)
-    return x - (x / modulus).__floor__() * modulus

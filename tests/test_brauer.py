@@ -3,15 +3,19 @@ from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
 from kummerlat import (
+    AbelianSurfaceModel,
     BField,
     BrauerClass,
     CertificationError,
+    IsometryMap,
+    KummerModel,
     Lattice,
-    MukaiVector,
+    LatticeError,
     NonIntegralTwist,
     Sublattice,
     brauer_class_of,
@@ -19,22 +23,35 @@ from kummerlat import (
     direct_sum,
     exp_b_embedding,
     generalized_transcendental,
-    kernel_lattice,
+    hodge_lattice,
     kernel_with_coords,
+    kummer_bfield,
     lift_to_bfield,
     make_standard,
     mukai_lattice,
-    mukai_pair,
     order_of,
+    orthogonal_complement,
     pushforward_brauer,
     twisted_period,
     verify_isometry,
 )
 from kummerlat import linalg
-from kummerlat.construction import u_plus_u, u_plus_u_period
+from kummerlat.construction import base_abelian_model, u_plus_u, u_plus_u_period
+from kummerlat.kummer import project_coords_on_T
 from util import (
+    brute_det,
+    fraction_class_values,
+    fraction_kernel_coords,
+    fraction_lift,
+    fraction_order,
+    fraction_projection,
+    fraction_pushforward_values,
+    fraction_same_class,
+    fraction_twisted_columns,
+    invert,
     random_class_fixtures,
     random_rational_vector,
+    random_sublattice_basis,
     random_symmetric_lattice_gram,
     random_unimodular,
     saturation_exp_b_embedding,
@@ -61,13 +78,13 @@ def h0_shifted(mukai):
 class TestMukaiLattice:
     def test_h0_h4_pairing(self):
         # <(1,0,0),(0,0,1)> = -1 straight from the pairing formula
-        m = mukai_pair(U, MukaiVector(1, (0, 0), 0), MukaiVector(0, (0, 0), 1))
+        m = mukai_lattice(U).pair((1, 0, 0, 0), (0, 0, 0, 1))
         assert m == -1
 
     def test_h2_block(self):
-        a = MukaiVector(0, (1, 0), 0)
-        b = MukaiVector(0, (0, 1), 0)
-        assert mukai_pair(U, a, b) == U.pair((1, 0), (0, 1))
+        a = (0, 1, 0, 0)
+        b = (0, 0, 1, 0)
+        assert mukai_lattice(U).pair(a, b) == U.pair((1, 0), (0, 1))
 
     def test_signature(self):
         u3 = direct_sum(direct_sum(U, U), U)
@@ -89,7 +106,7 @@ class TestMukaiLattice:
         monkeypatch.setattr(linalg, "det", counting)
         first = mukai_lattice(u3)
         assert mukai_lattice(u3) is first
-        assert mukai_pair(u3, MukaiVector(1, (0,) * 6, 0), MukaiVector(0, (0,) * 6, 1)) == -1
+        assert mukai_lattice(u3).pair((1,) + (0,) * 7, (0,) * 7 + (1,)) == -1
         assert dets == [8]
         # an equal lattice is another object, with its own Mukai lattice
         twin = Lattice(u3.gram, u3.labels)
@@ -128,12 +145,12 @@ class TestKernel:
     def test_trivial_class_keeps_t(self):
         t = U.full_sublattice()
         alpha = BrauerClass(t, (0, 0))
-        assert kernel_lattice(alpha).basis == ((1, 0), (0, 1))
+        assert kernel_with_coords(alpha)[0].basis == ((1, 0), (0, 1))
 
     def test_order_two_kernel_by_enumeration(self):
         t = U.full_sublattice()
         alpha = BrauerClass(t, (0, Fraction(1, 2)))
-        kernel = kernel_lattice(alpha)
+        kernel = kernel_with_coords(alpha)[0]
         assert kernel.basis == ((1, 0), (0, 2))
         # oracle: walk U/2U and check which cosets killed the class
         for x, y in product(range(2), repeat=2):
@@ -144,7 +161,7 @@ class TestKernel:
         n = 4
         u2 = u_plus_u()
         alpha = BrauerClass(u2.full_sublattice(), (0, 0, Fraction(1, n), 0))
-        kernel = kernel_lattice(alpha)
+        kernel = kernel_with_coords(alpha)[0]
         assert kernel.basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, n, 0), (0, 0, 0, 1))
 
     def test_kernel_membership_by_enumeration(self):
@@ -155,7 +172,7 @@ class TestKernel:
             t = lat.full_sublattice()
             b = BField(lat, random_rational_vector(rng, rank, max_den=4))
             alpha = brauer_class_of(b, t)
-            kernel = kernel_lattice(alpha)
+            kernel = kernel_with_coords(alpha)[0]
             for x in product(range(-3, 4), repeat=rank):
                 value = sum(Fraction(c) * v for c, v in zip(x, alpha.values))
                 assert (value.denominator == 1) == kernel.contains(x)
@@ -227,7 +244,7 @@ class TestExpBEmbedding:
     def test_isotropic_vector(self):
         b = BField(U, (Fraction(1, 2), 0))
         alpha = brauer_class_of(b, U.full_sublattice())
-        kernel = kernel_lattice(alpha)
+        kernel = kernel_with_coords(alpha)[0]
         iso = exp_b_embedding(kernel, b, u_target(b))
         # kernel basis is (e, 2f); images are (0, e, 0) and (0, 2f, 1)
         image_rows = [
@@ -258,7 +275,7 @@ class TestExpBEmbedding:
             sigma = simple_full_rank_period(lat)
             b = BField(lat, random_rational_vector(rng, rank))
             alpha = brauer_class_of(b, lat.full_sublattice())
-            kernel = kernel_lattice(alpha)
+            kernel = kernel_with_coords(alpha)[0]
             target = generalized_transcendental(sigma, b)
             iso = exp_b_embedding(kernel, b, target)
             assert verify_isometry(iso)
@@ -272,7 +289,7 @@ class TestExpBEmbedding:
     def test_wrong_target_rejected(self):
         b = BField(U, (Fraction(1, 2), 0))
         alpha = brauer_class_of(b, U.full_sublattice())
-        kernel = kernel_lattice(alpha)
+        kernel = kernel_with_coords(alpha)[0]
         mukai = mukai_lattice(U)
         wrong = Sublattice(mukai, ((1, 0, 0, 0), (0, 1, 0, 0)))
         with pytest.raises(CertificationError, match="not in the span of the target"):
@@ -291,7 +308,7 @@ class TestExpBEmbedding:
 
     def test_no_saturation_and_one_elimination(self, monkeypatch):
         b = BField(U, (Fraction(1, 2), 0))
-        kernel = kernel_lattice(brauer_class_of(b, U.full_sublattice()))
+        kernel = kernel_with_coords(brauer_class_of(b, U.full_sublattice()))[0]
         target = u_target(b)
         saturated, solved = [], []
         original_saturation, original_coordinates = linalg.saturation, Sublattice.coordinates_of
@@ -320,7 +337,7 @@ class TestExpBEmbedding:
         outcomes = Counter()
         for lat, b, alpha in random_class_fixtures(330, 300):
             sigma = simple_full_rank_period(lat)
-            kernel = kernel_lattice(alpha)
+            kernel = kernel_with_coords(alpha)[0]
             mukai = mukai_lattice(lat)
             other = BField(lat, random_rational_vector(rng, lat.rank, max_den=6))
             target = generalized_transcendental(sigma, b)
@@ -428,3 +445,111 @@ class TestLift:
             alpha = BrauerClass(t, random_rational_vector(rng, rank))
             lifted = lift_to_bfield(alpha)
             assert brauer_class_of(lifted, t).values == alpha.values
+
+
+class TestStoredForm:
+    """B-fields and classes as integer numerators over one denominator."""
+
+    def test_floats_strings_and_bad_denominators_rejected(self):
+        t = U.full_sublattice()
+        for entries in ((0.1, 0), (0.5, 0), ("1/2", 0), (None, 0)):
+            with pytest.raises(LatticeError):
+                BField(U, entries)
+            with pytest.raises(LatticeError):
+                BrauerClass(t, entries)
+        for den in (0, 2.0, Fraction(2), "2", None):
+            with pytest.raises(LatticeError):
+                BField(U, (1, 0), den)
+            with pytest.raises(LatticeError):
+                BrauerClass(t, (1, 0), den)
+        with pytest.raises(LatticeError):
+            BField(U, (Fraction(1, 2),))
+        with pytest.raises(LatticeError):
+            BrauerClass(t, (1, 0, 0), 2)
+
+    def test_degenerate_t_is_rejected_by_the_projection(self):
+        # T spanned by the isotropic vector e of the first U block
+        model = base_abelian_model(2)
+        lat = model.h2.lattice
+        t = Sublattice(lat, ((1, 0, 0, 0, 0, 0),))
+        assert [list(row) for row in t.gram()] == [[0]]
+        degenerate = AbelianSurfaceModel(h2=model.h2, T=t, NS=orthogonal_complement(t))
+        for coords in ((0, Fraction(1, 2), 0, 0, 0, 0), (0,) * 6):
+            with pytest.raises(LatticeError, match="restricted form on T is degenerate"):
+                project_coords_on_T(degenerate, BField(lat, coords))
+
+    def test_kernels_against_fraction_oracle(self):
+        rng = random.Random(2324)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            lat = Lattice(random_symmetric_lattice_gram(rng, n, bound=4))
+            t = Sublattice(lat, random_sublattice_basis(rng, n))
+            coords = random_rational_vector(rng, n, max_den=8, max_num=7)
+            b = BField(lat, coords)
+            assert b.coords == coords and b.den > 0 and gcd(b.den, *b.num) == 1
+            assert all(type(x) is int for x in b.num)
+            for k in (2, -3, 7):
+                twin = BField(lat, [k * x for x in b.num], k * b.den)
+                assert (twin.num, twin.den) == (b.num, b.den)
+                assert twin == b and hash(twin) == hash(b)
+
+            alpha = brauer_class_of(b, t)
+            values = fraction_class_values(coords, t)
+            assert alpha.values == values
+            assert order_of(alpha) == alpha.den == fraction_order(values)
+            assert alpha.is_trivial() == (not any(values))
+            assert all(type(x) is int and 0 <= x < alpha.den for x in alpha.num)
+            for twin in (
+                BrauerClass(t, values),
+                BrauerClass(t, [x + rng.randint(-3, 3) * alpha.den for x in alpha.num], alpha.den),
+                BrauerClass(t, [-5 * x for x in alpha.num], -5 * alpha.den),
+            ):
+                assert (twin.num, twin.den) == (alpha.num, alpha.den)
+                assert twin == alpha and hash(twin) == hash(alpha)
+            seen["trivial" if alpha.is_trivial() else "nontrivial"] += 1
+
+            if rng.random() < 0.5:
+                other = tuple(x + rng.randint(-2, 2) for x in coords)
+            else:
+                other = random_rational_vector(rng, n, max_den=8, max_num=7)
+            same = brauer_equal(b, BField(lat, other), t)
+            assert same == fraction_same_class(coords, other, t)
+            seen["same" if same else "different"] += 1
+
+            kernel, kernel_coords = kernel_with_coords(alpha)
+            assert kernel_coords == fraction_kernel_coords(values)
+            assert abs(brute_det(kernel_coords)) == alpha.den
+            for row in kernel_coords:
+                assert sum(Fraction(c) * v for c, v in zip(row, values)).denominator == 1
+
+            q = random_unimodular(rng, n)
+            conj = Lattice(linalg.matmul(linalg.matmul(q, lat.gram), linalg.transpose(q)))
+            g = IsometryMap(source=conj.full_sublattice(), target=lat.full_sublattice(), matrix=q)
+            full = brauer_class_of(b, lat.full_sublattice())
+            moved = pushforward_brauer(g, BrauerClass(g.source, full.num, full.den))
+            assert moved.values == fraction_pushforward_values(invert(q), full.values)
+            assert moved.den == full.den
+
+            lifted = lift_to_bfield(alpha)
+            assert lifted.coords == fraction_lift(t, values)
+            assert brauer_class_of(lifted, t) == alpha
+
+            sigma = simple_full_rank_period(lat)
+            assert twisted_period(sigma, b).columns() == fraction_twisted_columns(sigma, coords)
+
+            model = AbelianSurfaceModel(h2=hodge_lattice(lat, sigma), T=t, NS=orthogonal_complement(t))
+            y = fraction_projection(t, coords)
+            if y is None:
+                with pytest.raises(LatticeError, match="degenerate"):
+                    project_coords_on_T(model, b)
+                seen["degenerate"] += 1
+                continue
+            x, d = project_coords_on_T(model, b)
+            assert tuple(Fraction(c, d) for c in x) == y
+            t_km = t.as_lattice().twist(2)
+            km = KummerModel(hodge=hodge_lattice(t_km, simple_full_rank_period(t_km)), pi_star=None)
+            assert kummer_bfield(model, km, b).coords == tuple(c / 2 for c in y)
+        # every branch is reached: trivial and nontrivial classes, equal and
+        # unequal pairs, and degenerate restricted forms
+        assert len(seen) == 5 and min(seen.values()) >= 5

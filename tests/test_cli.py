@@ -16,7 +16,7 @@ from kummerlat.construction import (
 )
 from kummerlat.kummer import twisted_transcendental_model
 from kummerlat.specdoc import SpecDocument, render_spec
-from util import _eichler, brute_det
+from util import _eichler, brute_det, random_sublattice_basis, random_symmetric_lattice_gram
 
 U_DOC = """\
 lattice U
@@ -152,6 +152,37 @@ def disc_corpus():
     return grams
 
 
+# SHA-256 of the `kernel` stdout and --report bytes of every document in
+# kernel_corpus(), concatenated in order. Recorded while B-fields and
+# Brauer classes were stored as Fraction tuples; the class values render
+# into the report.
+KERNEL_CORPUS_SHA256 = "98c027e8dd321e805a52b097099c24abd15064552fd5e1a48a7229d5907fdf6b"
+
+
+def kernel_corpus():
+    """200 seeded (document, kernel arguments) pairs on lattices of rank 1-5.
+
+    Each document holds a nondegenerate Gram with entries in [-4, 4], a
+    B-field with entries p/q, |p| <= 7, 1 <= q <= 8, and a sublattice T
+    of rank 1 up to the ambient rank (util.random_sublattice_basis). One
+    pair in three omits --sublattice, so the class lives on the whole
+    lattice.
+    """
+    rng = random.Random(2323)
+    corpus = []
+    for k in range(200):
+        n = rng.randint(1, 5)
+        gram = random_symmetric_lattice_gram(rng, n, bound=4)
+        coords = [Fraction(rng.randint(-7, 7), rng.randint(1, 8)) for _ in range(n)]
+        rows = random_sublattice_basis(rng, n)
+        text = "lattice L\n" + "".join("  gram %s\n" % " ".join(map(str, row)) for row in gram)
+        text += "\nbfield B\n  lattice L\n  coords %s\n" % " ".join(map(str, coords))
+        text += "\nsublattice T\n  ambient L\n" + "".join(
+            "  row %s\n" % " ".join(map(str, row)) for row in rows)
+        corpus.append((text, ["--bfield", "B"] + ([] if k % 3 == 0 else ["--sublattice", "T"])))
+    return corpus
+
+
 @pytest.fixture
 def u_doc(tmp_path):
     path = tmp_path / "u.doc"
@@ -207,6 +238,17 @@ class TestInfoCommands:
         out = capsys.readouterr().out
         assert "order = 2" in out
         assert "kernel_basis = [[1, 0], [0, 2]]" in out
+
+    def test_kernel_corpus_bytes_match_digest(self, tmp_path, capsys):
+        doc = tmp_path / "k.doc"
+        report = tmp_path / "rep.json"
+        digest = hashlib.sha256()
+        for text, args in kernel_corpus():
+            doc.write_text(text)
+            assert main(["kernel", str(doc)] + args + ["--report", str(report)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+            digest.update(report.read_bytes())
+        assert digest.hexdigest() == KERNEL_CORPUS_SHA256
 
     def test_missing_name_is_input_error(self, u_doc, capsys):
         for argv, what in (

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from kummerlat import (
     BField,
+    BrauerClass,
     H1Frame,
+    IsometryMap,
     Lattice,
     LatticeError,
     MATCH_OR_UNKNOWN,
@@ -17,19 +19,25 @@ from kummerlat import (
     TwistedSurface,
     UndeclaredProduct,
     brauer_class_of,
+    brauer_equal,
     direct_sum,
     exp_b_embedding,
     find_isometry,
     generalized_transcendental,
     genus_equal,
     hodge_lattice,
-    kernel_lattice,
+    kernel_with_coords,
+    kummer_bfield,
+    kummer_transcendental,
+    lift_to_bfield,
     make_standard,
     ns_and_picard,
     omega_symbols,
+    order_of,
     period_from_columns,
     period_pairing,
     period_scalar,
+    pushforward_brauer,
     restrict_period,
     transcendental_lattice,
     twisted_period,
@@ -327,15 +335,26 @@ class TestPeriodVector:
         model = base_abelian_model(3)
         sigma = model.h2.period
         lat, sb, num = sigma.lattice, sigma.symbols, [list(col) for col in sigma.num]
-        bfield = BField(lat, (Fraction(1, 2), 0, Fraction(-1, 3), 0, 0, 1))
+        rational = (Fraction(1, 2), 0, Fraction(-1, 3), 0, 0, 1)
+        bfield = BField(lat, rational)
+        other = BField(lat, (0, Fraction(1, 4), 0, 0, Fraction(2, 3), 0))
         p = random_u3_isometry(random.Random(21))
         phi = twisted_period(sigma, bfield)
         assert phi.den > 1
         h_phi = hodge_lattice(phi.lattice, phi)
         t = model.T
-        kernel = kernel_lattice(brauer_class_of(bfield, t))
+        alpha = brauer_class_of(bfield, t)
+        assert alpha.den > 1
+        kernel = kernel_with_coords(alpha)[0]
         target = generalized_transcendental(sigma, bfield)
         basis_t = linalg.transpose(t.basis)
+        km = kummer_transcendental(model)
+        # g: (U conjugated by q) -> U, and a class of order 4 on its source
+        u = make_standard("U")
+        q = [[2, 1], [1, 1]]
+        conj = Lattice(linalg.matmul(linalg.matmul(q, u.gram), linalg.transpose(q)))
+        g = IsometryMap(source=conj.full_sublattice(), target=u.full_sublattice(), matrix=q)
+        beta = BrauerClass(conj.full_sublattice(), (1, 6), 4)
         work = [
             lambda: PeriodVector(lat, sb, num),
             lambda: PeriodVector(lat, sb, [[4 * x for x in col] for col in num], -8),
@@ -356,6 +375,16 @@ class TestPeriodVector:
             lambda: linalg.invert_unimodular(p),
             lambda: Sublattice(lat, t.basis),
             lambda: Sublattice(lat, p),
+            lambda: BField(lat, (3, 0, -2, 0, 0, 6), -6),
+            lambda: BField(lat, rational),
+            lambda: BrauerClass(t, (7, -1, 0, 3), 6),
+            lambda: brauer_class_of(bfield, t),
+            lambda: brauer_equal(bfield, other, t),
+            lambda: kernel_with_coords(alpha),
+            lambda: order_of(alpha),
+            lambda: pushforward_brauer(g, beta),
+            lambda: lift_to_bfield(alpha),
+            lambda: kummer_bfield(model, km, bfield),
         ]
         assert [fractions_built(monkeypatch, w) for w in work] == [0] * len(work)
 

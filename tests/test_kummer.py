@@ -33,7 +33,7 @@ from kummerlat import (
 )
 from kummerlat import isometry as isometry_module, kummer as kummer_module, lattice as lattice_module, linalg
 from kummerlat.construction import base_abelian_model, product_bfield, product_abelian_model, u_cubed
-from util import random_rational_vector, random_surface_fixture, random_u3_isometry
+from util import frac_mod, random_rational_vector, random_surface_fixture, random_u3_isometry
 
 
 def u_plane_model():
@@ -195,7 +195,7 @@ class TestKummerBrauerClass:
             v1 = TwistedSurface(model, b1).km_brauer.values
             v2 = TwistedSurface(model, b2).km_brauer.values
             vs = TwistedSurface(model, bsum).km_brauer.values
-            assert vs == tuple(linalg.frac_mod(a + b, 1) for a, b in zip(v1, v2))
+            assert vs == tuple(frac_mod(a + b, 1) for a, b in zip(v1, v2))
 
     def test_invariant_under_equivalent_bfields(self):
         rng = random.Random(17)

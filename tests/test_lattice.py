@@ -25,6 +25,7 @@ from kummerlat import (
 from kummerlat import linalg
 from util import (
     brute_det,
+    frac_mod,
     fraction_value_profile,
     invert,
     is_square_mod,
@@ -325,7 +326,7 @@ class TestDiscriminantForm:
                 dual = linalg.vec_times_mat([Fraction(x) for x in z], ginv)
                 # order of the coset: least m with m*dual integral
                 m = lcm(*(x.denominator for x in dual))
-                q = linalg.frac_mod(naive_pair(gram, dual, dual), modulus)
+                q = frac_mod(naive_pair(gram, dual, dual), modulus)
                 profile.append((m, q))
             assert two_primary(tuple(sorted(profile))) == d.profile
 
@@ -361,10 +362,10 @@ class TestDiscriminantForm:
         assert max(abs(x) for g in raw for x in g) > 1
         modulus = 2 if lat.is_even() else 1
         assert d.q_values == tuple(
-            linalg.frac_mod(naive_pair(gram, g, g), modulus) for g in raw
+            frac_mod(naive_pair(gram, g, g), modulus) for g in raw
         )
         assert d.pairings == tuple(
-            tuple(linalg.frac_mod(naive_pair(gram, gi, gj), 1) for gj in raw) for gi in raw
+            tuple(frac_mod(naive_pair(gram, gi, gj), 1) for gj in raw) for gi in raw
         )
         assert d.profile == two_primary(
             fraction_value_profile(gram, d.elementary_divisors, raw, modulus)

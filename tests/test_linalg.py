@@ -10,6 +10,7 @@ from kummerlat import linalg
 from util import (
     assert_smith_columns,
     brute_det,
+    frac_mod,
     fraction_solve,
     invert,
     naive_pair,
@@ -540,7 +541,7 @@ def test_echelon_rows_are_minors():
 
 
 def test_frac_mod():
-    assert linalg.frac_mod(Fraction(7, 2), 1) == Fraction(1, 2)
-    assert linalg.frac_mod(Fraction(-1, 3), 1) == Fraction(2, 3)
-    assert linalg.frac_mod(Fraction(7, 2), 2) == Fraction(3, 2)
-    assert linalg.frac_mod(Fraction(-5, 2), 2) == Fraction(3, 2)
+    assert frac_mod(Fraction(7, 2), 1) == Fraction(1, 2)
+    assert frac_mod(Fraction(-1, 3), 1) == Fraction(2, 3)
+    assert frac_mod(Fraction(7, 2), 2) == Fraction(3, 2)
+    assert frac_mod(Fraction(-5, 2), 2) == Fraction(3, 2)

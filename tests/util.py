@@ -11,7 +11,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
@@ -101,6 +101,79 @@ def invert(rows):
 def naive_pair(gram, v, w):
     """v * gram * w^T as the plain double sum; independent of linalg."""
     return sum(v[i] * gram[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
+
+
+def frac_mod(x, modulus):
+    """Reduce a rational into [0, modulus), in Fraction arithmetic."""
+    x = Fraction(x)
+    return x - (x / modulus).__floor__() * modulus
+
+
+# Fraction oracles for the B-field and Brauer-class kernels, which store
+# integer numerators over one denominator: each takes B-fields by their
+# Fraction coords and classes by their Fraction values, pairs by the
+# plain double sum and reduces with frac_mod.
+
+
+def fraction_class_values(coords, T):
+    """The values t -> pair(t, B) mod 1 on the basis of T."""
+    return tuple(frac_mod(naive_pair(T.ambient.gram, row, coords), 1) for row in T.basis)
+
+
+def fraction_order(values):
+    """The order of a class in Hom(T, Q/Z): the lcm of its value denominators."""
+    return lcm(*(Fraction(v).denominator for v in values))
+
+
+def fraction_kernel_coords(values):
+    """The kernel of a class in T-coordinates: the Hermite basis of c . x = 0 (mod n).
+
+    n is the order (fraction_order) and c = n * values, read off the
+    Fraction values; the reduction itself is linalg's.
+    """
+    from kummerlat import linalg
+
+    n = fraction_order(values)
+    k = len(values)
+    if n == 1 or k == 0:
+        return linalg.identity(k)
+    c = [int(v * n) for v in values]
+    aug = linalg.right_kernel([c + [n]], k + 1)
+    return linalg.hnf([row[:k] for row in aug])
+
+
+def fraction_same_class(coords1, coords2, T):
+    """Whether B1 - B2 pairs integrally with every basis vector of T."""
+    diff = [x - y for x, y in zip(coords1, coords2)]
+    return all(Fraction(naive_pair(T.ambient.gram, row, diff)).denominator == 1 for row in T.basis)
+
+
+def fraction_pushforward_values(inv, values):
+    """The value on each target basis vector: its preimage row of inv against the values, mod 1."""
+    return tuple(frac_mod(sum(Fraction(c) * v for c, v in zip(row, values)), 1) for row in inv)
+
+
+def fraction_lift(T, values):
+    """The B-field coords with pair(t_i, B) = values[i], free coordinates zero, or None."""
+    gram = T.ambient.gram
+    m = [[sum(r[i] * gram[i][j] for i in range(len(r))) for j in range(len(r))] for r in T.basis]
+    x = fraction_solve(m, [[v] for v in values])
+    return None if x is None else tuple(r[0] for r in x)
+
+
+def fraction_twisted_columns(sigma, coords):
+    """The Mukai columns (0, v, pair(B, v)) of exp(B) sigma, one per symbol column v."""
+    return [(0,) + col + (naive_pair(sigma.lattice.gram, coords, col),) for col in sigma.columns()]
+
+
+def fraction_projection(T, coords):
+    """The T-coordinates of the orthogonal projection of B to T tensor Q, or None if degenerate."""
+    gram = T.ambient.gram
+    gram_t = [[naive_pair(gram, r, s) for s in T.basis] for r in T.basis]
+    if brute_det(gram_t) == 0:
+        return None
+    y = fraction_solve(gram_t, [[naive_pair(gram, r, coords)] for r in T.basis])
+    return tuple(r[0] for r in y)
 
 
 def two_kernel_saturation(rows, ncols):
@@ -366,6 +439,24 @@ def random_unimodular(rng, n, shears=6, cap=60):
                 m[i] = [-a for a in m[i]]
         if max(abs(x) for row in m for x in row) <= cap:
             return m
+
+
+def random_sublattice_basis(rng, n):
+    """Rows of a random rank-r sublattice of Z^n, 1 <= r <= n.
+
+    Staircase rows (leading entries in 1, 2, 3, -2, entries after them in
+    [-3, 3]) mixed by a random unimodular matrix, so the basis is
+    independent but rarely a staircase itself.
+    """
+    r = rng.randint(1, n)
+    leads = sorted(rng.sample(range(n), r))
+    rows = [[0] * n for _ in range(r)]
+    for row, lead in zip(rows, leads):
+        row[lead] = rng.choice((1, 1, 2, 3, -2))
+        for j in range(lead + 1, n):
+            row[j] = rng.randint(-3, 3)
+    return [[sum(u * row[j] for u, row in zip(mix, rows)) for j in range(n)]
+            for mix in random_unimodular(rng, r)]
 
 
 def random_rational_vector(rng, n, max_den=6, max_num=6):
