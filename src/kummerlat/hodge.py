@@ -16,7 +16,8 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from . import linalg
-from .lattice import Lattice, LatticeError, Sublattice, _integer, _integer_matrix, orthogonal_complement
+from .lattice import (Lattice, LatticeError, Sublattice, _integer, _integer_matrix, _rational,
+                      orthogonal_complement)
 
 
 class UndeclaredProduct(Exception):
@@ -51,7 +52,7 @@ class SymbolBasis:
         for left, right, combo in self.products:
             if left not in symbols or right not in symbols:
                 raise LatticeError("product declares unknown symbol")
-            combo = tuple((str(s), Fraction(c)) for s, c in combo)
+            combo = tuple((str(s), _rational(c, "product coefficient")) for s, c in combo)
             for s, _ in combo:
                 if s not in symbols:
                     raise LatticeError("product value uses unknown symbol %r" % s)
@@ -144,7 +145,7 @@ class PeriodVector:
         return PeriodVector(target_lattice, self.symbols, linalg.matmul(self.num, matrix), self.den)
 
     def scaled(self, factor):
-        factor = Fraction(factor)
+        factor = _rational(factor, "period scale factor")
         if factor == 0:
             raise LatticeError("period scale factor must be nonzero")
         return PeriodVector(self.lattice, self.symbols,

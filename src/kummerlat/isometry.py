@@ -29,13 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, isqrt, prod
 from operator import mul
 
 from . import linalg
 from .hodge import period_scalar
-from .lattice import Lattice, LatticeError, Sublattice, _integer, _integer_matrix, genus_of
+from .lattice import Lattice, LatticeError, Sublattice, _integer, _integer_matrix, _rational, genus_of
 
 DIFFER = "differ"
 MATCH_OR_UNKNOWN = "match_or_unknown"
@@ -77,7 +76,7 @@ class IsometryMap:
         object.__setattr__(self, "matrix", _integer_matrix(self.matrix, CertificationError))
         object.__setattr__(self, "scale", _integer(self.scale, "scale", CertificationError))
         if self.lam is not None:
-            object.__setattr__(self, "lam", Fraction(self.lam))
+            object.__setattr__(self, "lam", _rational(self.lam, "scalar", CertificationError))
 
 
 def verify_isometry(iso):
@@ -145,20 +144,20 @@ def _definite_sign(gram):
 def short_vectors(gram, norm):
     """All integer vectors of exact given norm for a definite Gram matrix.
 
-    The positive half of the one-norm pool of _norm_pools: a
+    The v's of the positive half of the one-norm pool of _norm_pools: a
     lexicographically sorted list of the vectors whose first nonzero
-    entry is positive (the rest are the negatives of these). Raises
-    ValueError for a Gram matrix that is not definite.
+    entry is positive (the rest are their negatives). Raises ValueError
+    for a Gram matrix that is not definite.
     """
     sign = _definite_sign(gram)
     if sign == 0:
         raise ValueError("short_vectors needs a definite Gram matrix")
     pool = _norm_pools(gram, (norm,), None, sign)[norm]
-    return [v for v in pool if next(c for c in v if c) > 0]
+    return [v for v, _ in pool if next(c for c in v if c) > 0]
 
 
 def _norm_pools(gram, norms, bound, sign):
-    """{norm: every candidate image vector of that norm, lex-sorted}, from one pass.
+    """{norm: (v, v.G) for every candidate image vector v of that norm, lex-sorted}, from one pass.
 
     sign is _definite_sign(gram). Definite targets take every vector of
     each norm (bound plays no part), from one exact Fincke-Pohst
@@ -177,13 +176,16 @@ def _norm_pools(gram, norms, bound, sign):
     integer x_0, rest - w_0 y^2 = P (largest - Q(x)) and P = M_0 w_0.
     The norms are walked from the largest down, and the walk stops at
     the first negative right-hand side. A norm of the wrong sign, or 0,
-    gets an empty pool.
+    gets an empty pool. v.G is computed once per vector kept.
 
     Indefinite targets take the vectors with entries in [-bound, bound],
-    from one scan of the prefixes of all coordinates but the last, in
-    lexicographic order: each prefix's b and q(prefix) are computed
-    once, and for each norm the equation g t^2 + 2 b t + q - norm = 0 is
-    solved exactly for the last coordinate t (_norm_roots).
+    from one lexicographic recursion over the prefixes of all coordinates
+    but the last. It carries acc = prefix.G (every column) and
+    q = prefix.G.prefix^T: setting coordinate i to x_i adds x_i G[i] to
+    acc and x_i (2 acc[i] + x_i G[i][i]) to q, and x_i = 0 passes both
+    on unchanged. At a leaf b = acc[-1], and for each norm the equation
+    g t^2 + 2 b t + q - norm = 0 is solved exactly for the last
+    coordinate t (_norm_roots); v.G is acc + t G[-1].
     """
     pools = {norm: [] for norm in norms}
     if sign:
@@ -227,20 +229,30 @@ def _norm_pools(gram, norms, bound, sign):
             x[i] = 0
 
         rec(n - 1, scale * top)
-        for pool in pools.values():
-            pool.sort()
-        return pools
-    head = [row[:-1] for row in gram[:-1]]
-    last_col = [row[-1] for row in gram[:-1]]
-    g = gram[-1][-1]
+        return {norm: [(v, linalg.vec_times_mat(v, gram)) for v in sorted(pool)]
+                for norm, pool in pools.items()}
+    last = len(gram) - 1
+    last_row, g = gram[last], gram[last][last]
     wanted = list(pools.items())
-    for prefix in product(range(-bound, bound + 1), repeat=len(gram) - 1):
-        b = sum(map(mul, last_col, prefix))
-        q = sum(map(mul, prefix, [sum(map(mul, row, prefix)) for row in head]))
-        for norm, pool in wanted:
-            roots = _norm_roots(g, b, q - norm, bound)
-            if roots:
-                pool.extend(prefix + (t,) for t in roots)
+    x = [0] * last
+
+    def scan(i, acc, q):
+        # acc = prefix.G and q = prefix.G.prefix^T for the coordinates before i
+        if i == last:
+            prefix = tuple(x)
+            for norm, pool in wanted:
+                for t in _norm_roots(g, acc[-1], q - norm, bound):
+                    pool.append((prefix + (t,), [s + t * y for s, y in zip(acc, last_row)]))
+            return
+        row, g_ii = gram[i], gram[i][i]
+        for xi in range(-bound, bound + 1):
+            x[i] = xi
+            if xi:
+                scan(i + 1, [s + xi * y for s, y in zip(acc, row)], q + xi * (2 * acc[i] + xi * g_ii))
+            else:
+                scan(i + 1, acc, q)
+
+    scan(0, [0] * len(gram), 0)
     return pools
 
 
@@ -274,16 +286,12 @@ def _row_domains(g1, g2, bound):
     the gcd of a row's entries, so gcd(v_i G2) = gcd(G1[i]). Row i's
     domain is therefore the norm pool of G1[i][i] cut down to the
     primitive vectors v with gcd(v G2) = gcd(G1[i]). One _norm_pools
-    pass builds the pools of every diagonal norm of G1 at once, v.G2 is
-    computed once per pool vector, and one domain is built per
-    (norm, divisor) key.
+    pass builds the pools of every diagonal norm of G1 at once, with
+    v.G2 beside each vector (the box scan has it in hand already), and
+    one domain is built per (norm, divisor) key.
     """
     keys = [(row[i], gcd(*row)) for i, row in enumerate(g1)]
-    pools = {
-        norm: [(v, linalg.vec_times_mat(v, g2)) for v in pool]
-        for norm, pool in _norm_pools(g2, [norm for norm, _ in keys], bound,
-                                      _definite_sign(g2)).items()
-    }
+    pools = _norm_pools(g2, [norm for norm, _ in keys], bound, _definite_sign(g2))
     domains = {}
     for norm, divisor in keys:
         if (norm, divisor) not in domains:

@@ -46,11 +46,10 @@ from .lattice import LatticeError, Sublattice, genus_of, orthogonal_complement
 
 @dataclass(frozen=True)
 class AbelianSurfaceModel:
-    """H2 of an abelian surface with its transcendental/NS splitting."""
+    """H2 of an abelian surface with its transcendental/NS splitting; NS is built when read."""
 
     h2: HodgeLattice
     T: Sublattice
-    NS: Sublattice
 
     @classmethod
     def from_h2(cls, h2):
@@ -59,8 +58,12 @@ class AbelianSurfaceModel:
             raise LatticeError("abelian-surface H2 must have rank 6")
         if abs(lat.det) != 1 or not lat.is_even() or lat.signature() != (3, 3):
             raise LatticeError("H2 form must be even unimodular of signature (3,3)")
-        T = transcendental_lattice(h2)
-        return cls(h2=h2, T=T, NS=orthogonal_complement(T))
+        return cls(h2=h2, T=transcendental_lattice(h2))
+
+    @cached_property
+    def NS(self):
+        """The Neron-Severi lattice, T's orthogonal complement."""
+        return orthogonal_complement(self.T)
 
     def transcendental_hodge(self):
         """T with its induced form and the restricted period."""
@@ -261,9 +264,9 @@ class TEquivalenceVerdict:
 def hodge_verdict(h1, h2, bound=3):
     """T-equivalence verdict for two Hodge lattices, with certificates.
 
-    Refutes via genus invariants, proves with the witness of
-    find_hodge_isometry, and otherwise reports the step that failed,
-    read from the same witness run.
+    Refutes via genus invariants, proves with the witness of one
+    _certified_hodge_witness run, and otherwise reports the step that
+    failed, read from that same run.
     """
     g1, g2 = genus_of(h1.lattice), genus_of(h2.lattice)
     if g1 != g2:

@@ -47,6 +47,13 @@ def _integer(x, what, error=LatticeError):
     return int(x)
 
 
+def _rational(x, what, error=LatticeError):
+    """x as a Fraction; raises error, naming x as what, unless x is an int or a Fraction."""
+    if type(x) not in (int, Fraction):
+        raise error("%s %r is not an int or a Fraction" % (what, x))
+    return Fraction(x)
+
+
 def _integer_matrix(rows, error=LatticeError):
     """rows as a tuple of int tuples; raises error on a non-integral entry."""
     return tuple(tuple(x if type(x) is int else _integer(x, "matrix entry", error) for x in row)

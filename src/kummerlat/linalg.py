@@ -7,7 +7,10 @@ Maps act on row vectors: the image of v under M is v*M, so compositions
 read left to right. det, rank and solve run on one fraction-free
 elimination, echelon; solve keeps its integer numerators over the one
 denominator that elimination gives, and invert_unimodular is solve
-against the identity, divided by that denominator. hnf, the
+against the identity, divided by that denominator. Gram matrices here
+are sparse and witnesses near-permutations, so echelon leaves a row with
+nothing to eliminate as it is (or only rescales it), and matmul sums
+over the nonzero entries of each left row. hnf, the
 one Hermite reduction, carries no transform; hnf_with_transform and
 right_kernel are blocks of hnf([A | I]). saturation is one unimodular
 triangularization, which keeps its inverse, and one hnf.
@@ -47,10 +50,16 @@ def transpose(rows):
 
 
 def matmul(a, b):
-    if not a:
-        return []
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    """a * b, row i summed as x * b[k] over the nonzero entries x = a[i][k] only."""
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * ncols
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(acc)
+    return out
 
 
 def vec_times_mat(v, m):
@@ -118,6 +127,11 @@ def echelon(rows):
     pivots[:k] + [j]; rows from len(pivots) on are zero. So a square
     matrix eliminated with no swap has its leading principal minors on
     the diagonal, the last one being the scaled determinant.
+
+    Below a pivot piv, with prev the one before it (1 at first), a row
+    with f != 0 in the pivot column takes (piv * x - f * y) // prev; one
+    with f = 0 is left as it is when piv == prev, else scaled once by
+    piv * x // prev, exact by the same Bareiss property.
     """
     a = []
     den = 1
@@ -145,7 +159,10 @@ def echelon(rows):
         piv = a[r][c]
         for i in range(r + 1, m):
             f = a[i][c]
-            a[i] = [0] * (c + 1) + [(piv * x - f * y) // prev for x, y in zip(a[i][c + 1:], top)]
+            if f:
+                a[i] = [0] * (c + 1) + [(piv * x - f * y) // prev for x, y in zip(a[i][c + 1:], top)]
+            elif piv != prev:
+                a[i] = [0] * (c + 1) + [piv * x // prev for x in a[i][c + 1:]]
         pivots.append(c)
         prev = piv
     return a, pivots, swaps, den

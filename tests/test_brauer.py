@@ -30,7 +30,6 @@ from kummerlat import (
     make_standard,
     mukai_lattice,
     order_of,
-    orthogonal_complement,
     pushforward_brauer,
     twisted_period,
     verify_isometry,
@@ -473,7 +472,7 @@ class TestStoredForm:
         lat = model.h2.lattice
         t = Sublattice(lat, ((1, 0, 0, 0, 0, 0),))
         assert [list(row) for row in t.gram()] == [[0]]
-        degenerate = AbelianSurfaceModel(h2=model.h2, T=t, NS=orthogonal_complement(t))
+        degenerate = AbelianSurfaceModel(h2=model.h2, T=t)
         for coords in ((0, Fraction(1, 2), 0, 0, 0, 0), (0,) * 6):
             with pytest.raises(LatticeError, match="restricted form on T is degenerate"):
                 project_coords_on_T(degenerate, BField(lat, coords))
@@ -538,7 +537,7 @@ class TestStoredForm:
             sigma = simple_full_rank_period(lat)
             assert twisted_period(sigma, b).columns() == fraction_twisted_columns(sigma, coords)
 
-            model = AbelianSurfaceModel(h2=hodge_lattice(lat, sigma), T=t, NS=orthogonal_complement(t))
+            model = AbelianSurfaceModel(h2=hodge_lattice(lat, sigma), T=t)
             y = fraction_projection(t, coords)
             if y is None:
                 with pytest.raises(LatticeError, match="degenerate"):

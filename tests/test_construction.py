@@ -53,6 +53,15 @@ class TestFixtures:
             gram = model.T.gram()
             assert gram == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, n), (0, 0, n, 0))
 
+    def test_ns_is_built_when_read(self):
+        # from_h2 builds T alone; NS is T's orthogonal complement, built
+        # on first read and kept, and takes no part in ==
+        model = base_abelian_model(3)
+        assert "NS" not in vars(model)
+        ns = model.NS
+        assert ns == orthogonal_complement(model.T) and model.NS is ns
+        assert model == kummer.AbelianSurfaceModel(h2=model.h2, T=model.T)
+
     def test_product_model_matches_base_for_n1(self):
         ef = product_abelian_model(1)
         base = base_abelian_model(1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kummerlat import (
     BField,
     BrauerClass,
+    CertificationError,
     H1Frame,
     IsometryMap,
     Lattice,
@@ -95,6 +96,28 @@ class TestSymbolBasis:
                 ("1", "a", "b"),
                 (("a", "b", (("a", 1),)), ("b", "a", (("b", 1),))),
             )
+
+    def test_floats_and_strings_rejected_in_exact_inputs(self):
+        # product coefficients, period scale factors and isometry scalars
+        # take ints and Fractions only; a float used to be stored as its
+        # binary expansion and a string was parsed
+        for bad in (0.1, "1/3", 1.0):
+            with pytest.raises(LatticeError):
+                SymbolBasis(("1", "a", "b"), (("a", "a", (("b", bad),)),))
+        lat = make_standard("U")
+        sigma = period_from_columns(lat, SymbolBasis(("1", "s")), {"1": (1, 0), "s": (0, 1)})
+        for bad in (0.1, "1/2", 2.0):
+            with pytest.raises(LatticeError):
+                sigma.scaled(bad)
+        identity = ((1, 0), (0, 1))
+        for bad in (0.1, "1/3", 1.0):
+            with pytest.raises(CertificationError):
+                IsometryMap(lat, lat, identity, lam=bad)
+        sb = SymbolBasis(("1", "a", "b"), (("a", "a", (("b", Fraction(1, 3)), ("1", 2))),))
+        assert sb.product("a", "a") == {"b": Fraction(1, 3), "1": 2}
+        assert sigma.scaled(Fraction(1, 2)).den == 2 and sigma.scaled(-3).num[1] == (0, -3)
+        assert IsometryMap(lat, lat, identity, lam=2).lam == 2
+        assert IsometryMap(lat, lat, identity, lam=Fraction(1, 3)).lam == Fraction(1, 3)
 
     def test_identity_declarations_must_match_identity(self):
         with pytest.raises(LatticeError):

@@ -270,6 +270,13 @@ def test_period_scalar_checks_every_column():
     assert transported(src, period({"1": (1, 1)}), swap) is None
 
 
+def _pool_vectors(pool, gram):
+    """The vectors of a _norm_pools pool, each checked to come with its v.G."""
+    for v, vg in pool:
+        assert vg == linalg.vec_times_mat(v, gram)
+    return [v for v, _ in pool]
+
+
 class TestCandidatePool:
     def test_indefinite_pool_against_box_scan(self):
         # random symmetric Grams, singular ones and zero diagonals included,
@@ -283,12 +290,14 @@ class TestCandidatePool:
                 for j in range(i, n):
                     gram[i][j] = gram[j][i] = rng.choice((0, 0, rng.randint(-4, 4)))
             norm = rng.randint(-6, 6)
-            assert _norm_pools(gram, [norm], bound, 0)[norm] == box_pool(gram, norm, bound)
+            pool = _norm_pools(gram, [norm], bound, 0)[norm]
+            assert _pool_vectors(pool, gram) == box_pool(gram, norm, bound)
 
     def test_degenerate_last_coordinate(self):
         # g = 0 with b != 0, and g = b = 0 where every t in the range solves
-        assert _norm_pools([[1, 1], [1, 0]], [3], 2, 0)[3] == box_pool([[1, 1], [1, 0]], 3, 2)
-        assert _norm_pools([[1, 0], [0, 0]], [1], 1, 0)[1] == [
+        pool = _norm_pools([[1, 1], [1, 0]], [3], 2, 0)[3]
+        assert _pool_vectors(pool, [[1, 1], [1, 0]]) == box_pool([[1, 1], [1, 0]], 3, 2)
+        assert _pool_vectors(_norm_pools([[1, 0], [0, 0]], [1], 1, 0)[1], [[1, 0], [0, 0]]) == [
             (-1, -1), (-1, 0), (-1, 1), (1, -1), (1, 0), (1, 1)
         ]
 
@@ -313,7 +322,8 @@ class TestNormPools:
                     assert sorted(pools) == sorted(set(wanted))
                     for norm in wanted:
                         halved = fraction_short_vectors(gram, norm)
-                        assert pools[norm] == sorted(halved + [tuple(-c for c in v) for v in halved])
+                        assert _pool_vectors(pools[norm], gram) == sorted(
+                            halved + [tuple(-c for c in v) for v in halved])
                         nonempty += bool(pools[norm])
                         empty += not pools[norm]
         assert nonempty > 100 and empty > 100
@@ -334,33 +344,45 @@ class TestNormPools:
                 pools = _norm_pools(gram, wanted, bound, 0)
                 assert sorted(pools) == sorted(set(wanted))
                 for norm in wanted:
-                    assert pools[norm] == box_pool(gram, norm, bound)
+                    assert _pool_vectors(pools[norm], gram) == box_pool(gram, norm, bound)
         assert last_zero > 50
 
     def test_one_enumeration_per_row_domains(self, monkeypatch):
-        # three distinct row norms make one pass: one box scan, or one
-        # echelon for the enumeration besides the one of _definite_sign
-        echelons, scans = [], []
-        echelon, scan = linalg.echelon, isometry.product
+        # three distinct row norms make one pass: one _norm_pools call,
+        # which is one box scan, or one echelon for the enumeration
+        # besides the one of _definite_sign; the pools carry v.G2, so an
+        # indefinite target makes no vec_times_mat call
+        echelons, scans, products = [], [], []
+        echelon, scan, times = linalg.echelon, isometry._norm_pools, linalg.vec_times_mat
 
         def counted_echelon(rows):
             echelons.append(rows)
             return echelon(rows)
 
-        def counted_scan(*args, **kwargs):
+        def counted_scan(*args):
             scans.append(args)
-            return scan(*args, **kwargs)
+            return scan(*args)
+
+        def counted_times(v, m):
+            products.append(v)
+            return times(v, m)
 
         monkeypatch.setattr(linalg, "echelon", counted_echelon)
-        monkeypatch.setattr(isometry, "product", counted_scan)
+        monkeypatch.setattr(isometry, "_norm_pools", counted_scan)
+        monkeypatch.setattr(linalg, "vec_times_mat", counted_times)
         definite = [[2, 1, 0], [1, 4, 1], [0, 1, 6]]
         indefinite = [[2, 1, 0], [1, -4, 1], [0, 1, 6]]
-        for g1, echelon_calls, scan_calls in ((definite, 2, 0), (indefinite, 1, 1)):
+        # the definite pools take v.G2 once per vector they keep
+        kept = sum(map(len, scan(definite, [2, 4, 6], 2, 1).values()))
+        for g1, echelon_calls, product_calls in ((definite, 2, kept), (indefinite, 1, 0)):
             echelons.clear()
             scans.clear()
+            products.clear()
             domains = _row_domains(g1, g1, 2)
             assert all(domains)
-            assert len(echelons) == echelon_calls and len(scans) == scan_calls
+            assert len(echelons) == echelon_calls and len(scans) == 1
+            assert len(products) == product_calls
+        assert kept > 0
 
 
 class TestFindIsometry:

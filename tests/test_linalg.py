@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from kummerlat import linalg
 from util import (
     assert_smith_columns,
     brute_det,
+    dense_echelon,
+    dense_matmul,
     frac_mod,
     fraction_solve,
     invert,
@@ -538,6 +541,106 @@ def test_echelon_rows_are_minors():
                 minor = Matrix([[rows[i][c] for c in cols] for i in range(k + 1)]).det()
                 assert a[k][j] == minor
     assert checked > 40
+
+
+def _block_hyperbolic(rng):
+    """A direct sum of 1-3 even binary blocks, most of them U(k)."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.7:
+            k = rng.randint(1, 5)
+            blocks.append([[0, k], [k, 0]])
+        else:
+            b = rng.randint(-3, 3)
+            blocks.append([[2 * rng.randint(-2, 2), b], [b, 2 * rng.randint(-2, 2)]])
+    n = 2 * len(blocks)
+    gram = [[0] * n for _ in range(n)]
+    for k, block in enumerate(blocks):
+        for i in range(2):
+            for j in range(2):
+                gram[2 * k + i][2 * k + j] = block[i][j]
+    return gram
+
+
+def _mukai_shaped(rng):
+    """H0 + H2 + H4 over a hyperbolic H2: the H0/H4 corner pairs to -1."""
+    h2 = _block_hyperbolic(rng)
+    n = len(h2) + 2
+    gram = [[0] * n for _ in range(n)]
+    gram[0][-1] = gram[-1][0] = -1
+    for i, row in enumerate(h2):
+        gram[i + 1][1:-1] = row
+    return gram
+
+
+def _echelon_fixture(rng, k):
+    """Fixture kind k % 6 of the echelon oracle test."""
+    kind = k % 6
+    if kind == 0:
+        return _block_hyperbolic(rng)
+    if kind == 1:
+        return _mukai_shaped(rng)
+    if kind == 2:
+        # zero columns, anywhere, the first one included
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_rows(rng, m, n)
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            for row in rows:
+                row[j] = 0
+        return rows
+    if kind == 3:
+        # rank-deficient: a thin product, its rows permuted
+        m, n, r = rng.randint(2, 6), rng.randint(2, 6), rng.randint(1, 2)
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        rows = dense_matmul(left, right)
+        rng.shuffle(rows)
+        return rows
+    if kind == 4:
+        # a wide augmented system [G | B] on a sparse Gram
+        gram = rng.choice((_block_hyperbolic, _mukai_shaped))(rng)
+        extra = rng.randint(1, len(gram) + 2)
+        return [row + [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(extra)] for row in gram]
+    return _random_rows(rng, rng.randint(1, 6), rng.randint(1, 6), fractions=True)
+
+
+def test_echelon_against_dense_oracle():
+    # the zero-skipping elimination returns exactly the dense one's
+    # (a, pivots, swaps, den) on every fixture, and all three kinds of
+    # row below a pivot are met
+    rng = random.Random(131)
+    kinds = Counter()
+    for k in range(300):
+        rows = _echelon_fixture(rng, k)
+        if rng.random() < 0.3:
+            rows = [tuple(row) for row in rows]
+        got = linalg.echelon(rows)
+        assert got == dense_echelon(rows, kinds)
+        assert all(type(x) is int for row in got[0] for x in row)
+    assert kinds["same"] and kinds["scale"] and kinds["eliminate"]
+    assert linalg.echelon([]) == dense_echelon([]) == ([], [], 0, 1)
+
+
+def test_matmul_against_dense_oracle():
+    # identical ints (values and types) for integer input, equal values
+    # for Fractions; empty factors and all-zero rows give zeros
+    rng = random.Random(137)
+    for k in range(300):
+        m, n, p = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        fractions = k % 3 == 2
+        a = [[_random_entry(rng, fractions) for _ in range(n)] for _ in range(m)]
+        b = [[_random_entry(rng, fractions) for _ in range(p)] for _ in range(n)]
+        if m and rng.random() < 0.3:
+            a[rng.randrange(m)] = [0] * n
+        got, want = linalg.matmul(a, b), dense_matmul(a, b)
+        assert got == want
+        if not fractions:
+            assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
+    assert linalg.matmul([], [[1, 2]]) == []
+    assert linalg.matmul([[], []], []) == [[], []]
+    zero = linalg.matmul([[0, 0], [1, 0]], [[5, 6], [7, 8]])
+    assert zero == [[0, 0], [5, 6]] and all(type(x) is int for row in zero for x in row)
+    assert linalg.matmul([[1, 0]], [[0, 0], [3, 4]]) == [[0, 0]]
 
 
 def test_frac_mod():

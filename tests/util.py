@@ -673,3 +673,52 @@ def reference_search(g1, g2, bound, period_data):
         return None
 
     return extend(0) if n else None
+
+
+def dense_echelon(rows, kinds=None):
+    """The dense Bareiss elimination that rewrites every row below a pivot.
+
+    The oracle for linalg.echelon, which must return the same
+    (a, pivots, swaps, den). With a Counter as kinds, each row rewrite
+    below a pivot is counted as "same" (zero multiplier, pivot equal to
+    the previous one), "scale" (zero multiplier, pivot changed) or
+    "eliminate" (nonzero multiplier).
+    """
+    a = []
+    den = 1
+    for row in rows:
+        if Fraction in map(type, row):
+            scale = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (scale // x.denominator) for x in row]
+            den *= scale
+        a.append(list(row))
+    m = len(a)
+    ncols = len(a[0]) if m else 0
+    pivots = []
+    swaps = 0
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            swaps += 1
+        top = a[r][c + 1:]
+        piv = a[r][c]
+        for i in range(r + 1, m):
+            f = a[i][c]
+            if kinds is not None:
+                kinds["eliminate" if f else "same" if piv == prev else "scale"] += 1
+            a[i] = [0] * (c + 1) + [(piv * x - f * y) // prev for x, y in zip(a[i][c + 1:], top)]
+        pivots.append(c)
+        prev = piv
+    return a, pivots, swaps, den
+
+
+def dense_matmul(a, b):
+    """a * b as a dense sum over every entry: the oracle for linalg.matmul."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
