@@ -27,7 +27,6 @@ from .hodge import (
     SymbolBasis,
     UndeclaredProduct,
     hodge_lattice,
-    ns_and_picard,
     omega_symbols,
     period_from_columns,
     period_pairing,
@@ -45,7 +44,6 @@ from .isometry import (
     find_hodge_isometry,
     find_isometry,
     genus_equal,
-    hodge_miss_reason,
     short_vectors,
     verify_isometry,
 )
@@ -58,10 +56,8 @@ from .brauer import (
     exp_b_embedding,
     generalized_transcendental,
     kernel_with_coords,
-    lift_to_bfield,
     mukai_lattice,
     order_of,
-    pushforward_brauer,
     twisted_period,
 )
 from .kummer import (
@@ -74,7 +70,6 @@ from .kummer import (
     is_square_ratio,
     kummer_bfield,
     kummer_transcendental,
-    project_to_transcendental,
     t_equivalence,
     transport_isometry,
     twisted_transcendental_model,

@@ -89,16 +89,13 @@ class BrauerClass:
     def values(self):
         return tuple(Fraction(x, self.den) for x in self.num)
 
-    def is_trivial(self):
-        return self.den == 1
-
 
 def mukai_lattice(h2):
     """H0 + H2 + H4 with pairing <a, b> = a2.b2 - a0 b4 - a4 b0.
 
     Coordinates are ordered (h0, h2 ..., h4); the h0/h4 block is
     [[0, -1], [-1, 0]] placed at the outer corners. The lattice is built
-    once per H2 Lattice object and kept on it, like Sublattice._gram; it
+    once per H2 Lattice object and kept on it, like Sublattice.gram; it
     is not a field, so it takes no part in == or hashing.
     """
     mukai = getattr(h2, "_mukai", None)
@@ -214,32 +211,3 @@ def exp_b_embedding(kernel, bfield, target):
     iso = IsometryMap(source=kernel, target=target, matrix=matrix)
     verify_isometry(iso)
     return iso
-
-
-def pushforward_brauer(g, alpha):
-    """Transport a class through a certified isometry g: T1 -> T2.
-
-    The value on the j-th target basis vector is the source value of its
-    g-preimage, an integer product over one denominator; order is preserved.
-    """
-    verify_isometry(g)
-    inv = linalg.invert_unimodular(g.matrix)
-    target = g.target
-    if isinstance(target, Lattice):
-        target = target.full_sublattice()
-    return BrauerClass(target, [linalg.dot(row, alpha.num) for row in inv], alpha.den)
-
-
-def lift_to_bfield(alpha):
-    """A deterministic B-field representing the class (non-canonical).
-
-    Solves pair(t_i, x) = d num[i] in one elimination, so B = x / (d den);
-    free coordinates are zero, which makes the lift reproducible.
-    """
-    T = alpha.T
-    amb = T.ambient
-    solved = linalg.solve(linalg.matmul(T.basis, amb.gram), list(alpha.num))
-    if solved is None:
-        raise LatticeError("class admits no B-field lift on this ambient")
-    x, d = solved
-    return BField(amb, x, d * alpha.den)

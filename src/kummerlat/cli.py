@@ -3,39 +3,26 @@
 Exit codes: 0 = overall verified, 1 = refuted, 2 = inconclusive,
 3 = input error. Malformed input never produces a traceback.
 
-The default search bound is 3; it can be overridden per run with
---bound or globally through the KUMMERLAT_BOUND environment variable.
-The bound limits the entries of the example43 lattice witnesses; it no
-longer limits Hodge isometries between spanning periods, which covers
-every tequiv input, and tequiv keeps --bound K only because its reports
-print it. Reports print exact rationals only. FILE arguments accept "-" for stdin.
+The search bound is 3 unless --bound says otherwise. The bound limits
+the entries of the example43 lattice witnesses; it no longer limits
+Hodge isometries between spanning periods, which covers every tequiv
+input, and tequiv keeps --bound K only because its reports print it.
+Reports print exact rationals only. FILE arguments accept "-" for stdin.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import cache
 
 from .brauer import brauer_class_of, kernel_with_coords, order_of
 from .construction import run_example43
-from .hodge import hodge_lattice, ns_and_picard, transcendental_lattice
+from .hodge import hodge_lattice, transcendental_lattice
 from .kummer import t_equivalence
-from .lattice import LatticeError, discriminant_form, render_lattice
+from .lattice import LatticeError, discriminant_form, orthogonal_complement, render_lattice
 from .report import EXIT_INPUT_ERROR, INCONCLUSIVE, REFUTED, VERIFIED, Report
 from .specdoc import SpecParseError, parse_spec
-
-
-def _default_bound():
-    raw = os.environ.get("KUMMERLAT_BOUND")
-    if raw is None:
-        return 3
-    try:
-        value = int(raw)
-    except ValueError:
-        return 3
-    return value if value >= 1 else 3
 
 
 def _read_file(path):
@@ -92,11 +79,11 @@ def _build_parser():
     p.add_argument("file2", metavar="FILE2")
     p.add_argument("--report", metavar="PATH")
     p.add_argument("--quiet", action="store_true")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=3)
 
     p = sub.add_parser("example43", help="run the order-n worked construction")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=3)
     p.add_argument("--report", metavar="PATH")
     p.add_argument("--quiet", action="store_true")
 
@@ -168,11 +155,11 @@ def _cmd_transcendental(args):
     period = _named(doc.periods, args.period, "period")
     h = hodge_lattice(period.lattice, period)
     t = transcendental_lattice(h)
-    ns, rho = ns_and_picard(h)
+    ns = orthogonal_complement(t)
     rep = Report(command="transcendental --period %s" % args.period)
     rep.add("transcendental", VERIFIED, values={
-        "t_rank": t.rank, "t_basis": t.basis, "t_gram": t.gram(),
-        "ns_rank": rho, "ns_basis": ns.basis, "picard_number": rho,
+        "t_rank": t.rank, "t_basis": t.basis, "t_gram": t.gram,
+        "ns_rank": ns.rank, "ns_basis": ns.basis, "picard_number": ns.rank,
     })
     _emit(args, rep.render_text(), rep)
     return rep.exit_code
@@ -216,11 +203,10 @@ def _cmd_theta(args):
 
 
 def _cmd_tequiv(args):
-    bound = args.bound if args.bound is not None else _default_bound()
     doc1 = parse_spec(_read_file(args.file1))
     doc2 = parse_spec(_read_file(args.file2))
-    verdict = t_equivalence(doc1.surface_model(), doc2.surface_model(), bound)
-    rep = Report(command="tequiv --bound %d" % bound)
+    verdict = t_equivalence(doc1.surface_model(), doc2.surface_model(), args.bound)
+    rep = Report(command="tequiv --bound %d" % args.bound)
     if verdict.kind == "equivalent":
         rep.add("t-equivalence", VERIFIED,
                 values={"verdict": "equivalent", "lambda": verdict.witness.lam},
@@ -240,10 +226,9 @@ def _cmd_tequiv(args):
 def _cmd_example43(args):
     if args.n < 1:
         raise LatticeError("--n must be a positive integer")
-    bound = args.bound if args.bound is not None else _default_bound()
-    if bound < 1:
+    if args.bound < 1:
         raise LatticeError("--bound must be a positive integer")
-    rep = run_example43(args.n, bound)
+    rep = run_example43(args.n, args.bound)
     _emit(args, rep.render_text(), rep)
     return rep.exit_code
 

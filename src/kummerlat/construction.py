@@ -30,7 +30,6 @@ from .brauer import (
 from .hodge import (
     H1Frame,
     hodge_lattice,
-    ns_and_picard,
     omega_symbols,
     period_from_columns,
     period_pairing,
@@ -52,6 +51,7 @@ from .lattice import (
     Sublattice,
     direct_sum,
     make_standard,
+    orthogonal_complement,
     sublattice_quotient,
 )
 from .report import INCONCLUSIVE, REFUTED, VERIFIED, Report
@@ -232,8 +232,10 @@ def run_example43(n, bound=3):
         certificate={"wedge_matrix": wmap},
     )
 
-    # (3) NS(S) is the scaled hyperbolic plane U(n)
-    ns_s, rho = ns_and_picard(s_hodge)
+    # (3) NS(S) is the scaled hyperbolic plane U(n); T(S) is built once, for steps 3 and 4
+    t_s = transcendental_lattice(s_hodge)
+    ns_s = orthogonal_complement(t_s)
+    rho = ns_s.rank
     wit_ns = find_isometry(ns_s.as_lattice(), make_standard("U_n", n), bound)
     rep.add(
         "ns-class",
@@ -243,7 +245,6 @@ def run_example43(n, bound=3):
     )
 
     # (4) T(S) is U + U(n)
-    t_s = transcendental_lattice(s_hodge)
     wit_ts = find_isometry(
         t_s.as_lattice(), direct_sum(make_standard("U"), make_standard("U_n", n)), bound
     )
@@ -273,7 +274,7 @@ def run_example43(n, bound=3):
 
     # (6) the corrected inclusion of T(A_n) into U + U has cyclic cokernel
     inc = inclusion_into_u_plus_u(n)
-    isometric = embedding_preserves_form(inc, a_model.T.gram(), u2.gram)
+    isometric = embedding_preserves_form(inc, a_model.T.gram, u2.gram)
     image = Sublattice(u2, inc)
     index, divisors = sublattice_quotient(image)
     ok6 = isometric and index == n and divisors == ([n] if n > 1 else [])

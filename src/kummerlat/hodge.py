@@ -16,8 +16,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from . import linalg
-from .lattice import (Lattice, LatticeError, Sublattice, _integer, _integer_matrix, _rational,
-                      orthogonal_complement)
+from .lattice import Lattice, LatticeError, Sublattice, _integer, _integer_matrix, _rational
 
 
 class UndeclaredProduct(Exception):
@@ -84,9 +83,6 @@ class SymbolBasis:
             return self._product_table[left, right]
         except KeyError:
             raise UndeclaredProduct(left, right) from None
-
-    def index_of(self, symbol):
-        return self.symbols.index(symbol)
 
 
 _OMEGA_SYMBOLS = SymbolBasis(
@@ -225,17 +221,11 @@ def period_pairing(sigma, tau):
 
 @dataclass(frozen=True)
 class HodgeLattice:
-    """A lattice together with the period line spanning its (2,0)-part."""
+    """The period line spanning the (2,0)-part of a lattice; lattice and symbols are the period's."""
 
-    lattice: Lattice
     period: PeriodVector
-    symbols: SymbolBasis
 
     def __post_init__(self):
-        if self.period.lattice != self.lattice:
-            raise LatticeError("period is not defined over the given lattice")
-        if self.period.symbols != self.symbols:
-            raise LatticeError("period uses a different symbol basis")
         try:
             square = period_pairing(self.period, self.period)
         except UndeclaredProduct:
@@ -243,9 +233,20 @@ class HodgeLattice:
         if square:
             raise LatticeError("period must be isotropic, got %r" % (square,))
 
+    @property
+    def lattice(self):
+        return self.period.lattice
+
+    @property
+    def symbols(self):
+        return self.period.symbols
+
 
 def hodge_lattice(lattice, period):
-    return HodgeLattice(lattice, period, period.symbols)
+    """The HodgeLattice of a period, which must be defined over lattice."""
+    if period.lattice != lattice:
+        raise LatticeError("period is not defined over the given lattice")
+    return HodgeLattice(period)
 
 
 @dataclass(frozen=True)
@@ -339,12 +340,6 @@ def transcendental_lattice(h):
     """
     span = linalg.saturation(h.period.num, h.lattice.rank)
     return Sublattice(h.lattice, span)
-
-
-def ns_and_picard(h):
-    """(Neron-Severi sublattice, Picard number) of a Hodge lattice."""
-    ns = orthogonal_complement(transcendental_lattice(h))
-    return ns, ns.rank
 
 
 def restrict_period(sub, period):

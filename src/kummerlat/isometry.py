@@ -34,7 +34,7 @@ from operator import mul
 
 from . import linalg
 from .hodge import period_scalar
-from .lattice import Lattice, LatticeError, Sublattice, _integer, _integer_matrix, _rational, genus_of
+from .lattice import LatticeError, _integer, _integer_matrix, _rational, genus_of
 
 DIFFER = "differ"
 MATCH_OR_UNKNOWN = "match_or_unknown"
@@ -42,14 +42,6 @@ MATCH_OR_UNKNOWN = "match_or_unknown"
 
 class CertificationError(Exception):
     pass
-
-
-def gram_of(obj):
-    if isinstance(obj, Lattice):
-        return obj.gram
-    if isinstance(obj, Sublattice):
-        return obj.gram()
-    raise TypeError("expected a Lattice or Sublattice")
 
 
 @dataclass(frozen=True)
@@ -83,12 +75,13 @@ def verify_isometry(iso):
     """Revalidate an IsometryMap from scratch; raises CertificationError.
 
     Checks: integral square matrix of the right size, unimodularity,
-    exact Gram transport at the declared scale, and, when periods are
-    attached, that they share one symbol basis, sit on the lattices of
-    the endpoints and are transported at the declared scalar.
+    exact Gram transport at the declared scale, and the periods: both
+    endpoints carry one or neither, a scalar is declared exactly when
+    they do, and then they share one symbol basis, sit on the lattices
+    of the endpoints and are transported at the declared scalar.
     """
-    g_s = gram_of(iso.source)
-    g_t = gram_of(iso.target)
+    g_s = iso.source.gram
+    g_t = iso.target.gram
     n_s, n_t = len(g_s), len(g_t)
     m = iso.matrix
     if len(m) != n_s or any(len(r) != n_t for r in m):
@@ -101,15 +94,18 @@ def verify_isometry(iso):
     expected = [[iso.scale * x for x in row] for row in g_s]
     if not linalg.mat_eq(transported, expected):
         raise CertificationError("Gram matrix is not preserved at scale %s" % iso.scale)
-    if iso.source_period is not None and iso.target_period is not None:
-        if iso.lam is None:
-            raise CertificationError("periods attached but no scalar recorded")
-        if iso.source_period.symbols != iso.target_period.symbols:
-            raise CertificationError("the periods use different symbol bases")
-        if iso.source_period.lattice.gram != g_s or iso.target_period.lattice.gram != g_t:
-            raise CertificationError("a period does not sit on its endpoint's lattice")
-        if period_scalar(iso.source_period, m, iso.target_period) != iso.lam:
-            raise CertificationError("period is not transported at scalar %s" % iso.lam)
+    if iso.source_period is None or iso.target_period is None:
+        if iso.lam is not None or iso.source_period is not iso.target_period:
+            raise CertificationError("a scalar or a period is declared without a period at each end")
+        return True
+    if iso.lam is None:
+        raise CertificationError("periods attached but no scalar recorded")
+    if iso.source_period.symbols != iso.target_period.symbols:
+        raise CertificationError("the periods use different symbol bases")
+    if iso.source_period.lattice.gram != g_s or iso.target_period.lattice.gram != g_t:
+        raise CertificationError("a period does not sit on its endpoint's lattice")
+    if period_scalar(iso.source_period, m, iso.target_period) != iso.lam:
+        raise CertificationError("period is not transported at scalar %s" % iso.lam)
     return True
 
 
@@ -356,7 +352,7 @@ def find_isometry(l1, l2, bound):
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    m = next(_search(gram_of(l1), gram_of(l2), bound), None)
+    m = next(_search(l1.gram, l2.gram, bound), None)
     if m is None:
         return None
     iso = IsometryMap(source=l1, target=l2, matrix=m)
@@ -387,7 +383,7 @@ def _hodge_witness(h1, h2, bound):
     """
     if h1.symbols != h2.symbols:
         return None, None, "the periods use different symbol bases"
-    g1, g2 = gram_of(h1.lattice), gram_of(h2.lattice)
+    g1, g2 = h1.lattice.gram, h2.lattice.gram
     if len(g1) != len(g2):
         return None, None, "the lattices have different ranks"
     p1, p2 = h1.period, h2.period
@@ -429,9 +425,9 @@ def find_hodge_isometry(h1, h2, bound):
     h1 and h2 are HodgeLattice values over a shared symbol basis. Where
     both periods span, the witness is found in closed form at any entry
     size and bound plays no part; otherwise it is the first within
-    [-bound, bound]. None means no witness (hodge_miss_reason says
-    which step failed), not non-isometry. The certificate records the
-    scalar lam.
+    [-bound, bound]. None means no witness, not non-isometry;
+    kummer.hodge_verdict gives the reason, the step that failed. The
+    certificate records the scalar lam.
     """
     return _certified_hodge_witness(h1, h2, bound)[0]
 
@@ -454,7 +450,3 @@ def _certified_hodge_witness(h1, h2, bound):
     verify_isometry(iso)
     return iso, None
 
-
-def hodge_miss_reason(h1, h2, bound):
-    """Why find_hodge_isometry(h1, h2, bound) returned None: the step that failed."""
-    return _hodge_witness(h1, h2, bound)[2]

@@ -120,17 +120,11 @@ def project_coords_on_T(model, bfield):
         raise LatticeError("B-field is not on the model's H2 lattice")
     t = model.T
     rhs = [[t.ambient.pair(row, bfield.num)] + e for row, e in zip(t.basis, linalg.identity(t.rank))]
-    solved = linalg.solve(t.gram(), rhs)
+    solved = linalg.solve(t.gram, rhs)
     if solved is None:
         raise LatticeError("restricted form on T is degenerate")
     x, d = solved
     return [row[0] for row in x], d * bfield.den
-
-
-def project_to_transcendental(model, bfield):
-    """p(B) in ambient coordinates, as Fractions: its T-coordinates times T's basis."""
-    x, d = project_coords_on_T(model, bfield)
-    return tuple(Fraction(c, d) for c in linalg.vec_times_mat(x, model.T.basis))
 
 
 def kummer_bfield(model, km, bfield):

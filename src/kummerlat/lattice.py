@@ -230,33 +230,15 @@ class Sublattice:
     def rank(self):
         return len(self.basis)
 
+    @cached_property
     def gram(self):
         """Induced Gram matrix basis * ambient.gram * basis^T, computed once."""
-        return self._gram
-
-    @cached_property
-    def _gram(self):
         rows = linalg.matmul(self.basis, self.ambient.gram)
         return tuple(tuple(sum(map(mul, r, b)) for b in self.basis) for r in rows)
 
     def as_lattice(self):
         """The abstract lattice carried by this sublattice (nondegenerate only)."""
-        return Lattice(self.gram())
-
-    def _checked_lengths(self, vectors):
-        if any(len(v) != self.ambient.rank for v in vectors):
-            raise LatticeError("vector length does not match rank %d" % self.ambient.rank)
-
-    def contains(self, v):
-        """Whether the ambient vector v lies in the sublattice."""
-        self._checked_lengths([v])
-        if not self.basis:
-            return all(x == 0 for x in v)
-        solved = linalg.solve(linalg.transpose(self.basis), v)
-        if solved is None:
-            return False
-        x, d = solved
-        return all(c % d == 0 for c in x)
+        return Lattice(self.gram)
 
     def coordinates_of(self, v):
         """(coords, d): coordinates of ambient vector v in this basis, over d.
@@ -272,7 +254,8 @@ class Sublattice:
         if not self.basis:
             raise LatticeError("rank-0 sublattice has no coordinates")
         several = bool(v) and isinstance(v[0], (list, tuple))
-        self._checked_lengths(v if several else [v])
+        if any(len(w) != self.ambient.rank for w in (v if several else [v])):
+            raise LatticeError("vector length does not match rank %d" % self.ambient.rank)
         solved = linalg.solve(linalg.transpose(self.basis), linalg.transpose(v) if several else v)
         if solved is None:
             raise LatticeError("vector does not lie in the rational span")

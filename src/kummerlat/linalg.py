@@ -10,10 +10,10 @@ denominator that elimination gives, and invert_unimodular is solve
 against the identity, divided by that denominator. Gram matrices here
 are sparse and witnesses near-permutations, so echelon leaves a row with
 nothing to eliminate as it is (or only rescales it), and matmul sums
-over the nonzero entries of each left row. hnf, the
-one Hermite reduction, carries no transform; hnf_with_transform and
-right_kernel are blocks of hnf([A | I]). saturation is one unimodular
-triangularization, which keeps its inverse, and one hnf.
+over the nonzero entries of each left row. hnf, the one Hermite
+reduction, carries no transform; right_kernel is a block of hnf([A | I]).
+saturation is one unimodular triangularization, which keeps its inverse,
+and one hnf.
 
 Empty matrices are legitimate inputs for the kernel/saturation helpers;
 the ambient dimension is passed explicitly where it cannot be inferred.
@@ -74,10 +74,6 @@ def vec_times_mat(v, m):
         return [sum(map(mul, v, col)) for col in zip(*m)]
     v, den = clear_denominators(v)
     return [Fraction(sum(map(mul, v, col)), den) for col in zip(*m)]
-
-
-def dot(v, w):
-    return sum(x * y for x, y in zip(v, w))
 
 
 def pair_with(gram, v, w):
@@ -230,18 +226,6 @@ def hnf(rows):
                 a[i] = [s - q * t for s, t in zip(a[i], a[r])]
         r += 1
     return a[:r]
-
-
-def hnf_with_transform(rows):
-    """Row-style Hermite normal form with unimodular transform.
-
-    (H, U) with U * rows = H, U unimodular: the left and right blocks of
-    hnf([rows | I]), which has all m rows. H is in hnf's form, with its
-    zero rows at the bottom.
-    """
-    n = len(rows[0]) if rows else 0
-    full = hnf([list(row) + e for row, e in zip(rows, identity(len(rows)))])
-    return [row[:n] for row in full], [row[n:] for row in full]
 
 
 def right_kernel(rows, ncols):

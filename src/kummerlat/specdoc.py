@@ -30,9 +30,10 @@ entries. Rationals are written ``p/q`` or as plain integers. Example::
       period sigma
       bfield B
 
-Parsing is strict: unknown section kinds or keys, dangling references,
-asymmetric or degenerate Gram matrices, and malformed rationals are all
-rejected with a line-anchored message.
+Parsing is strict: unknown section kinds or keys, repeated entries
+(only ``gram``, ``row`` and ``product`` lines may repeat), dangling
+references, asymmetric or degenerate Gram matrices, and malformed
+rationals are all rejected with a line-anchored message.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ def parse_spec(text):
                 raise SpecParseError(lineno, "unknown section kind %r" % kind)
             current = {"kind": kind, "name": name, "line": lineno, "entries": []}
             sections.append(current)
+            seen = set()
         else:
             if current is None:
                 raise SpecParseError(lineno, "indented entry outside any section")
@@ -139,6 +141,13 @@ def parse_spec(text):
                 raise SpecParseError(
                     lineno, "unknown key %r in %s section" % (key, current["kind"])
                 )
+            if key not in ("gram", "row", "product"):  # coeff entries are told apart by symbol
+                entry = " ".join(parts[:2]) if key == "coeff" else key
+                if entry in seen:
+                    raise SpecParseError(
+                        lineno, "repeated %r entry in %s section" % (entry, current["kind"])
+                    )
+                seen.add(entry)
             current["entries"].append((lineno, key, parts[1:]))
 
     doc = SpecDocument()

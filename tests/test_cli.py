@@ -492,12 +492,17 @@ class TestExample43Command:
         assert main(["example43", "--n", "0"]) == 3
         capsys.readouterr()
 
-    def test_bound_env_var(self, monkeypatch, capsys):
-        monkeypatch.setenv("KUMMERLAT_BOUND", "4")
-        assert main(["example43", "--n", "1", "--quiet"]) == 0
-        monkeypatch.setenv("KUMMERLAT_BOUND", "junk")
-        assert main(["example43", "--n", "1", "--quiet"]) == 0
-        capsys.readouterr()
+    def test_bound_defaults_to_three(self, tmp_path, capsys):
+        # without --bound, example43 prints and writes the --bound 3 bytes
+        runs = []
+        for extra in ([], ["--bound", "3"]):
+            report = tmp_path / "rep.json"
+            assert main(["example43", "--n", "1", "--report", str(report)] + extra) == 0
+            runs.append((capsys.readouterr(), report.read_bytes()))
+        assert runs[0] == runs[1]
+        assert "example43 --n 1 --bound 3" in runs[0][0].out
+        golden = Path(__file__).resolve().parent.parent / "bench" / "golden_example43.json"
+        assert hashlib.sha256(runs[0][1]).hexdigest() == json.loads(golden.read_text())["sha256"]["1"]
 
 
 class TestRobustness:

@@ -22,7 +22,6 @@ from kummerlat import (
     find_isometry,
     genus_equal,
     hodge_lattice,
-    hodge_miss_reason,
     make_standard,
     period_from_columns,
     restrict_period,
@@ -450,7 +449,7 @@ class TestFindIsometry:
         # every 2x2 box matrix carries it onto itself, so the first one,
         # ((-1, -1), (-1, -1)), is not unimodular
         zero = Sublattice(direct_sum(U, U), [[1, 0, 0, 0], [0, 0, 1, 0]])
-        assert zero.gram() == ((0, 0), (0, 0))
+        assert zero.gram == ((0, 0), (0, 0))
         nondegenerate = Sublattice(direct_sum(U, U), [[1, 1, 0, 0], [0, 0, 1, 1]])
         for l1, l2 in ((zero, zero), (zero, nondegenerate), (nondegenerate, zero)):
             with pytest.raises(LatticeError):
@@ -511,7 +510,7 @@ class TestFindHodgeIsometry:
         # (1, 1) has norm 2, so no isometry reaches it at any bound
         h3 = hodge_lattice(U, period_from_columns(U, sb, {"s": (1, 1)}))
         assert find_hodge_isometry(h1, h3, 2) is None
-        assert hodge_miss_reason(h1, h3, 2) == "no witness with entries bounded by 2"
+        assert isometry._hodge_witness(h1, h3, 2)[2] == "no witness with entries bounded by 2"
 
     def test_plain_isometry_can_exist_where_hodge_does_not(self):
         sb = SymbolBasis(("1", "w1", "w2"))
@@ -804,6 +803,20 @@ class TestVerifier:
                           lam=0, source_period=h2.period, target_period=h2.period)
         with pytest.raises(CertificationError, match="period is not transported at scalar 0"):
             verify_isometry(bad)
+
+    def test_scalar_without_both_periods_rejected(self):
+        # the scalar of a map with one period, or none, is checked against
+        # nothing; only both periods or neither, with no scalar, certify
+        h = base_abelian_model(2).transcendental_hodge()
+        plain = IsometryMap(source=h.lattice, target=h.lattice, matrix=linalg.identity(4))
+        assert verify_isometry(plain)
+        for periods in ({}, {"source_period": h.period}, {"target_period": h.period}):
+            for lam in (None, 7):
+                if periods or lam is not None:
+                    with pytest.raises(CertificationError, match="a period at each end"):
+                        verify_isometry(replace(plain, lam=lam, **periods))
+        with pytest.raises(CertificationError, match="period is not transported at scalar 7"):
+            verify_isometry(replace(plain, lam=7, source_period=h.period, target_period=h.period))
 
     def test_periods_on_other_symbol_bases_rejected(self):
         h = base_abelian_model(2).transcendental_hodge()

@@ -122,6 +122,27 @@ class TestRejections:
         text = "lattice U\n  gram 0 1\n  gram 1 0\n\nlattice U\n  gram 0 1\n  gram 1 0\n"
         self.assert_error(text, "duplicate")
 
+    def test_repeated_entry_rejected_at_its_line(self):
+        # gram, row and product lines may repeat; every other key appears
+        # once per section, and coeff once per symbol
+        lines = GOOD_DOC.splitlines()
+        keys = set()
+        for i, line in enumerate(lines):
+            key = line.split()[0] if line.startswith("  ") else None
+            if key in (None, "gram", "row", "product"):
+                continue
+            self.assert_error("\n".join(lines[:i + 1] + lines[i:]) + "\n", "repeated", line=i + 2)
+            keys.add(key)
+        assert keys == {"labels", "names", "lattice", "symbols", "coeff", "coords", "ambient",
+                        "period", "bfield"}
+        # a second value is not a silent override
+        for first, second in (("  coords 0 1/2 0 0 0 0\n", "  coords 0 0 0 0 0 0\n"),
+                              ("  coeff w1 = 0 0 1 0 0 0\n", "  coeff w1 = 0 0 0 0 1 0\n")):
+            line = GOOD_DOC[:GOOD_DOC.index(first)].count("\n") + 2
+            self.assert_error(GOOD_DOC.replace(first, first + second), "repeated", line=line)
+        twice = GOOD_DOC.replace("  product w1 w2 = 1 w1w2\n", "  product w1 w2 = 1 w1w2\n" * 2)
+        assert parse_spec(twice).symbol_bases == parse_spec(GOOD_DOC).symbol_bases
+
     def test_entry_outside_section(self):
         self.assert_error("  gram 1\n", "outside any section", line=1)
 

@@ -22,6 +22,7 @@ from kummerlat import (
     CertificationError,
     IsometryMap,
     Lattice,
+    LatticeError,
     NonIntegralTwist,
     Sublattice,
     UndeclaredProduct,
@@ -29,10 +30,10 @@ from kummerlat import (
     hodge_lattice,
     mukai_lattice,
     period_from_columns,
-    omega_symbols,
     saturate,
     verify_isometry,
 )
+from kummerlat import linalg
 from kummerlat.construction import base_abelian_model, u_cubed
 
 
@@ -98,6 +99,24 @@ def invert(rows):
     return inv
 
 
+def contains(sub, v):
+    """Whether the ambient vector v lies in the sublattice sub: integral coordinates over its basis.
+
+    The membership oracle for orthogonal complements, saturations and
+    kernels. v needs one entry per ambient basis vector (LatticeError
+    otherwise); a rank-0 sublattice holds only the zero vector.
+    """
+    if len(v) != sub.ambient.rank:
+        raise LatticeError("vector length does not match rank %d" % sub.ambient.rank)
+    if not sub.basis:
+        return not any(v)
+    solved = linalg.solve(linalg.transpose(sub.basis), v)
+    if solved is None:
+        return False
+    x, d = solved
+    return all(c % d == 0 for c in x)
+
+
 def naive_pair(gram, v, w):
     """v * gram * w^T as the plain double sum; independent of linalg."""
     return sum(v[i] * gram[i][j] * w[j] for i in range(len(v)) for j in range(len(w)))
@@ -131,8 +150,6 @@ def fraction_kernel_coords(values):
     n is the order (fraction_order) and c = n * values, read off the
     Fraction values; the reduction itself is linalg's.
     """
-    from kummerlat import linalg
-
     n = fraction_order(values)
     k = len(values)
     if n == 1 or k == 0:
@@ -146,19 +163,6 @@ def fraction_same_class(coords1, coords2, T):
     """Whether B1 - B2 pairs integrally with every basis vector of T."""
     diff = [x - y for x, y in zip(coords1, coords2)]
     return all(Fraction(naive_pair(T.ambient.gram, row, diff)).denominator == 1 for row in T.basis)
-
-
-def fraction_pushforward_values(inv, values):
-    """The value on each target basis vector: its preimage row of inv against the values, mod 1."""
-    return tuple(frac_mod(sum(Fraction(c) * v for c, v in zip(row, values)), 1) for row in inv)
-
-
-def fraction_lift(T, values):
-    """The B-field coords with pair(t_i, B) = values[i], free coordinates zero, or None."""
-    gram = T.ambient.gram
-    m = [[sum(r[i] * gram[i][j] for i in range(len(r))) for j in range(len(r))] for r in T.basis]
-    x = fraction_solve(m, [[v] for v in values])
-    return None if x is None else tuple(r[0] for r in x)
 
 
 def fraction_twisted_columns(sigma, coords):
@@ -182,8 +186,6 @@ def two_kernel_saturation(rows, ncols):
     Four Hermite reductions where linalg.saturation makes one; the
     result is the HNF basis of the same lattice.
     """
-    from kummerlat import linalg
-
     rows = [r for r in rows if any(r)]
     if not rows:
         return []
@@ -549,8 +551,6 @@ def _eichler(gram, e_idx, x):
 
 def random_u3_isometry(rng, steps=3):
     """A random element of O(U^3) as a row-vector matrix."""
-    from kummerlat import linalg
-
     gram = u_cubed().gram
     gens = _u3_block_isometries()
     m = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
