@@ -7,12 +7,15 @@ The search bound is 3 unless --bound says otherwise. The bound limits
 the entries of the example43 lattice witnesses; it no longer limits
 Hodge isometries between spanning periods, which covers every tequiv
 input, and tequiv keeps --bound K only because its reports print it.
-Reports print exact rationals only. FILE arguments accept "-" for stdin.
+Reports print exact rationals only; --report PATH overwrites an existing
+file in place. FILE arguments accept "-" for stdin.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from functools import cache
 
@@ -90,12 +93,28 @@ def _build_parser():
     return parser
 
 
-def _emit(args, text, report=None):
-    if not args.quiet and text:
-        sys.stdout.write(text)
-    if getattr(args, "report", None) and report is not None:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+def _emit(args, report, text=None):
+    """Print text, or report's text rendering, and write report's JSON to --report.
+
+    Nothing is printed under --quiet, and report is then not rendered as
+    text at all. The JSON overwrites the file at --report in place: it is
+    opened without truncation (a new file gets the mode that open(path,
+    "w") gives), written, and then cut to the length of the new bytes if
+    it is a regular file. A pipe or a device is written as it is.
+    """
+    if not args.quiet:
+        sys.stdout.write(report.render_text() if text is None else text)
+    if args.report:
+        data = report.to_json().encode("utf-8")
+        fd = os.open(args.report, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
 
 
 def _named(table, name, what):
@@ -114,7 +133,7 @@ def _cmd_lattice_info(args):
         "rank": lat.rank, "det": lat.det, "signature": (pos, neg),
         "gram": lat.gram,
     })
-    _emit(args, render_lattice(args.name, lat), rep)
+    _emit(args, rep, render_lattice(args.name, lat))
     return 0
 
 
@@ -136,7 +155,7 @@ def _cmd_disc(args):
         "divisors": disc.elementary_divisors,
         "q_values": disc.q_values,
     })
-    _emit(args, "\n".join(lines) + "\n", rep)
+    _emit(args, rep, "\n".join(lines) + "\n")
     return 0
 
 
@@ -146,7 +165,7 @@ def _cmd_twist(args):
     name = "%s(%d)" % (args.name, args.by)
     rep = Report(command="twist --name %s --by %d" % (args.name, args.by))
     rep.add("twist", VERIFIED, values={"gram": twisted.gram, "det": twisted.det})
-    _emit(args, render_lattice(name, twisted), rep)
+    _emit(args, rep, render_lattice(name, twisted))
     return 0
 
 
@@ -161,7 +180,7 @@ def _cmd_transcendental(args):
         "t_rank": t.rank, "t_basis": t.basis, "t_gram": t.gram,
         "ns_rank": ns.rank, "ns_basis": ns.basis, "picard_number": ns.rank,
     })
-    _emit(args, rep.render_text(), rep)
+    _emit(args, rep)
     return rep.exit_code
 
 
@@ -183,7 +202,7 @@ def _cmd_kernel(args):
         "order": order_of(alpha),
         "kernel_basis": kernel.basis,
     }, certificate={"kernel_in_t_coords": coords})
-    _emit(args, rep.render_text(), rep)
+    _emit(args, rep)
     return rep.exit_code
 
 
@@ -198,7 +217,7 @@ def _cmd_theta(args):
         "km_order": order_of(beta),
         "source_order": order_of(alpha),
     })
-    _emit(args, rep.render_text(), rep)
+    _emit(args, rep)
     return rep.exit_code
 
 
@@ -219,7 +238,7 @@ def _cmd_tequiv(args):
         rep.add("t-equivalence", INCONCLUSIVE,
                 values={"verdict": "inconclusive", "bound": verdict.bound,
                         "detail": verdict.reason})
-    _emit(args, rep.render_text(), rep)
+    _emit(args, rep)
     return rep.exit_code
 
 
@@ -229,7 +248,7 @@ def _cmd_example43(args):
     if args.bound < 1:
         raise LatticeError("--bound must be a positive integer")
     rep = run_example43(args.n, args.bound)
-    _emit(args, rep.render_text(), rep)
+    _emit(args, rep)
     return rep.exit_code
 
 

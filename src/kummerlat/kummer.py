@@ -46,19 +46,29 @@ from .lattice import LatticeError, Sublattice, genus_of, orthogonal_complement
 
 @dataclass(frozen=True)
 class AbelianSurfaceModel:
-    """H2 of an abelian surface with its transcendental/NS splitting; NS is built when read."""
+    """H2 of an abelian surface with its transcendental/NS splitting.
+
+    Only h2 is stored, so h2 alone takes part in ==. T and NS are built
+    on first read and kept: T(A, B) is built from h2, so a caller that
+    reads only the twisted side never saturates the period for T(A).
+    """
 
     h2: HodgeLattice
-    T: Sublattice
 
     @classmethod
     def from_h2(cls, h2):
+        """The model of h2, after checking that h2 is rank 6, even unimodular, of signature (3, 3)."""
         lat = h2.lattice
         if lat.rank != 6:
             raise LatticeError("abelian-surface H2 must have rank 6")
         if abs(lat.det) != 1 or not lat.is_even() or lat.signature() != (3, 3):
             raise LatticeError("H2 form must be even unimodular of signature (3,3)")
-        return cls(h2=h2, T=transcendental_lattice(h2))
+        return cls(h2=h2)
+
+    @cached_property
+    def T(self):
+        """The transcendental lattice T(A), the saturated span of the period."""
+        return transcendental_lattice(self.h2)
 
     @cached_property
     def NS(self):

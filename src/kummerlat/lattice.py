@@ -55,9 +55,14 @@ def _rational(x, what, error=LatticeError):
 
 
 def _integer_matrix(rows, error=LatticeError):
-    """rows as a tuple of int tuples; raises error on a non-integral entry."""
-    return tuple(tuple(x if type(x) is int else _integer(x, "matrix entry", error) for x in row)
-                 for row in rows)
+    """rows as a tuple of int tuples; raises error on a non-integral entry.
+
+    A row of ints alone is checked by one type scan and kept as a tuple;
+    only a row with another type goes entry by entry through _integer.
+    """
+    return tuple(row if set(map(type, row)) <= {int}
+                 else tuple(x if type(x) is int else _integer(x, "matrix entry", error) for x in row)
+                 for row in map(tuple, rows))
 
 
 def _is_staircase(rows):
@@ -95,10 +100,8 @@ class Lattice:
             raise LatticeError("empty lattices are not constructible")
         if any(len(row) != n for row in gram):
             raise LatticeError("gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise LatticeError("gram matrix must be symmetric")
+        if gram != tuple(zip(*gram)):
+            raise LatticeError("gram matrix must be symmetric")
         det = linalg.det(gram)
         if det == 0:
             raise LatticeError("gram matrix must be nondegenerate")

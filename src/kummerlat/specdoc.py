@@ -2,7 +2,9 @@
 
 A document is a sequence of named sections. Section headers are
 ``<kind> <name>`` at column zero; the body lines are indented key/value
-entries. Rationals are written ``p/q`` or as plain integers. Example::
+entries. Rationals are plain integers, which may carry a sign, or
+``p/q`` with q a positive integer written without a sign; decimals,
+exponents and zero denominators are malformed. Example::
 
     lattice U
       gram 0 1
@@ -101,10 +103,21 @@ class SpecDocument:
 
 
 def _parse_rational(tok, lineno):
+    """An integer token as an int, and ``p/q`` as Fraction(p, q).
+
+    p may carry a sign and q must be a positive integer with no sign;
+    anything else, decimals and exponents included, is a malformed
+    rational at lineno.
+    """
+    num, slash, den = tok.partition("/")
     try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise SpecParseError(lineno, "malformed rational %r" % tok)
+        if not slash:
+            return int(num)
+        if den[:1].isdigit() and int(den) > 0:
+            return Fraction(int(num), int(den))
+    except ValueError:
+        pass
+    raise SpecParseError(lineno, "malformed rational %r" % tok)
 
 
 def _parse_int(tok, lineno):

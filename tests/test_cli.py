@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import random
+import stat
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from kummerlat import AbelianSurfaceModel, BField, IsometryMap, hodge_lattice, verify_isometry
+from kummerlat import AbelianSurfaceModel, BField, IsometryMap, hodge_lattice, linalg, verify_isometry
 from kummerlat.cli import main
 from kummerlat.construction import (
     base_abelian_model,
@@ -15,8 +19,17 @@ from kummerlat.construction import (
     u_cubed,
 )
 from kummerlat.kummer import twisted_transcendental_model
+from kummerlat.report import Report
 from kummerlat.specdoc import SpecDocument, render_spec
-from util import _eichler, brute_det, random_sublattice_basis, random_symmetric_lattice_gram
+from util import (
+    _eichler,
+    brute_det,
+    fractions_built,
+    random_sublattice_basis,
+    random_symmetric_lattice_gram,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 U_DOC = """\
 lattice U
@@ -290,6 +303,17 @@ TEQUIV_PAIRS = {
                              (product_abelian_model(2), product_bfield(2))),
 }
 
+
+def write_pair(directory, stem, sides):
+    """Write the two (model, B-field) sides as documents; their paths as strings."""
+    paths = []
+    for k, (model, bfield) in enumerate(sides):
+        path = directory / ("%s%d.doc" % (stem, k))
+        path.write_text(doc_for_surface(model, bfield))
+        paths.append(str(path))
+    return paths
+
+
 # Exit code and SHA-256 of the `tequiv --bound 3 --report` bytes per pair.
 TEQUIV_REPORT_SHA256 = {
     "identical": (0, "3c93ff14d0fbb17c4efa2481019e5df3bd23c04edc54a1ed5e37cce3bb2dac4f"),
@@ -384,13 +408,9 @@ class TestSurfaceCommands:
 
     @pytest.mark.parametrize("name", sorted(TEQUIV_REPORT_SHA256))
     def test_tequiv_report_bytes(self, name, tmp_path, capsys):
-        paths = []
-        for k, (model, bfield) in enumerate(TEQUIV_PAIRS[name]()):
-            paths.append(tmp_path / ("%d.doc" % k))
-            paths[-1].write_text(doc_for_surface(model, bfield))
+        paths = write_pair(tmp_path, name, TEQUIV_PAIRS[name]())
         report = tmp_path / "rep.json"
-        code = main(["tequiv", str(paths[0]), str(paths[1]), "--bound", "3", "--quiet",
-                     "--report", str(report)])
+        code = main(["tequiv", *paths, "--bound", "3", "--quiet", "--report", str(report)])
         capsys.readouterr()
         assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == TEQUIV_REPORT_SHA256[name]
 
@@ -567,3 +587,109 @@ class TestRobustness:
             code = main(["kernel", str(path), "--bfield", "B", "--quiet"])
             assert code in (0, 3)
         capsys.readouterr()
+
+
+class TestReportWriter:
+    """--report overwrites a file in place and writes a pipe as it comes."""
+
+    def test_shorter_report_overwrites_a_longer_one(self, tmp_path, capsys):
+        paths = write_pair(tmp_path, "refuted", TEQUIV_PAIRS["refuted"]())
+        report = tmp_path / "rep.json"
+        assert main(["example43", "--n", "8", "--quiet", "--report", str(report)]) == 1
+        longer = report.stat().st_size
+        open_fds = len(os.listdir("/dev/fd"))
+        code = main(["tequiv", *paths, "--quiet", "--report", str(report)])
+        # the writer leaves no descriptor open
+        assert len(os.listdir("/dev/fd")) == open_fds
+        data = report.read_bytes()
+        assert len(data) < longer
+        assert (code, hashlib.sha256(data).hexdigest()) == TEQUIV_REPORT_SHA256["refuted"]
+        capsys.readouterr()
+
+    def test_pipe_gets_the_whole_report(self, tmp_path, capsys):
+        paths = write_pair(tmp_path, "verified", TEQUIV_PAIRS["verified"]())
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as reader:
+            try:
+                open_fds = len(os.listdir("/dev/fd"))
+                code = main(["tequiv", *paths, "--quiet", "--report", "/dev/fd/%d" % write_end])
+                # checked before the read, which a writer left open would block
+                assert len(os.listdir("/dev/fd")) == open_fds
+            finally:
+                os.close(write_end)
+            data = reader.read()
+        assert (code, hashlib.sha256(data).hexdigest()) == TEQUIV_REPORT_SHA256["verified"]
+        assert capsys.readouterr().err == ""
+
+    def test_directory_is_an_input_error(self, tmp_path, capsys):
+        paths = write_pair(tmp_path, "verified", TEQUIV_PAIRS["verified"]())
+        assert main(["tequiv", *paths, "--quiet", "--report", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_new_file_gets_the_mode_of_open_under_the_umask(self, tmp_path, capsys):
+        paths = write_pair(tmp_path, "verified", TEQUIV_PAIRS["verified"]())
+        umask = os.umask(0o002)
+        try:
+            with open(tmp_path / "reference.json", "w"):
+                pass
+            assert main(["tequiv", *paths, "--quiet", "--report", str(tmp_path / "new.json")]) == 0
+        finally:
+            os.umask(umask)
+        modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("reference.json", "new.json")}
+        assert modes == {0o664}
+        capsys.readouterr()
+
+    def test_dev_mode_runs_warn_of_nothing(self, tmp_path):
+        # -X dev with ResourceWarning as an error: a file the program leaves
+        # open would print to stderr
+        equivalent = write_pair(tmp_path, "verified", TEQUIV_PAIRS["verified"]())
+        refuted = write_pair(tmp_path, "refuted", TEQUIV_PAIRS["refuted"]())
+        report = tmp_path / "rep.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        for args, code in ((["tequiv", *equivalent], 0), (["tequiv", *refuted], 1),
+                           (["example43", "--n", "2"], 1)):
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "kummerlat.cli",
+                 *args, "--report", str(report)],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert (done.returncode, done.stderr) == (code, b"")
+
+
+class TestTequivWork:
+    """What one tequiv call builds; each count repeats exactly from call to call."""
+
+    def test_two_saturations_few_fractions_and_no_text_when_quiet(self, tmp_path, monkeypatch, capsys):
+        # shaped like the benchmark pool: one twisted pair and two mismatched ones
+        pairs = {
+            "twisted": TEQUIV_PAIRS["twisted"](),
+            "refuted": TEQUIV_PAIRS["refuted"](),
+            "mismatched": ((base_abelian_model(3), None), (base_abelian_model(1), None)),
+        }
+        report = tmp_path / "rep.json"
+        argvs = [["tequiv", *write_pair(tmp_path, name, sides), "--report", str(report)]
+                 for name, sides in pairs.items()]
+        saturations, renders = [], []
+        saturation, render_text = linalg.saturation, Report.render_text
+        monkeypatch.setattr(linalg, "saturation",
+                            lambda rows, ncols: saturations.append(1) or saturation(rows, ncols))
+        monkeypatch.setattr(Report, "render_text", lambda rep: renders.append(1) or render_text(rep))
+
+        def counts(argv):
+            codes = []
+            saturations.clear()
+            renders.clear()
+            fractions = fractions_built(monkeypatch, lambda: codes.append(main(argv)))
+            return codes[0], len(saturations), fractions, len(renders)
+
+        rounds = [[counts(argv + ["--quiet"]) for argv in argvs] for _ in range(2)]
+        assert rounds[0] == rounds[1]
+        assert [c[0] for c in rounds[0]] == [0, 1, 1]
+        # T(A, B) once per document: T(A) is never built
+        assert [c[1] for c in rounds[0]] == [2, 2, 2]
+        assert sum(c[2] for c in rounds[0]) <= 25 * len(argvs)
+        assert [c[3] for c in rounds[0]] == [0, 0, 0]
+        capsys.readouterr()
+        # printed, the report is rendered once
+        assert counts(argvs[0])[3] == 1
+        assert "overall: verified" in capsys.readouterr().out

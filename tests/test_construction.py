@@ -53,13 +53,15 @@ class TestFixtures:
             assert gram == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, n), (0, 0, n, 0))
 
     def test_ns_is_built_when_read(self):
-        # from_h2 builds T alone; NS is T's orthogonal complement, built
-        # on first read and kept, and takes no part in ==
+        # from_h2 only validates; T is the saturated span of the period and
+        # NS its orthogonal complement, each built on first read and kept,
+        # and neither takes part in ==
         model = base_abelian_model(3)
-        assert "NS" not in vars(model)
+        assert "T" not in vars(model) and "NS" not in vars(model)
         ns = model.NS
+        assert "T" in vars(model) and model.T == transcendental_lattice(model.h2)
         assert ns == orthogonal_complement(model.T) and model.NS is ns
-        assert model == kummer.AbelianSurfaceModel(h2=model.h2, T=model.T)
+        assert model == kummer.AbelianSurfaceModel(h2=model.h2)
 
     def test_product_model_matches_base_for_n1(self):
         ef = product_abelian_model(1)

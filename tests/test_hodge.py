@@ -56,6 +56,7 @@ from kummerlat.construction import (
 from util import (
     contains,
     fraction_period_pairing,
+    fractions_built,
     random_rational_vector,
     random_surface_fixture,
     random_symmetric_lattice_gram,
@@ -325,21 +326,6 @@ class TestPeriodPairing:
         )
         with pytest.raises(LatticeError):
             hodge_lattice(make_standard("U"), sigma)
-
-
-def fractions_built(monkeypatch, work):
-    """The number of Fractions that work() builds, counted at Fraction.__new__."""
-    calls = []
-    original = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        calls.append(1)
-        return original(cls, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Fraction, "__new__", counting)
-        work()
-    return len(calls)
 
 
 class TestPeriodVector:

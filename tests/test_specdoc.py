@@ -104,6 +104,25 @@ class TestRejections:
             line=7,
         )
 
+    @pytest.mark.parametrize("tok, value", [
+        ("3", 3), ("-3", -3), ("+3", 3), ("0", 0),
+        ("1/2", Fraction(1, 2)), ("-1/2", Fraction(-1, 2)), ("4/2", 2),
+    ])
+    def test_rational_grammar_accepts_integers_and_p_over_q(self, tok, value):
+        doc = parse_spec("lattice L\n  gram 2\n\nbfield B\n  lattice L\n  coords %s\n" % tok)
+        assert doc.bfields["B"].coords == (value,)
+
+    @pytest.mark.parametrize("tok", ["0.5", "1e3", "1/0", "1/-2", "1/", "/2", "1//2", "x"])
+    def test_rational_grammar_rejects_the_rest(self, tok):
+        # decimals, exponents, and zero or signed denominators are not rationals
+        # of the grammar, in coords, coeff and product entries alike
+        self.assert_error("lattice L\n  gram 2\n\nbfield B\n  lattice L\n  coords %s\n" % tok,
+                          "malformed rational", line=6)
+        doc = GOOD_DOC.replace("coeff w1 = 0 0 1", "coeff w1 = 0 0 %s" % tok)
+        self.assert_error(doc, "malformed rational", line=GOOD_DOC.count("\n", 0, GOOD_DOC.index("coeff w1")) + 1)
+        doc = GOOD_DOC.replace("product w1 w2 = 1 w1w2", "product w1 w2 = %s w1w2" % tok)
+        self.assert_error(doc, "malformed rational", line=GOOD_DOC.count("\n", 0, GOOD_DOC.index("product")) + 1)
+
     def test_undeclared_symbol_in_period(self):
         text = (
             "lattice U\n  gram 0 1\n  gram 1 0\n\n"

@@ -37,6 +37,21 @@ from kummerlat import linalg
 from kummerlat.construction import base_abelian_model, u_cubed
 
 
+def fractions_built(monkeypatch, work):
+    """The number of Fractions that work() builds, counted at Fraction.__new__."""
+    calls = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return original(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        work()
+    return len(calls)
+
+
 def brute_det(rows):
     """Determinant by permutation expansion; independent of linalg."""
     n = len(rows)
