@@ -7,15 +7,12 @@ The search bound is 3 unless --bound says otherwise. The bound limits
 the entries of the example43 lattice witnesses; it no longer limits
 Hodge isometries between spanning periods, which covers every tequiv
 input, and tequiv keeps --bound K only because its reports print it.
-Reports print exact rationals only; --report PATH overwrites an existing
-file in place. FILE arguments accept "-" for stdin.
+Reports print exact rationals only. FILE arguments accept "-" for stdin.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import stat
 import sys
 from functools import cache
 
@@ -97,24 +94,13 @@ def _emit(args, report, text=None):
     """Print text, or report's text rendering, and write report's JSON to --report.
 
     Nothing is printed under --quiet, and report is then not rendered as
-    text at all. The JSON overwrites the file at --report in place: it is
-    opened without truncation (a new file gets the mode that open(path,
-    "w") gives), written, and then cut to the length of the new bytes if
-    it is a regular file. A pipe or a device is written as it is.
+    text at all.
     """
     if not args.quiet:
         sys.stdout.write(report.render_text() if text is None else text)
     if args.report:
-        data = report.to_json().encode("utf-8")
-        fd = os.open(args.report, os.O_WRONLY | os.O_CREAT, 0o666)
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, len(data))
-        finally:
-            os.close(fd)
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
 
 
 def _named(table, name, what):

@@ -18,9 +18,6 @@ from types import MappingProxyType
 from . import linalg
 from .lattice import Lattice, LatticeError, Sublattice, _integer, _integer_matrix, _rational
 
-# The coefficient of every identity product, built once and shared.
-_ONE = Fraction(1)
-
 
 class UndeclaredProduct(Exception):
     """A needed symbol product is missing from the multiplication table."""
@@ -60,7 +57,7 @@ class SymbolBasis:
                     raise LatticeError("product value uses unknown symbol %r" % s)
             if "1" in (left, right):
                 other = right if left == "1" else left
-                if dict(combo) != {other: _ONE}:
+                if dict(combo) != {other: Fraction(1)}:
                     raise LatticeError('"1" must act as the identity on %s' % other)
                 continue  # identity products are implicit
             key = (min(left, right), max(left, right))
@@ -73,7 +70,7 @@ class SymbolBasis:
         # they are not fields, so they take no part in == or hashing
         lookup = {}
         for s in symbols:
-            lookup["1", s] = lookup[s, "1"] = MappingProxyType({s: _ONE})
+            lookup["1", s] = lookup[s, "1"] = MappingProxyType({s: Fraction(1)})
         for (a, b), combo in table.items():
             lookup[a, b] = lookup[b, a] = MappingProxyType(dict(combo))
         object.__setattr__(self, "_product_table", lookup)

@@ -55,14 +55,9 @@ def _rational(x, what, error=LatticeError):
 
 
 def _integer_matrix(rows, error=LatticeError):
-    """rows as a tuple of int tuples; raises error on a non-integral entry.
-
-    A row of ints alone is checked by one type scan and kept as a tuple;
-    only a row with another type goes entry by entry through _integer.
-    """
-    return tuple(row if set(map(type, row)) <= {int}
-                 else tuple(x if type(x) is int else _integer(x, "matrix entry", error) for x in row)
-                 for row in map(tuple, rows))
+    """rows as a tuple of int tuples; raises error on a non-integral entry."""
+    return tuple(tuple(x if type(x) is int else _integer(x, "matrix entry", error) for x in row)
+                 for row in rows)
 
 
 def _is_staircase(rows):

@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 import random
-import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -590,21 +589,7 @@ class TestRobustness:
 
 
 class TestReportWriter:
-    """--report overwrites a file in place and writes a pipe as it comes."""
-
-    def test_shorter_report_overwrites_a_longer_one(self, tmp_path, capsys):
-        paths = write_pair(tmp_path, "refuted", TEQUIV_PAIRS["refuted"]())
-        report = tmp_path / "rep.json"
-        assert main(["example43", "--n", "8", "--quiet", "--report", str(report)]) == 1
-        longer = report.stat().st_size
-        open_fds = len(os.listdir("/dev/fd"))
-        code = main(["tequiv", *paths, "--quiet", "--report", str(report)])
-        # the writer leaves no descriptor open
-        assert len(os.listdir("/dev/fd")) == open_fds
-        data = report.read_bytes()
-        assert len(data) < longer
-        assert (code, hashlib.sha256(data).hexdigest()) == TEQUIV_REPORT_SHA256["refuted"]
-        capsys.readouterr()
+    """--report writes a pipe as it comes and closes what it opens."""
 
     def test_pipe_gets_the_whole_report(self, tmp_path, capsys):
         paths = write_pair(tmp_path, "verified", TEQUIV_PAIRS["verified"]())
@@ -625,19 +610,6 @@ class TestReportWriter:
         paths = write_pair(tmp_path, "verified", TEQUIV_PAIRS["verified"]())
         assert main(["tequiv", *paths, "--quiet", "--report", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
-
-    def test_new_file_gets_the_mode_of_open_under_the_umask(self, tmp_path, capsys):
-        paths = write_pair(tmp_path, "verified", TEQUIV_PAIRS["verified"]())
-        umask = os.umask(0o002)
-        try:
-            with open(tmp_path / "reference.json", "w"):
-                pass
-            assert main(["tequiv", *paths, "--quiet", "--report", str(tmp_path / "new.json")]) == 0
-        finally:
-            os.umask(umask)
-        modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("reference.json", "new.json")}
-        assert modes == {0o664}
-        capsys.readouterr()
 
     def test_dev_mode_runs_warn_of_nothing(self, tmp_path):
         # -X dev with ResourceWarning as an error: a file the program leaves
