@@ -6,7 +6,11 @@ Three routes, all exact:
     parity, discriminant divisors, the Jordan symbols at the odd primes
     of |det| that trial division finds, the value profile of A_2 up to
     lattice._PROFILE_CAP), polynomial in rank and log |det| apart from
-    that profile -- sound, never claims isometry;
+    that profile -- sound, never claims isometry. The records are
+    compared in that order and the comparison stops at the first
+    difference: the inertia is read off the lattice's determinant
+    elimination where it needed no row swap, and the odd symbols and
+    the profile are built only when everything before them agrees;
   * bounded backtracking search for an explicit witness matrix -- sound,
     never claims non-isometry. Both forms must be nondegenerate, so every
     witness M is unimodular: its rows are primitive, and since
@@ -121,20 +125,17 @@ def genus_equal(l1, l2):
 def _definite_sign(gram):
     """+1 / -1 for positive/negative definite, 0 otherwise.
 
-    Sylvester's criterion on the leading minors from linalg.echelon: all
-    positive for +1, alternating from a negative M_0 for -1. A row swap
-    or a missing pivot means a zero leading minor, so the form is not
-    definite.
+    Sylvester's criterion on the leading minors, read as the inertia of
+    linalg.det_and_inertia, the one place they are read: no negatives
+    (all minors positive) for +1, no positives (signs alternating from a
+    negative M_0) for -1. No inertia there means a zero leading minor,
+    so the form is not definite.
     """
-    a, pivots, swaps, _ = linalg.echelon(gram)
-    if swaps or len(pivots) < len(gram):
+    inertia = linalg.det_and_inertia(gram)[1]
+    if inertia is None:
         return 0
-    minors = [row[i] for i, row in enumerate(a)]
-    if all(m > 0 for m in minors):
-        return 1
-    if all((m > 0) == (i % 2 == 1) for i, m in enumerate(minors)):
-        return -1
-    return 0
+    pos, neg = inertia
+    return 1 if not neg else -1 if not pos else 0
 
 
 def short_vectors(gram, norm):

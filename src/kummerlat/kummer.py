@@ -57,11 +57,16 @@ class AbelianSurfaceModel:
 
     @classmethod
     def from_h2(cls, h2):
-        """The model of h2, after checking that h2 is rank 6, even unimodular, of signature (3, 3)."""
+        """The model of h2, after checking that h2 is rank 6, even unimodular, of signature (3, 3).
+
+        The signature needs no check of its own: an even unimodular form
+        of signature (p, q) has p - q = 0 mod 8, and at rank 6 the only
+        such p - q in [-6, 6] is 0, so p = q = 3.
+        """
         lat = h2.lattice
         if lat.rank != 6:
             raise LatticeError("abelian-surface H2 must have rank 6")
-        if abs(lat.det) != 1 or not lat.is_even() or lat.signature() != (3, 3):
+        if abs(lat.det) != 1 or not lat.is_even():
             raise LatticeError("H2 form must be even unimodular of signature (3,3)")
         return cls(h2=h2)
 

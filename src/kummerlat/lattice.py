@@ -81,7 +81,9 @@ class Lattice:
 
     det, the determinant of gram, is a plain attribute kept from the
     nondegeneracy check; it is not a field, so it takes no part in ==
-    or hashing.
+    or hashing. That check is one elimination (linalg.det_and_inertia),
+    and where it needed no row swap its leading minors also give the
+    inertia, which signature() returns; it is kept beside det.
     """
 
     gram: tuple
@@ -97,10 +99,11 @@ class Lattice:
             raise LatticeError("gram matrix must be square")
         if gram != tuple(zip(*gram)):
             raise LatticeError("gram matrix must be symmetric")
-        det = linalg.det(gram)
+        det, inertia = linalg.det_and_inertia(gram)
         if det == 0:
             raise LatticeError("gram matrix must be nondegenerate")
         object.__setattr__(self, "det", det)
+        object.__setattr__(self, "_inertia", inertia)
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != n:
@@ -127,44 +130,56 @@ class Lattice:
         return Lattice([[m * x for x in row] for row in self.gram], self.labels)
 
     def signature(self):
-        """Exact inertia (positives, negatives) via symmetric reduction.
+        """Exact inertia (positives, negatives).
 
-        Each step pivots on a nonzero diagonal entry p and replaces the rest
-        by |p| times its Schur complement, |p| m[a][j] - sign(p) m[a][i] m[i][j],
-        then divides by the positive gcd; positive scaling keeps inertia.
+        Read by Jacobi's rule off the leading minors of the determinant
+        elimination when it needed no row swap; otherwise some leading
+        minor vanishes and _symmetric_inertia reduces the Gram.
         """
-        m = [list(row) for row in self.gram]
-        alive = list(range(self.rank))
-        pos = 0
-        while alive:
-            i = next((a for a in alive if m[a][a] != 0), None)
-            if i is None:
-                # every diagonal entry vanishes; a row+column add creates one
-                a = next(x for x in alive for y in alive if x != y and m[x][y] != 0)
-                b = next(y for y in alive if y != a and m[a][y] != 0)
-                for j in alive:
-                    m[a][j] += m[b][j]
-                for j in alive:
-                    m[j][a] += m[j][b]
-                continue
-            alive.remove(i)
-            piv = m[i][i]
-            pos += piv > 0
-            for a in alive:
-                f = m[a][i] if piv > 0 else -m[a][i]
-                for j in alive:
-                    m[a][j] = abs(piv) * m[a][j] - f * m[i][j]
-            g = gcd(*(m[a][j] for a in alive for j in alive))
-            for a in alive:
-                for j in alive:
-                    m[a][j] //= g
-        return (pos, self.rank - pos)
+        if self._inertia is not None:
+            return self._inertia
+        return _symmetric_inertia(self.gram)
 
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def full_sublattice(self):
         return Sublattice(self, linalg.identity(self.rank))
+
+
+def _symmetric_inertia(gram):
+    """Exact inertia (positives, negatives) of gram via symmetric reduction.
+
+    Each step pivots on a nonzero diagonal entry p and replaces the rest
+    by |p| times its Schur complement, |p| m[a][j] - sign(p) m[a][i] m[i][j],
+    then divides by the positive gcd; positive scaling keeps inertia.
+    """
+    m = [list(row) for row in gram]
+    alive = list(range(len(m)))
+    pos = 0
+    while alive:
+        i = next((a for a in alive if m[a][a] != 0), None)
+        if i is None:
+            # every diagonal entry vanishes; a row+column add creates one
+            a = next(x for x in alive for y in alive if x != y and m[x][y] != 0)
+            b = next(y for y in alive if y != a and m[a][y] != 0)
+            for j in alive:
+                m[a][j] += m[b][j]
+            for j in alive:
+                m[j][a] += m[j][b]
+            continue
+        alive.remove(i)
+        piv = m[i][i]
+        pos += piv > 0
+        for a in alive:
+            f = m[a][i] if piv > 0 else -m[a][i]
+            for j in alive:
+                m[a][j] = abs(piv) * m[a][j] - f * m[i][j]
+        g = gcd(*(m[a][j] for a in alive for j in alive))
+        for a in alive:
+            for j in alive:
+                m[a][j] //= g
+    return (pos, len(m) - pos)
 
 
 def make_standard(kind, param=None):
@@ -294,36 +309,70 @@ def sublattice_quotient(s):
     return (prod(diag) if s.rank == s.ambient.rank else None), divisors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscriminantForm:
     """The finite quadratic form on A = dual/lattice, with canonical invariants.
 
     `columns` holds, for each elementary divisor d_i, the integer column
     of the Smith transform reduced mod d_i; the generator g_i is that
-    column over d_i, an element of [0, 1)^n. The generators, as
+    column over d_i, an element of [0, 1)^n. Everything else is computed
+    from the columns on first read and kept: the generators, as
     Fractions, and their q values and pairings (integer pairings of the
-    columns, reduced over d_i d_j) are computed on first read; only
-    display reads them. q values live in Q/2Z for even
-    lattices and Q/Z for odd ones (the finer value is not well defined
-    in the odd case); pairings live in Q/Z.
-    `==` compares the presentation-independent fields: the divisors, the
-    parity `modulus` and two invariants of the p-parts A_p of A.
+    columns, reduced over d_i d_j), which only display reads, and the
+    two invariants of the p-parts A_p of A that `==` compares. q values
+    live in Q/2Z for even lattices and Q/Z for odd ones (the finer value
+    is not well defined in the odd case); pairings live in Q/Z.
     `odd_symbols` holds, for each odd prime p | |A| that trial division
     finds (see _odd_primes), the pair (p, Jordan symbol of the lattice at
-    p), which determines A_p. `profile` is the sorted multiset of
-    (element order, q(element)) over A_2 alone, or None when A_2 is too
-    large to enumerate; that and the primes depend on the divisors alone.
-    Unequal forms are provably not isomorphic. Equal ones need not be:
-    the 2-adic symbol is not compared, nor A_2 above _PROFILE_CAP, nor
-    the p-parts for primes that trial division skips.
+    p), read off A_p, which it determines (see _odd_symbol). `profile` is
+    the sorted multiset of (element order, q(element)) over A_2 alone, or
+    None when A_2 is too large to enumerate; that and the primes depend
+    on the divisors alone.
+    `==` compares the presentation-independent invariants in this order
+    and stops at the first difference: the divisors, the parity
+    `modulus`, the odd symbols, the profile. So a pair told apart by its
+    divisors builds neither of the last two, and one told apart by an
+    odd symbol builds no profile; the hash reads the divisors and the
+    modulus alone. Unequal forms are provably not isomorphic. Equal ones
+    need not be: the 2-adic symbol is not compared, nor A_2 above
+    _PROFILE_CAP, nor the p-parts for primes that trial division skips.
     """
 
     elementary_divisors: tuple
-    columns: tuple = field(repr=False, compare=False, default=())
-    gram: tuple = field(repr=False, compare=False, default=())
+    columns: tuple = field(repr=False, default=())
+    gram: tuple = field(repr=False, default=())
     modulus: int = 2
-    profile: tuple = field(repr=False, default=None)
-    odd_symbols: tuple = field(repr=False, default=())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.elementary_divisors == other.elementary_divisors
+                and self.modulus == other.modulus
+                and self.odd_symbols == other.odd_symbols
+                and self.profile == other.profile)
+
+    def __hash__(self):
+        return hash((self.elementary_divisors, self.modulus))
+
+    @cached_property
+    def odd_symbols(self):
+        if not self.elementary_divisors:
+            return ()
+        return tuple((p, _odd_symbol(self.gram, p, self.elementary_divisors, self.columns))
+                     for p in _odd_primes(self.elementary_divisors[-1]))
+
+    @cached_property
+    def profile(self):
+        """The value profile of A_2, from the columns of its generators, or None above the cap.
+
+        A generator of order d = 2^e m, m odd, gives m g of order 2^e:
+        the column mod 2^e over 2^e.
+        """
+        twos = [(d & -d, col) for d, col in zip(self.elementary_divisors, self.columns) if d % 2 == 0]
+        if prod(two for two, _ in twos) > _PROFILE_CAP:
+            return None
+        return _value_profile(self.gram, [two for two, _ in twos],
+                              [[c % two for c in col] for two, col in twos], self.modulus)
 
     @cached_property
     def generators(self):
@@ -355,7 +404,7 @@ class DiscriminantForm:
 
 
 def discriminant_form(lattice):
-    """Compute dual/lattice: SNF generators, divisors and the invariants.
+    """Compute dual/lattice: SNF generators and divisors; the invariants on first read.
 
     With D = S G T the Smith form of the Gram matrix G (S, T unimodular),
     the dual basis vectors e_i S^-1 G^-1 generate dual/L. Since G is
@@ -363,42 +412,21 @@ def discriminant_form(lattice):
     by d_i: no matrix is inverted, and S is never built. L = Z^n in
     these coordinates, so only the class of the generator matters: its
     integer column is kept reduced mod d_i (`columns`), and no Fraction
-    is built here. A generator of order d = 2^e m, m odd, gives m g of
-    order 2^e, the column mod 2^e over 2^e; these generate A_2 for the
-    profile, which is computed in integers.
+    is built here.
     """
     n = lattice.rank
     diag, t = linalg.snf_with_transforms(lattice.gram)
-    modulus = 2 if lattice.is_even() else 1
     divisors = []
     columns = []
     for i, d in enumerate(diag):
         if d > 1:
             divisors.append(d)
             columns.append(tuple(t[j][i] % d for j in range(n)))
-    two_divisors = []
-    two_columns = []
-    for dv, col in zip(divisors, columns):
-        two = dv & -dv
-        if two > 1:
-            two_divisors.append(two)
-            two_columns.append([c % two for c in col])
-    profile = None
-    if prod(two_divisors) <= _PROFILE_CAP:
-        profile = _value_profile(lattice.gram, two_divisors, two_columns, modulus)
-    odd_symbols = ()
-    if divisors:
-        odd_symbols = tuple(
-            (p, _odd_symbol(lattice.gram, p, sum(_valuation(dv, p) for dv in divisors)))
-            for p in _odd_primes(divisors[-1])
-        )
     return DiscriminantForm(
         elementary_divisors=tuple(divisors),
         columns=tuple(columns),
         gram=lattice.gram,
-        modulus=modulus,
-        profile=profile,
-        odd_symbols=odd_symbols,
+        modulus=2 if lattice.is_even() else 1,
     )
 
 
@@ -434,26 +462,49 @@ def _odd_primes(n):
     return primes
 
 
-def _odd_symbol(gram, p, v):
+def _odd_symbol(gram, p, divisors, columns):
     """Jordan symbol at the odd prime p: ((k, n_k, eps_k) for each scale p^k, k >= 1).
 
-    v is the exponent of p in det G. Over the p-adic integers G is
-    congruent to a diagonal form sum p^k_i u_i, u_i units (p is odd).
-    The diagonalisation runs over Z/p^(v+1): the exponents k_i add up
-    to v, so every pivot stays nonzero there and its unit is known mod
-    p. Each step pivots on an entry of least p-valuation; when only an
-    off-diagonal entry (a, b) has it, adding row and column b to row and
-    column a first puts it on the diagonal, where 2 G[a][b] keeps that
-    valuation because p is odd. n_k counts the pivots of scale p^k and
-    eps_k is the Legendre symbol of the product of their units. The
-    scales k >= 1 are the p-part of the discriminant form, which they
-    determine (Conway-Sloane, SPLAG ch. 15 section 7; Nikulin 1979);
-    with rank and det they give the whole p-adic genus symbol.
+    Over the p-adic integers G is congruent to a diagonal form
+    sum p^k_i u_i, u_i units (p is odd); n_k counts the constituents of
+    scale p^k and eps_k is the Legendre symbol of the product of their
+    units. The scales k >= 1 are exactly what the p-part A_p of the
+    discriminant form determines (Nikulin 1979; Conway-Sloane, SPLAG
+    ch. 15 section 7): a constituent p^k u contributes a cyclic summand
+    of order p^k with value u / p^k. So the symbol is read off A_p, not
+    off G; with rank and det it gives the whole p-adic genus symbol.
+    A_p is the direct sum of the cyclic groups of the h_i = c_i / p^e_i,
+    over the columns c_i whose divisor d_i has e_i = v_p(d_i) >= 1.
+    Since c_i G = 0 mod d_i, every c_i G c_j^T is a multiple of
+    p^max(e_i, e_j); with E the largest e_i, which is at least
+    min(e_i, e_j), the m x m matrix
+    P_ij = p^E c_i G c_j^T / p^(e_i + e_j) = p^E b(h_i, h_j) is integral,
+    and defined mod p^E. Diagonalised over Z/p^(E+1) by _pivot_units,
+    A_p being nondegenerate makes every pivot a unit at a valuation
+    E - k below E: a constituent of scale p^k. m is the number of
+    divisors that p divides, usually 1, where G is n x n.
     """
-    mod = p ** (v + 1)
-    m = [[x % mod for x in row] for row in gram]
+    part = [(_valuation(d, p), col) for d, col in zip(divisors, columns) if d % p == 0]
+    top = max(e for e, _ in part)
+    form = [[linalg.pair_with(gram, ci, cj) * p ** top // p ** (ei + ej) for ej, cj in part]
+            for ei, ci in part]
+    return _symbol(((top - k, u) for k, u in _pivot_units(form, p, top + 1)), p)
+
+
+def _pivot_units(m, p, e):
+    """The (valuation, unit) of each pivot of the symmetric integer m diagonalised over Z/p^e.
+
+    p is an odd prime, and e exceeds the valuation of every pivot, so
+    that each pivot stays nonzero mod p^e and its unit is known mod p.
+    Each step pivots on an entry of least p-valuation; when only an
+    off-diagonal entry (a, b) has it, adding row and column b to row and
+    column a first puts it on the diagonal, where 2 m[a][b] keeps that
+    valuation because p is odd.
+    """
+    mod = p ** e
+    m = [[x % mod for x in row] for row in m]
     alive = list(range(len(m)))
-    units = {}
+    pivots = []
     while alive:
         # least valuation first, and a diagonal entry before an off-diagonal one
         k, _, a, b = min(
@@ -475,11 +526,18 @@ def _odd_symbol(gram, p, v):
             if f:
                 for j in alive:
                     m[c][j] = (m[c][j] - f * row[j]) % mod
+        pivots.append((k, unit))
+    return pivots
+
+
+def _symbol(pivots, p):
+    """((k, n_k, eps_k), ...) over the scales k of (k, unit) pairs, ascending in k."""
+    units = {}
+    for k, unit in pivots:
         units.setdefault(k, []).append(unit)
     return tuple(
         (k, len(us), 1 if pow(prod(us), (p - 1) // 2, p) == 1 else -1)
         for k, us in sorted(units.items())
-        if k
     )
 
 

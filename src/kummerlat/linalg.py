@@ -4,8 +4,8 @@ Everything below runs on Python ints and fractions.Fraction; no floating
 point. A matrix is any sequence of equal-length rows, tuples and lists
 alike; no input is modified, and matrices come back as lists of lists.
 Maps act on row vectors: the image of v under M is v*M, so compositions
-read left to right. det, rank and solve run on one fraction-free
-elimination, echelon; solve keeps its integer numerators over the one
+read left to right. det, det_and_inertia, rank and solve run on one
+fraction-free elimination, echelon; solve keeps its integer numerators over the one
 denominator that elimination gives, and invert_unimodular is solve
 against the identity, divided by that denominator. Gram matrices here
 are sparse and witnesses near-permutations, so echelon leaves a row with
@@ -186,6 +186,28 @@ def det(rows):
         return 0
     num = (-1) ** swaps * a[-1][-1] if n else 1
     return num // den if num % den == 0 else Fraction(num, den)
+
+
+def det_and_inertia(rows):
+    """(det, inertia) of a symmetric integer matrix, from one echelon.
+
+    When the elimination needs no row swap and finds a pivot in every
+    column, the diagonal of its rows holds the leading principal minors
+    D_1, ..., D_n, all nonzero, and Jacobi's rule reads the inertia
+    (positives, negatives) off them: the negatives are the sign changes
+    in 1, D_1, ..., D_n. Otherwise some leading minor vanishes, the rule
+    does not apply, and inertia is None; det is then 0 exactly when a
+    pivot is missing.
+    """
+    n = len(rows)
+    a, pivots, swaps, _ = echelon(rows)
+    if len(pivots) < n:
+        return 0, None
+    if swaps:
+        return (-1) ** swaps * a[-1][-1], None
+    minors = [row[i] for i, row in enumerate(a)]
+    neg = sum((x < 0) != (y < 0) for x, y in zip([1] + minors, minors))
+    return minors[-1], (n - neg, neg)
 
 
 def rank(rows):

@@ -89,23 +89,24 @@ class TestMukaiLattice:
 
     def test_built_once_per_h2_object(self, monkeypatch):
         u3 = direct_sum(direct_sum(U, U), U)
-        dets = []
-        original = linalg.det
+        # one elimination per Lattice construction, counted by its size
+        eliminations = []
+        original = linalg.echelon
 
         def counting(rows):
-            dets.append(len(rows))
+            eliminations.append(len(rows))
             return original(rows)
 
-        monkeypatch.setattr(linalg, "det", counting)
+        monkeypatch.setattr(linalg, "echelon", counting)
         first = mukai_lattice(u3)
         assert mukai_lattice(u3) is first
         assert mukai_lattice(u3).pair((1,) + (0,) * 7, (0,) * 7 + (1,)) == -1
-        assert dets == [8]
+        assert eliminations == [8]
         # an equal lattice is another object, with its own Mukai lattice
         twin = Lattice(u3.gram, u3.labels)
         assert twin == u3 and hash(twin) == hash(u3)
         assert mukai_lattice(twin) == first and mukai_lattice(twin) is not first
-        assert dets == [8, 6, 8]
+        assert eliminations == [8, 6, 8]
         assert "_mukai" not in {f.name for f in fields(Lattice)}
 
 

@@ -205,17 +205,18 @@ class TestKernelsWorkOnce:
     """Each exact kernel of the example43 path does its work once."""
 
     def test_lattice_det_is_kept_from_the_nondegeneracy_check(self, monkeypatch):
+        # one elimination per construction; det and signature read its result
         calls = []
-        det = linalg.det
+        echelon = linalg.echelon
 
         def counting(rows):
             calls.append(rows)
-            return det(rows)
+            return echelon(rows)
 
-        monkeypatch.setattr(linalg, "det", counting)
+        monkeypatch.setattr(linalg, "echelon", counting)
         lat = Lattice([[2, 1, 0], [1, 3, 0], [0, 0, -1]])
         assert len(calls) == 1
-        assert lat.det == -5 and lat.det == -5
+        assert lat.det == -5 and lat.det == -5 and lat.signature() == (2, 1)
         assert len(calls) == 1
         # and the kept value takes no part in equality or hashing
         same = Lattice(lat.gram)

@@ -10,6 +10,7 @@ from kummerlat import (
     BField,
     CertificationError,
     IsometryMap,
+    Lattice,
     LatticeError,
     SymbolBasis,
     TwistedSurface,
@@ -21,6 +22,7 @@ from kummerlat import (
     is_square_ratio,
     kummer_bfield,
     kummer_transcendental,
+    direct_sum,
     make_standard,
     order_of,
     period_from_columns,
@@ -31,7 +33,15 @@ from kummerlat import (
 )
 from kummerlat import isometry as isometry_module, kummer as kummer_module, lattice as lattice_module, linalg
 from kummerlat.construction import base_abelian_model, product_bfield, product_abelian_model, u_cubed
-from util import frac_mod, random_rational_vector, random_surface_fixture, random_u3_isometry
+from util import (
+    frac_mod,
+    random_rational_vector,
+    random_surface_fixture,
+    random_u3_isometry,
+    random_unimodular,
+    signature_oracle,
+    simple_full_rank_period,
+)
 
 
 def u_plane_model():
@@ -528,6 +538,44 @@ class TestMissCauses:
         verdict = hodge_verdict(h1, h2, bound=1)
         assert verdict.kind == "equivalent"
         assert verdict.witness.matrix == ((0, -1), (-1, 0)) and verdict.witness.lam == 1
+
+
+def _model_on(gram):
+    lat = Lattice(gram)
+    return AbelianSurfaceModel.from_h2(hodge_lattice(lat, simple_full_rank_period(lat)))
+
+
+class TestFromH2:
+    """from_h2 checks rank 6 and even unimodularity; the signature (3, 3) follows."""
+
+    def test_rejections_keep_their_messages(self):
+        odd = [[(1 if i < 3 else -1) if i == j else 0 for j in range(6)] for i in range(6)]
+        u = make_standard("U")
+        scaled = direct_sum(direct_sum(u, u), make_standard("U_n", 2)).gram
+        rank5 = direct_sum(direct_sum(u, u), make_standard("rank1", 2)).gram
+        for gram, message in ((odd, "H2 form must be even unimodular of signature (3,3)"),
+                              (scaled, "H2 form must be even unimodular of signature (3,3)"),
+                              (rank5, "abelian-surface H2 must have rank 6")):
+            with pytest.raises(LatticeError) as err:
+                _model_on(gram)
+            assert str(err.value) == message
+        assert signature_oracle(odd) == (3, 3)
+
+    def test_unimodular_conjugates_of_u3_accepted_without_a_reduction(self, monkeypatch):
+        def refuse(gram):
+            raise AssertionError("symmetric reduction run")
+
+        monkeypatch.setattr(lattice_module, "_symmetric_inertia", refuse)
+        rng = random.Random(331)
+        g = u_cubed().gram
+        for k in range(40):
+            q = random_u3_isometry(rng) if k % 2 else random_unimodular(rng, 6, shears=5, cap=4)
+            gram = linalg.matmul(linalg.matmul(q, g), linalg.transpose(q))
+            assert signature_oracle(gram) == (3, 3)
+            assert _model_on(gram).h2.lattice.gram == tuple(map(tuple, gram))
+        for _ in range(10):
+            model, _, _ = random_surface_fixture(rng)
+            assert model.h2.lattice.gram == g
 
 
 class TestSquareRatio:

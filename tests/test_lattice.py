@@ -22,18 +22,21 @@ from kummerlat import (
     saturate,
     sublattice_quotient,
 )
-from kummerlat import linalg
+from kummerlat import lattice as lattice_module, linalg
 from util import (
     brute_det,
     contains,
     frac_mod,
     fraction_value_profile,
+    genus_corpus_digest,
     invert,
     is_square_mod,
     naive_pair,
     random_rational_vector,
+    random_congruent,
     random_symmetric_lattice_gram,
     random_unimodular,
+    scaled_diagonal,
     signature_oracle,
     smith_left_transform,
     two_primary,
@@ -53,9 +56,9 @@ REGRESSION_GRAM = [
 ]
 
 
-def _congruent(rng, gram):
-    p = random_unimodular(rng, len(gram), shears=4, cap=3)
-    return linalg.matmul(linalg.matmul(p, gram), linalg.transpose(p))
+# util.genus_corpus_digest at the commit before the odd symbols were read
+# off the discriminant form and its invariants built on first read.
+GENUS_CORPUS_SHA256 = "9b8318be0c34e73a8fa465b200a29c94f5e5ecd831bda6a9b2d8a5aa677bde1a"
 
 
 class TestConstruction:
@@ -385,7 +388,7 @@ class TestDiscriminantForm:
             ([[3, 0, 0], [0, 3, 0], [0, 0, 15]], (3, 3, 15)),
             ([[1, 0, 0], [0, 4, 0], [0, 0, 12]], (4, 12)),
         ]
-        cases += [(_congruent(rng, gram), divisors) for gram, divisors in cases]
+        cases += [(random_congruent(rng, gram), divisors) for gram, divisors in cases]
         cases.append(([[1, 0], [0, 16384]], (16384,)))
         cases.append(([[8, 0], [0, 2501]], (20008,)))
         for gram, divisors in cases:
@@ -460,7 +463,7 @@ class TestDiscriminantForm:
         assert d.profile is None
         assert [p for p, _ in d.odd_symbols] == [3, 7]
         assert d == d
-        conj = discriminant_form(Lattice(_congruent(random.Random(151), gram)))
+        conj = discriminant_form(Lattice(random_congruent(random.Random(151), gram)))
         assert conj.profile is None
         assert d == conj
         # an odd group above the cap: its 2-primary part is trivial, so
@@ -503,7 +506,7 @@ class TestOddSymbols:
         with_symbols = 0
         for gram in grams:
             d = discriminant_form(Lattice(gram))
-            conj = discriminant_form(Lattice(_congruent(rng, gram)))
+            conj = discriminant_form(Lattice(random_congruent(rng, gram)))
             assert d.odd_symbols == conj.odd_symbols
             assert d == conj
             with_symbols += bool(d.odd_symbols)
@@ -555,7 +558,7 @@ class TestOddSymbols:
                  else -1)
                 for k in sorted(set(scales)) if k
             )
-            for g in (gram, _congruent(rng, gram)):
+            for g in (gram, random_congruent(rng, gram)):
                 assert dict(discriminant_form(Lattice(g)).odd_symbols)[p] == expected
 
     def test_full_fraction_profile_is_a_one_way_oracle(self):
@@ -582,6 +585,95 @@ class TestOddSymbols:
         assert differ > 1000
 
 
+def _diagonal_fixture(rng, p, top):
+    """A unimodular conjugate of diag(p^k u), scales k in [0, top] (one of them top), rank 1-6."""
+    n = rng.randint(1, 6)
+    scales = [rng.randint(0, top) for _ in range(n)]
+    scales[rng.randrange(n)] = top
+    return random_congruent(rng, scaled_diagonal(rng, p, scales))
+
+
+class TestOddSymbolFromTheForm:
+    def test_form_symbol_matches_the_whole_gram(self):
+        # the symbol read off the m x m form of A_p is the one the same
+        # diagonalisation gives on the whole Gram over Z/p^(v+1), v = v_p(det)
+        rng = random.Random(233)
+        compared = non_cyclic = 0
+        top_scale = 0
+        for i in range(330):
+            if i % 3 == 2:
+                gram = random_symmetric_lattice_gram(rng, rng.randint(1, 6), bound=7)
+            else:
+                gram = _diagonal_fixture(rng, rng.choice((3, 5, 7, 11, 13)), rng.randint(1, 4))
+            lat = Lattice(gram)
+            d = discriminant_form(lat)
+            for p, symbol in d.odd_symbols:
+                v = lattice_module._valuation(lat.det, p)
+                whole = lattice_module._symbol(
+                    ((k, u) for k, u in lattice_module._pivot_units(lat.gram, p, v + 1) if k), p)
+                assert symbol == whole
+                compared += 1
+                m = sum(dv % p == 0 for dv in d.elementary_divisors)
+                non_cyclic += m >= 2
+                if m >= 2:
+                    top_scale = max(top_scale, max(scale for scale, _, _ in symbol))
+        assert compared >= 300 and non_cyclic >= 50 and top_scale == 4
+
+
+class TestStagedComparison:
+    def test_equality_reads_no_further_than_the_first_difference(self):
+        rng = random.Random(239)
+        seen = Counter()
+        for j in range(300):
+            if j % 3 == 0:
+                a = Lattice(random_symmetric_lattice_gram(rng, rng.randint(1, 5), bound=5))
+                b = Lattice(random_congruent(rng, a.gram))
+            elif j % 3 == 1:
+                # a diagonal form and the same with the signs of a scale-p^k
+                # entry and a unit entry of opposite sign swapped: equal
+                # divisors, parity and signature; the symbol at p changes
+                # by (-1 / p), so exactly when p = 3 mod 4
+                p = rng.choice((3, 5, 7, 11, 13))
+                n = rng.randint(2, 5)
+                entries = [p ** rng.randint(1, 3) * rng.choice((1, 2)), -rng.choice((1, 2))]
+                entries += [rng.choice((-1, 1)) * p ** rng.randint(0, 2) for _ in range(n - 2)]
+                flipped = [-entries[0], -entries[1]] + entries[2:]
+                a, b = (Lattice(random_congruent(rng, [[x if i == k else 0 for k in range(n)]
+                                                 for i, x in enumerate(es)]))
+                        for es in (entries, flipped))
+            else:
+                # two random Grams of one rank and one signature
+                n = rng.randint(1, 4)
+                a = Lattice(random_symmetric_lattice_gram(rng, n, bound=3))
+                b = a
+                while b is a or signature_oracle(b.gram) != signature_oracle(a.gram):
+                    b = Lattice(random_symmetric_lattice_gram(rng, n, bound=3))
+            ga, gb = genus_of(a), genus_of(b)
+            equal = ga == gb
+            built = set(vars(ga.disc)) | set(vars(gb.disc))
+            full = [(g.rank, g.signature, g.disc.elementary_divisors, g.disc.modulus,
+                     g.disc.odd_symbols, g.disc.profile) for g in (ga, gb)]
+            assert equal == (full[0] == full[1]) == (genus_of(a) == genus_of(b))
+            if equal:
+                assert hash(ga) == hash(gb) and hash(ga.disc) == hash(gb.disc)
+                seen["equal"] += 1
+                continue
+            first = next(i for i, (x, y) in enumerate(zip(*full)) if x != y)
+            if first <= 3:
+                assert not {"odd_symbols", "profile"} & built
+            elif first == 4:
+                assert "profile" not in built
+            seen[("rank", "signature", "divisors", "modulus", "odd symbol", "profile")[first]] += 1
+        assert seen["equal"] >= 80 and seen["divisors"] >= 50 and seen["odd symbol"] >= 30
+
+
+class TestGenusCorpus:
+    def test_digest(self):
+        # genus records and genus_equal verdicts of a seeded corpus, pinned
+        # byte for byte; util.genus_corpus describes the corpus
+        assert genus_corpus_digest() == GENUS_CORPUS_SHA256
+
+
 class TestSignature:
     def test_hyperbolic(self):
         assert U.signature() == (1, 1)
@@ -593,26 +685,51 @@ class TestSignature:
     def test_negative_definite_rank1(self):
         assert make_standard("rank1", -2).signature() == (0, 1)
 
-    def test_against_char_poly_oracle(self):
+    def test_against_char_poly_oracle(self, monkeypatch):
         # ranks 1-8; a third of the Grams have a zero diagonal, so the
-        # reduction must create its first pivot by a row+column add
+        # reduction must create its first pivot by a row+column add. A
+        # Gram with every leading minor nonzero takes Jacobi's rule off
+        # the determinant elimination and runs no symmetric reduction;
+        # any other runs exactly one.
+        reductions = []
+        original = lattice_module._symmetric_inertia
+
+        def counting(gram):
+            reductions.append(gram)
+            return original(gram)
+
+        monkeypatch.setattr(lattice_module, "_symmetric_inertia", counting)
         rng = random.Random(41)
-        checked = zero_blocks = 0
-        for k in range(150):
+        checked = zero_blocks = no_swap = swap = 0
+        for k in range(240):
             n = rng.randint(1, 8)
             gram = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
                     gram[i][j] = gram[j][i] = 0 if k % 3 == 0 and i == j else rng.randint(-5, 5)
             if k % 3 == 1:
-                gram = _congruent(rng, gram)
+                gram = random_congruent(rng, gram)
             if Matrix(gram).det() == 0:
                 continue
-            assert Lattice(gram).signature() == signature_oracle(gram)
+            minors_nonzero = all(brute_det([row[:i] for row in gram[:i]]) for i in range(1, n + 1))
+            lat = Lattice(gram)
+            del reductions[:]
+            assert lat.signature() == signature_oracle(gram)
+            assert len(reductions) == (0 if minors_nonzero else 1)
             checked += 1
             zero_blocks += k % 3 == 0 and n > 1
+            no_swap += minors_nonzero
+            swap += not minors_nonzero
         assert checked > 120 and zero_blocks > 30
+        assert no_swap >= 100 and swap >= 30
         assert Lattice([[0, 2, 1], [2, 0, 3], [1, 3, 0]]).signature() == (1, 2)
+
+    def test_inertia_is_kept_only_without_a_swap(self):
+        # kept beside det, outside the fields: no part in == or hashing
+        lat = Lattice([[2, 1, 0], [1, 3, 0], [0, 0, -1]])
+        assert lat._inertia == (2, 1) == lat.signature()
+        assert Lattice(U.gram)._inertia is None and U.signature() == (1, 1)
+        assert "_inertia" not in {f.name for f in fields(Lattice)}
 
 
 class TestGenusAndRendering:

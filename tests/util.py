@@ -7,6 +7,7 @@ as plain double sums, norm pools by scanning the whole box, and
 membership checks by direct enumeration.
 """
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -27,6 +28,8 @@ from kummerlat import (
     Sublattice,
     UndeclaredProduct,
     brauer_class_of,
+    genus_equal,
+    genus_of,
     hodge_lattice,
     mukai_lattice,
     period_from_columns,
@@ -737,3 +740,88 @@ def dense_echelon(rows, kinds=None):
 def dense_matmul(a, b):
     """a * b as a dense sum over every entry: the oracle for linalg.matmul."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def scaled_diagonal(rng, p, scales):
+    """diag(p^k u) over the given scales k, each unit u prime to p and in [-20, 20]."""
+    units = [rng.choice([u for u in range(-20, 21) if u % p]) for _ in scales]
+    return [[p ** k * u if i == j else 0 for j in range(len(scales))]
+            for i, (k, u) in enumerate(zip(scales, units))]
+
+
+def _random_scales(rng, n, top):
+    """n scales in [0, top], at least one of them positive."""
+    scales = [rng.randint(0, top) for _ in range(n)]
+    if not any(scales):
+        scales[rng.randrange(n)] = rng.randint(1, top)
+    return scales
+
+
+def random_congruent(rng, gram):
+    """P gram P^T for a random unimodular P with small entries."""
+    p = random_unimodular(rng, len(gram), shears=4, cap=3)
+    return linalg.matmul(linalg.matmul(p, gram), linalg.transpose(p))
+
+
+def genus_corpus():
+    """(lattices, pairs): 500 seeded lattices of rank 1-6 and 300 seeded pairs.
+
+    Lattice i is, by i % 4, a random Gram; a conjugated diag(p^k u) at an
+    odd p <= 13 with scales up to p^4 (non-cyclic p-parts); the same at
+    p = 2 with scales up to 2^6, so that A_2 crosses the profile cap; or
+    a random Gram scaled by 1, 2, 3 or 6. Pair j is, by j % 3, a lattice
+    and a conjugate of it; two diagonal forms with one list of scales at
+    one prime and their own units; or two corpus lattices of one rank.
+    """
+    rng = random.Random(2707)
+    grams = []
+    for i in range(500):
+        n = rng.randint(1, 6)
+        kind = i % 4
+        if kind == 0:
+            gram = random_symmetric_lattice_gram(rng, n, bound=6)
+        elif kind == 1:
+            p = rng.choice((3, 5, 7, 11, 13))
+            gram = random_congruent(rng, scaled_diagonal(rng, p, _random_scales(rng, n, 4)))
+        elif kind == 2:
+            gram = random_congruent(rng, scaled_diagonal(rng, 2, _random_scales(rng, n, 6)))
+        else:
+            scale = rng.choice((1, 2, 3, 6))
+            gram = [[scale * x for x in row] for row in random_symmetric_lattice_gram(rng, n, bound=4)]
+        grams.append(gram)
+    lattices = [Lattice(g) for g in grams]
+    by_rank = {}
+    for lat in lattices:
+        by_rank.setdefault(lat.rank, []).append(lat)
+    pairs = []
+    for j in range(300):
+        if j % 3 == 0:
+            lat = rng.choice(lattices)
+            pairs.append((lat, Lattice(random_congruent(rng, lat.gram))))
+        elif j % 3 == 1:
+            p = rng.choice((3, 5, 7))
+            scales = _random_scales(rng, rng.randint(1, 4), 3)
+            first, second = (scaled_diagonal(rng, p, scales) for _ in range(2))
+            pairs.append((Lattice(first), Lattice(random_congruent(rng, second))))
+        else:
+            group = by_rank[rng.randint(1, 6)]
+            pairs.append((rng.choice(group), rng.choice(group)))
+    return lattices, pairs
+
+
+def genus_corpus_digest():
+    """SHA-256 of the genus records of genus_corpus's lattices and its pairs' genus_equal verdicts.
+
+    A record is (rank, signature, divisors, modulus, odd_symbols, profile),
+    every invariant read, in repr.
+    """
+    lattices, pairs = genus_corpus()
+    h = hashlib.sha256()
+    for lat in lattices:
+        g = genus_of(lat)
+        d = g.disc
+        record = (g.rank, g.signature, d.elementary_divisors, d.modulus, d.odd_symbols, d.profile)
+        h.update(repr(record).encode() + b"\n")
+    for a, b in pairs:
+        h.update(genus_equal(a, b).encode() + b"\n")
+    return h.hexdigest()
