@@ -18,7 +18,8 @@ Three routes, all exact:
     candidates are cut to the norm-pool vectors with both properties.
     One pass builds the pools of every row norm: one integer
     Fincke-Pohst enumeration for a definite target (complete pools),
-    one scan of the entry box for an indefinite one;
+    one scan of the entry box for an indefinite one, each walking one
+    vector of every pair +-v and adding its negative;
   * for Hodge lattices whose periods span, a closed form: a Hodge
     isometry with rational scalar lam is +-lam M0 for the one rational
     M0 carrying one period onto the other, so at most two candidates
@@ -156,33 +157,48 @@ def short_vectors(gram, norm):
 def _norm_pools(gram, norms, bound, sign):
     """{norm: (v, v.G) for every candidate image vector v of that norm, lex-sorted}, from one pass.
 
-    sign is _definite_sign(gram). Definite targets take every vector of
-    each norm (bound plays no part), from one exact Fincke-Pohst
-    enumeration in integers up to the largest norm: no entry bound, no
-    floats, no fractions. With the rows a of linalg.echelon of the
-    sign-corrected Gram matrix and M_i = a[i][i], M_-1 = 1,
+    sign is _definite_sign(gram). Both branches walk one vector of each
+    pair +-v: the norm is even in v and the entry box is symmetric. Each
+    walked v enters its pool with v.G, and -v with -(v.G) beside it,
+    except the zero vector, which a norm-0 indefinite pool holds once.
+    Each pool is sorted once at the end, so it is the list a walk over
+    every vector would give.
+
+    Definite targets take every vector of each norm (bound plays no
+    part), from one exact Fincke-Pohst enumeration in integers up to the
+    largest norm: no entry bound, no floats, no fractions. With the rows
+    a of linalg.echelon of the sign-corrected Gram matrix and
+    M_i = a[i][i], M_-1 = 1,
         Q(x) = sum_i (M_i x_i + s_i)^2 / (M_i M_{i-1}),
         s_i = sum_{j>i} a[i][j] x_j,
     and scaling by P = prod M_i makes every weight w_i = P / (M_i M_{i-1})
     an integer, so each x_i with i > 0 ranges exactly over
-    |M_i x_i + s_i| <= isqrt(rest // w_i). At i = 0 no x_0 is tried:
+    |M_i x_i + s_i| <= isqrt(rest // w_i). The centres s_k are carried
+    down the recursion, which runs from coordinate n-1 to 0: setting x_i
+    adds x_i a[k][i] to the centre of every level k < i. The walk keeps
+    the v whose last nonzero coordinate is positive: while a flag free
+    says that every coordinate set so far is 0 (so the centre is 0 too),
+    x_i starts at 0. At i = 0 no x_0 is tried:
     with rest what the levels above leave of P times the largest norm,
     the vector has norm N exactly when y = M_0 x_0 + s_0 solves
     w_0 y^2 = rest - P (largest - N), so x_0 = (+-y - s_0) / M_0 when
-    that is integral. w_0 divides that right-hand side: for every
-    integer x_0, rest - w_0 y^2 = P (largest - Q(x)) and P = M_0 w_0.
+    that is integral, and x_0 = y / M_0 > 0 alone while free. w_0
+    divides that right-hand side: for every integer x_0,
+    rest - w_0 y^2 = P (largest - Q(x)) and P = M_0 w_0.
     The norms are walked from the largest down, and the walk stops at
     the first negative right-hand side. A norm of the wrong sign, or 0,
-    gets an empty pool. v.G is computed once per vector kept.
+    gets an empty pool. v.G is computed once per pair +-v.
 
     Indefinite targets take the vectors with entries in [-bound, bound],
     from one lexicographic recursion over the prefixes of all coordinates
-    but the last. It carries acc = prefix.G (every column) and
+    but the last whose first nonzero coordinate is positive, and the
+    zero prefix. It carries acc = prefix.G (every column) and
     q = prefix.G.prefix^T: setting coordinate i to x_i adds x_i G[i] to
     acc and x_i (2 acc[i] + x_i G[i][i]) to q, and x_i = 0 passes both
     on unchanged. At a leaf b = acc[-1], and for each norm the equation
     g t^2 + 2 b t + q - norm = 0 is solved exactly for the last
-    coordinate t (_norm_roots); v.G is acc + t G[-1].
+    coordinate t (_norm_roots), only t >= 0 after the zero prefix; v.G
+    is acc + t G[-1].
     """
     pools = {norm: [] for norm in norms}
     if sign:
@@ -194,14 +210,16 @@ def _norm_pools(gram, norms, bound, sign):
         minors = [a[i][i] for i in range(n)]
         scale = prod(minors)
         weights = [scale // (m * prev) for m, prev in zip(minors, [1] + minors)]
+        columns = [[a[k][i] for k in range(i)] for i in range(n)]
         top = wanted[0]
         offsets = [(scale * (top - t), pools[sign * t]) for t in wanted]
-        m0, w0, row0 = minors[0], weights[0], a[0]
+        m0, w0 = minors[0], weights[0]
         x = [0] * n
 
-        def rec(i, remaining):
+        def rec(i, remaining, centres, free):
+            # centres[k] = s_k for every level k <= i
+            s = centres[i]
             if i == 0:
-                s = sum(row0[j] * x[j] for j in range(1, n))
                 for offset, pool in offsets:
                     rest = remaining - offset
                     if rest < 0:
@@ -210,46 +228,56 @@ def _norm_pools(gram, norms, bound, sign):
                     y = isqrt(y2)
                     if y * y != y2:
                         continue
-                    for num in (y - s, -y - s) if y else (-s,):
+                    for num in (y,) if free else (y - s, -y - s) if y else (-s,):
                         x0, r = divmod(num, m0)
                         if not r:
                             x[0] = x0
                             pool.append(tuple(x))
                 return
-            m, w, row = minors[i], weights[i], a[i]
-            s = sum(row[j] * x[j] for j in range(i + 1, n))
+            m, w, column = minors[i], weights[i], columns[i]
             r = isqrt(remaining // w)
-            for xi in range(-((r + s) // m), (r - s) // m + 1):
-                x[i] = xi
+            for xi in range(0 if free else -((r + s) // m), (r - s) // m + 1):
                 y = m * xi + s
-                rec(i - 1, remaining - w * y * y)
+                if xi:
+                    x[i] = xi
+                    rec(i - 1, remaining - w * y * y,
+                        [c + xi * k for c, k in zip(centres, column)], False)
+                else:
+                    x[i] = 0
+                    rec(i - 1, remaining - w * y * y, centres, free)
             x[i] = 0
 
-        rec(n - 1, scale * top)
-        return {norm: [(v, linalg.vec_times_mat(v, gram)) for v in sorted(pool)]
-                for norm, pool in pools.items()}
-    last = len(gram) - 1
-    last_row, g = gram[last], gram[last][last]
-    wanted = list(pools.items())
-    x = [0] * last
+        rec(n - 1, scale * top, [0] * n, True)
+        for pool in pools.values():
+            pool[:] = [(v, linalg.vec_times_mat(v, gram)) for v in pool]
+    else:
+        last = len(gram) - 1
+        last_row, g = gram[last], gram[last][last]
+        wanted = list(pools.items())
+        x = [0] * last
 
-    def scan(i, acc, q):
-        # acc = prefix.G and q = prefix.G.prefix^T for the coordinates before i
-        if i == last:
-            prefix = tuple(x)
-            for norm, pool in wanted:
-                for t in _norm_roots(g, acc[-1], q - norm, bound):
-                    pool.append((prefix + (t,), [s + t * y for s, y in zip(acc, last_row)]))
-            return
-        row, g_ii = gram[i], gram[i][i]
-        for xi in range(-bound, bound + 1):
-            x[i] = xi
-            if xi:
-                scan(i + 1, [s + xi * y for s, y in zip(acc, row)], q + xi * (2 * acc[i] + xi * g_ii))
-            else:
-                scan(i + 1, acc, q)
+        def scan(i, acc, q, free):
+            # acc = prefix.G and q = prefix.G.prefix^T for the coordinates before i
+            if i == last:
+                prefix = tuple(x)
+                for norm, pool in wanted:
+                    for t in _norm_roots(g, acc[-1], q - norm, bound):
+                        if t >= 0 or not free:
+                            pool.append((prefix + (t,), [s + t * y for s, y in zip(acc, last_row)]))
+                return
+            row, g_ii = gram[i], gram[i][i]
+            for xi in range(0 if free else -bound, bound + 1):
+                x[i] = xi
+                if xi:
+                    scan(i + 1, [s + xi * y for s, y in zip(acc, row)],
+                         q + xi * (2 * acc[i] + xi * g_ii), False)
+                else:
+                    scan(i + 1, acc, q, free)
 
-    scan(0, [0] * len(gram), 0)
+        scan(0, [0] * len(gram), 0, True)
+    for pool in pools.values():
+        pool += [(tuple([-c for c in v]), [-c for c in vg]) for v, vg in pool if any(v)]
+        pool.sort()
     return pools
 
 

@@ -43,6 +43,7 @@ from util import (
     random_unimodular,
     reference_search,
     signature_oracle,
+    witness_corpus_digest,
 )
 
 U = make_standard("U")
@@ -371,9 +372,11 @@ class TestNormPools:
         monkeypatch.setattr(linalg, "vec_times_mat", counted_times)
         definite = [[2, 1, 0], [1, 4, 1], [0, 1, 6]]
         indefinite = [[2, 1, 0], [1, -4, 1], [0, 1, 6]]
-        # the definite pools take v.G2 once per vector they keep
+        # the definite pools take v.G2 once per pair +-v they keep; they
+        # never hold 0, so kept is even
         kept = sum(map(len, scan(definite, [2, 4, 6], 2, 1).values()))
-        for g1, echelon_calls, product_calls in ((definite, 2, kept), (indefinite, 1, 0)):
+        assert kept % 2 == 0
+        for g1, echelon_calls, product_calls in ((definite, 2, kept // 2), (indefinite, 1, 0)):
             echelons.clear()
             scans.clear()
             products.clear()
@@ -382,6 +385,57 @@ class TestNormPools:
             assert len(echelons) == echelon_calls and len(scans) == 1
             assert len(products) == product_calls
         assert kept > 0
+
+    def test_half_walk(self, monkeypatch):
+        # both branches walk one vector of each pair +-v: every pool is
+        # its own negation, a norm-0 indefinite pool holds 0 exactly once,
+        # and the box scan solves ((2K+1)^(r-1) + 1)/2 leaves per norm
+        leaves = []
+        roots = isometry._norm_roots
+
+        def counted_roots(*args):
+            leaves.append(args)
+            return roots(*args)
+
+        monkeypatch.setattr(isometry, "_norm_roots", counted_roots)
+        rng = random.Random(421)
+        with_zero = deep_definite = 0
+        for _ in range(250):
+            n = rng.randint(1, 6)
+            bound = rng.randint(1, 3) if n < 5 else rng.randint(1, 2)
+            if rng.random() < 0.5:
+                sign = rng.choice((1, -1))
+                gram = [[sign * x for x in row] for row in _random_definite_gram(rng, n)]
+                wanted = [sign * k for k in rng.choices(range(-2, 11), k=rng.randint(1, 4))]
+            else:
+                gram = random_symmetric_lattice_gram(rng, n, bound=3)
+                sign = _definite_sign(gram)
+                wanted = rng.choices(range(-4, 5), k=rng.randint(1, 4)) + [0]
+            leaves.clear()
+            pools = _norm_pools(gram, wanted, bound, sign)
+            if not sign:
+                assert len(leaves) == len(pools) * ((2 * bound + 1) ** (n - 1) + 1) // 2
+            for norm, pool in pools.items():
+                vectors = _pool_vectors(pool, gram)
+                assert len(set(vectors)) == len(vectors)
+                assert set(vectors) == {tuple(-c for c in v) for v in vectors}
+                zeros = vectors.count((0,) * n)
+                assert zeros == (not sign and norm == 0)
+                with_zero += zeros
+                deep_definite += bool(sign) and n >= 4
+        assert with_zero >= 50 and deep_definite >= 100
+
+
+# util.witness_corpus_digest at the commit before _norm_pools walked one
+# vector of each pair +-v.
+WITNESS_CORPUS_SHA256 = "ac6f02902704536e4cbd80bb18add065d6607fde71c692a66c3ffc626c90eaa1"
+
+
+class TestWitnessCorpus:
+    def test_digest(self):
+        # find_isometry witnesses and _norm_pools results of a seeded
+        # corpus, pinned byte for byte; util.witness_corpus describes it
+        assert witness_corpus_digest() == WITNESS_CORPUS_SHA256
 
 
 class TestFindIsometry:

@@ -28,6 +28,7 @@ from kummerlat import (
     Sublattice,
     UndeclaredProduct,
     brauer_class_of,
+    find_isometry,
     genus_equal,
     genus_of,
     hodge_lattice,
@@ -38,6 +39,7 @@ from kummerlat import (
 )
 from kummerlat import linalg
 from kummerlat.construction import base_abelian_model, u_cubed
+from kummerlat.isometry import _definite_sign, _norm_pools
 
 
 def fractions_built(monkeypatch, work):
@@ -824,4 +826,87 @@ def genus_corpus_digest():
         h.update(repr(record).encode() + b"\n")
     for a, b in pairs:
         h.update(genus_equal(a, b).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _small_definite_gram(rng, n):
+    """m m^T for a random nonsingular m, entries in [-2, 2] (in [-1, 1] from rank 5)."""
+    top = 2 if n < 5 else 1
+    while True:
+        m = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+        if brute_det(m) != 0:
+            return linalg.matmul(m, linalg.transpose(m))
+
+
+def _genus_twin_pair(rng, definite, rank):
+    """Grams <s> + <s d> + M and its twin s [[2, 1], [1, (d + 1)/2]] + s M, in random order.
+
+    d = 1 mod 4 with 3 or 5 dividing d, so the two lie in distinct genera
+    of equal rank, signature, parity, |det| and discriminant group (as
+    in the classify benchmark), and M is a diagonal block of units, with
+    one negative unit for an indefinite pair.
+    """
+    scale = rng.choice((1, 2))
+    d = rng.choice((5, 9, 21, 25, 33, 45) if definite else (5, 9, 21, 25, 33, 45, 57, 65))
+    units = [rng.choice((1, 2)) for _ in range(rank - 2)]
+    if not definite:
+        units[rng.randrange(rank - 2)] *= -1
+    cores = [[[1, 0], [0, d]], [[2, 1], [1, (d + 1) // 2]]]
+    rng.shuffle(cores)
+    grams = []
+    for core in cores:
+        gram = [[scale * u if i == j else 0 for j in range(rank)] for i, u in enumerate([0, 0] + units)]
+        gram[0][:2], gram[1][:2] = ([scale * x for x in row] for row in core)
+        grams.append(gram)
+    return grams
+
+
+def witness_corpus():
+    """300 seeded (gram1, gram2, bound) triples of rank 1-6 at bounds 1-3.
+
+    Triple j is, by j % 5, a definite Gram and a unimodular conjugate of
+    it; a random Gram (indefinite from rank 2, mostly) and a conjugate;
+    a classify-like block form <s> + <s d> + M and a conjugate of it or
+    of its twin from another genus of one determinant, definite or
+    indefinite (rank 3-6); or two random Grams of one rank, definite
+    or not. Indefinite targets of rank 5 and 6 take bounds 1-2, so
+    that the box stays small.
+    """
+    rng = random.Random(2808)
+    out = []
+    for j in range(300):
+        kind = j % 5
+        n = rng.randint(1, 6) if kind < 2 or kind == 4 else rng.randint(3, 6)
+        if kind == 0:
+            g1 = _small_definite_gram(rng, n)
+            g2 = random_congruent(rng, g1)
+        elif kind == 1:
+            g1 = random_symmetric_lattice_gram(rng, n, bound=3)
+            g2 = random_congruent(rng, g1)
+        elif kind in (2, 3):
+            first, twin = _genus_twin_pair(rng, kind == 2, n)
+            g1, g2 = first, random_congruent(rng, first if rng.random() < 0.5 else twin)
+        else:
+            make = _small_definite_gram if rng.random() < 0.5 else random_symmetric_lattice_gram
+            g1, g2 = make(rng, n), make(rng, n)
+        definite = _definite_sign(g2) != 0
+        bound = rng.randint(1, 3 if definite or n < 5 else 2)
+        out.append((g1, g2, bound))
+    return out
+
+
+def witness_corpus_digest():
+    """SHA-256 of find_isometry's witness and the norm pools on witness_corpus.
+
+    Per triple, in repr: the witness matrix (or None) of find_isometry
+    at the triple's bound, then the _norm_pools result for the target
+    Gram at the source's diagonal norms and 0, the pools _search starts
+    from plus an isotropic one.
+    """
+    h = hashlib.sha256()
+    for g1, g2, bound in witness_corpus():
+        iso = find_isometry(Lattice(g1), Lattice(g2), bound)
+        h.update(repr(None if iso is None else iso.matrix).encode() + b"\n")
+        norms = [row[i] for i, row in enumerate(g1)] + [0]
+        h.update(repr(_norm_pools(g2, norms, bound, _definite_sign(g2))).encode() + b"\n")
     return h.hexdigest()
