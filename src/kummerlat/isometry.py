@@ -326,7 +326,7 @@ def _row_domains(g1, g2, bound):
     return [domains[key] for key in keys]
 
 
-def _search(g1, g2, bound):
+def _search(g1, g2, bound, d1, d2):
     """Backtracking core; yields every witness matrix in row-major lex order.
 
     Rows are assigned in natural order and candidates per row are tried
@@ -339,12 +339,12 @@ def _search(g1, g2, bound):
     candidates w with w.G2.v == g1[k][i], dropping the branch as soon as
     a domain empties. Filtering keeps each domain in lexicographic order
     and removes only candidates that no completion could use, so the
-    witnesses are the same as in a plain scan. Both forms must be
-    nondegenerate, so that every witness is unimodular; a singular one
-    raises LatticeError.
+    witnesses are the same as in a plain scan. d1 and d2 are the
+    determinants of g1 and g2, which the callers already hold (_gram_det).
+    Both forms must be nondegenerate, so that every witness is
+    unimodular; a singular one raises LatticeError.
     """
     n = len(g1)
-    d1, d2 = linalg.det(g1), linalg.det(g2)
     if d1 == 0 or d2 == 0:
         raise LatticeError("gram matrix must be nondegenerate")
     if len(g2) != n or not n or d1 != d2:
@@ -372,6 +372,12 @@ def _search(g1, g2, bound):
     yield from extend(0, _row_domains(g1, g2, bound))
 
 
+def _gram_det(lat):
+    """The determinant of lat's Gram: a Lattice's kept .det, else one elimination (a Sublattice)."""
+    det = getattr(lat, "det", None)
+    return linalg.det(lat.gram) if det is None else det
+
+
 def find_isometry(l1, l2, bound):
     """Lex-least integer isometry l1 -> l2 with entries in [-bound, bound].
 
@@ -381,7 +387,7 @@ def find_isometry(l1, l2, bound):
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    m = next(_search(l1.gram, l2.gram, bound), None)
+    m = next(_search(l1.gram, l2.gram, bound, _gram_det(l1), _gram_det(l2)), None)
     if m is None:
         return None
     iso = IsometryMap(source=l1, target=l2, matrix=m)
@@ -422,7 +428,7 @@ def _hodge_witness(h1, h2, bound):
     n, d = solved
     det_n = linalg.det(n)
     if det_n == 0:
-        for m in _search(g1, g2, bound):
+        for m in _search(g1, g2, bound, _gram_det(h1.lattice), _gram_det(h2.lattice)):
             lam = period_scalar(p1, m, p2)
             if lam is not None:
                 return m, lam, None

@@ -3,6 +3,11 @@
 Everything below runs on Python ints and fractions.Fraction; no floating
 point. A matrix is any sequence of equal-length rows, tuples and lists
 alike; no input is modified, and matrices come back as lists of lists.
+Each kernel copies its rows first and then updates that private copy in
+place, over the columns that can change: every row from the pivot row
+down is zero left of the pivot column, so echelon, hnf and saturation
+touch only the columns from there on, and matmul accumulates each
+output row in one list.
 Maps act on row vectors: the image of v under M is v*M, so compositions
 read left to right. det, det_and_inertia, rank and solve run on one
 fraction-free elimination, echelon; solve keeps its integer numerators over the one
@@ -57,7 +62,8 @@ def matmul(a, b):
         acc = [0] * ncols
         for x, b_row in zip(row, b):
             if x:
-                acc = [s + x * y for s, y in zip(acc, b_row)]
+                for j, y in enumerate(b_row):
+                    acc[j] += x * y
         out.append(acc)
     return out
 
@@ -127,7 +133,9 @@ def echelon(rows):
     Below a pivot piv, with prev the one before it (1 at first), a row
     with f != 0 in the pivot column takes (piv * x - f * y) // prev; one
     with f = 0 is left as it is when piv == prev, else scaled once by
-    piv * x // prev, exact by the same Bareiss property.
+    piv * x // prev, exact by the same Bareiss property. Each such row is
+    updated in place right of the pivot column, and its f is set to 0:
+    left of it, every row from the pivot row down is zero already.
     """
     a = []
     den = 1
@@ -145,20 +153,26 @@ def echelon(rows):
         r = len(pivots)
         if r == m:
             break
-        p = next((i for i in range(r, m) if a[i][c]), None)
-        if p is None:
+        p = r
+        while p < m and not a[p][c]:
+            p += 1
+        if p == m:
             continue
         if p != r:
             a[r], a[p] = a[p], a[r]
             swaps += 1
-        top = a[r][c + 1:]
-        piv = a[r][c]
+        top = a[r]
+        piv = top[c]
         for i in range(r + 1, m):
-            f = a[i][c]
+            row = a[i]
+            f = row[c]
             if f:
-                a[i] = [0] * (c + 1) + [(piv * x - f * y) // prev for x, y in zip(a[i][c + 1:], top)]
+                row[c] = 0
+                for j in range(c + 1, ncols):
+                    row[j] = (piv * row[j] - f * top[j]) // prev
             elif piv != prev:
-                a[i] = [0] * (c + 1) + [piv * x // prev for x in a[i][c + 1:]]
+                for j in range(c + 1, ncols):
+                    row[j] = piv * row[j] // prev
         pivots.append(c)
         prev = piv
     return a, pivots, swaps, den
@@ -174,7 +188,10 @@ def _back_substitute(a, pivots, n, col, d):
     y = [0] * n
     for k in reversed(range(len(pivots))):
         row, c = a[k], pivots[k]
-        y[c] = (d * row[col] - sum(row[j] * y[j] for j in pivots[k + 1:])) // row[c]
+        acc = d * row[col]
+        for j in pivots[k + 1:]:
+            acc -= row[j] * y[j]
+        y[c] = acc // row[c]
     return y
 
 
@@ -226,28 +243,46 @@ def hnf(rows):
     ncols = len(a[0]) if m else 0
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
+        piv = r
+        while piv < m and not a[piv][c]:
+            piv += 1
+        if piv == m:
             continue
         a[r], a[piv] = a[piv], a[r]
+        top = a[r]
         for i in range(r + 1, m):
-            if a[i][c] == 0:
-                continue
-            p, q = a[r][c], a[i][c]
-            g, x, y = xgcd(p, q)
-            pp, qq = p // g, q // g
-            a[r], a[i] = (
-                [x * s + y * t for s, t in zip(a[r], a[i])],
-                [-qq * s + pp * t for s, t in zip(a[r], a[i])],
-            )
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
+            row = a[i]
+            if row[c]:
+                _xgcd_step(top, row, c, ncols)
+        if top[c] < 0:
+            for j in range(c, ncols):
+                top[j] = -top[j]
+        p = top[c]
+        for row in a[:r]:
+            q = row[c] // p
             if q:
-                a[i] = [s - q * t for s, t in zip(a[i], a[r])]
+                for j in range(c, ncols):
+                    row[j] -= q * top[j]
         r += 1
     return a[:r]
+
+
+def _xgcd_step(top, row, c, ncols):
+    """Rows (top, row) times [[x, y], [-q/g, p/g]] in place, from column c on.
+
+    p = top[c], q = row[c] != 0 and g = gcd(p, q) = x p + y q, so top[c]
+    becomes g and row[c] becomes 0. Every column left of c is zero in
+    both rows, so only the columns from c on change. Returns
+    (x, y, p/g, q/g), the entries of that unimodular matrix.
+    """
+    p, q = top[c], row[c]
+    g, x, y = xgcd(p, q)
+    pp, qq = p // g, q // g
+    for j in range(c, ncols):
+        s, t = top[j], row[j]
+        top[j] = x * s + y * t
+        row[j] = -qq * s + pp * t
+    return x, y, pp, qq
 
 
 def right_kernel(rows, ncols):
@@ -275,30 +310,28 @@ def saturation(rows, ncols):
     rows = [r for r in rows if not is_zero_row(r)]
     if not rows:
         return []
+    m = len(rows)
     a = transpose(rows)
     v = identity(ncols)  # v[k] is column k of V
     r = 0
-    for c in range(len(rows)):
-        piv = next((i for i in range(r, ncols) if a[i][c]), None)
-        if piv is None:
+    for c in range(m):
+        piv = r
+        while piv < ncols and not a[piv][c]:
+            piv += 1
+        if piv == ncols:
             continue
         a[r], a[piv] = a[piv], a[r]
         v[r], v[piv] = v[piv], v[r]
+        top, v_top = a[r], v[r]
         for i in range(r + 1, ncols):
-            if a[i][c] == 0:
-                continue
-            p, q = a[r][c], a[i][c]
-            g, x, y = xgcd(p, q)
-            pp, qq = p // g, q // g
-            # rows (r, i) of A by [[x, y], [-qq, pp]], columns (r, i) of V by its inverse
-            a[r], a[i] = (
-                [x * s + y * t for s, t in zip(a[r], a[i])],
-                [-qq * s + pp * t for s, t in zip(a[r], a[i])],
-            )
-            v[r], v[i] = (
-                [pp * s + qq * t for s, t in zip(v[r], v[i])],
-                [-y * s + x * t for s, t in zip(v[r], v[i])],
-            )
+            if a[i][c]:
+                # rows (r, i) of A by [[x, y], [-qq, pp]], columns (r, i) of V by its inverse
+                x, y, pp, qq = _xgcd_step(top, a[i], c, m)
+                v_row = v[i]
+                for j in range(ncols):
+                    s, t = v_top[j], v_row[j]
+                    v_top[j] = pp * s + qq * t
+                    v_row[j] = -y * s + x * t
         r += 1
     return hnf(v[:r])
 
@@ -423,7 +456,9 @@ def scalar_ratio(a, b):
     a and b are matrices of one shape; other shapes raise ValueError.
     Entries that are zero on both sides are skipped; a zero entry
     against a nonzero one, entries in different ratios, or no nonzero
-    entry at all give None.
+    entry at all give None. lam is the one Fraction made, from the first
+    nonzero pair; each later pair x, y is tested as
+    x * lam.denominator == lam.numerator * y.
     """
     if len(a) != len(b) or any(len(row_a) != len(row_b) for row_a, row_b in zip(a, b)):
         raise ValueError("scalar_ratio needs two matrices of one shape")
@@ -437,6 +472,7 @@ def scalar_ratio(a, b):
                 lam = Fraction(x, y)
                 if not lam:
                     return None
-            elif x != lam * y:
+                num, den = lam.numerator, lam.denominator
+            elif x * den != num * y:
                 return None
     return lam

@@ -510,6 +510,40 @@ class TestFindIsometry:
                 find_isometry(l1, l2, 1)
         assert find_isometry(nondegenerate, nondegenerate, 1) is not None
 
+    def test_search_takes_the_kept_determinants(self, monkeypatch):
+        # two Lattices carry det from their construction, so no Gram of
+        # theirs reaches linalg.det; a Sublattice's Gram is eliminated once
+        # per side. Every |det| here is at least 2, so no unimodular
+        # witness that verify_isometry checks can equal a Gram
+        rng = random.Random(67)
+        pairs = []
+        while len(pairs) < 18:
+            g = random_symmetric_lattice_gram(rng, rng.randint(1, 4))
+            if abs(linalg.det(g)) > 1:
+                kind = len(pairs) % 3
+                other = g if kind == 0 else _conjugate(rng, g)[1] if kind == 1 else (
+                    random_symmetric_lattice_gram(rng, len(g)))
+                if linalg.det(other):
+                    pairs.append((Lattice(g), Lattice(other)))
+        sub = Sublattice(direct_sum(U, U), [[1, 1, 0, 0], [0, 0, 1, 1]])
+        seen = []
+        original = linalg.det
+
+        def recording(rows):
+            seen.append([list(row) for row in rows])
+            return original(rows)
+
+        monkeypatch.setattr(linalg, "det", recording)
+        found = 0
+        for l1, l2 in pairs:
+            found += find_isometry(l1, l2, 2) is not None
+            grams = ([list(row) for row in l1.gram], [list(row) for row in l2.gram])
+            assert not any(rows in grams for rows in seen)
+        assert found >= 6
+        seen.clear()
+        assert find_isometry(sub, sub, 1) is not None
+        assert seen.count([list(row) for row in sub.gram]) == 2
+
     def test_self_search_succeeds_at_bound_one(self):
         rng = random.Random(59)
         for _ in range(15):
@@ -672,7 +706,7 @@ class TestSearchAgainstReference:
     def assert_same(self, g1, g2, bounds):
         found = 0
         for bound in bounds:
-            got = next(_search(g1, g2, bound), None)
+            got = next(_search(g1, g2, bound, linalg.det(g1), linalg.det(g2)), None)
             assert got == reference_search(g1, g2, bound, None)
             found += got is not None
         return found
@@ -687,7 +721,7 @@ class TestSearchAgainstReference:
                 m = (entries[:2], entries[2:])
                 if linalg.mat_eq(linalg.matmul(linalg.matmul(m, g), linalg.transpose(m)), g):
                     brute.append(m)
-            assert list(_search(g, g, bound)) == brute
+            assert list(_search(g, g, bound, linalg.det(g), linalg.det(g))) == brute
 
     def test_definite_conjugate_pairs(self):
         rng = random.Random(71)

@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,11 +14,17 @@ from util import (
     brute_det,
     dense_echelon,
     dense_matmul,
+    echelon_fixture,
     frac_mod,
     fraction_solve,
+    fractions_built,
     invert,
+    linalg_corpus_digest,
+    mukai_shaped,
     naive_pair,
+    random_entry,
     random_rational_vector,
+    random_rows,
     random_unimodular,
     smith_left_transform,
     two_kernel_saturation,
@@ -312,6 +319,47 @@ def test_scalar_ratio_rejects_shape_mismatch():
             linalg.scalar_ratio(b, a)
 
 
+def _fraction_ratio(a, b):
+    """scalar_ratio's oracle: the one ratio x / y over the pairs with y != 0."""
+    ratios = set()
+    for row_a, row_b in zip(a, b):
+        for x, y in zip(row_a, row_b):
+            if y:
+                ratios.add(Fraction(x) / y)
+            elif x:
+                return None
+    return ratios.pop() if len(ratios) == 1 and 0 not in ratios else None
+
+
+def test_scalar_ratio_against_fraction_oracle(monkeypatch):
+    # lam * b, with one entry moved, a zero entry set against a nonzero
+    # one, or lam = 0, over ints and Fractions; an integer pair builds the
+    # one Fraction of its first nonzero pair and no other
+    rng = random.Random(139)
+    found = Counter()
+    for k in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        fractions = k % 2 == 1
+        b = [[random_entry(rng, fractions) for _ in range(n)] for _ in range(m)]
+        p, q = rng.randint(-6, 6), rng.randint(1, 6)
+        if fractions:
+            a = [[Fraction(p, q) * y for y in row] for row in b]
+        else:
+            a, b = [[p * y for y in row] for row in b], [[q * y for y in row] for row in b]
+        i, j = rng.randrange(m), rng.randrange(n)
+        move = rng.random()
+        if move < 0.2:
+            a[i][j] += 1
+        elif move < 0.3:
+            a[i][j], b[i][j] = rng.choice(((1, 0), (0, 1)))
+        want = _fraction_ratio(a, b)
+        assert linalg.scalar_ratio(a, b) == want
+        found[want is not None, fractions] += 1
+        if want is not None and not fractions:
+            assert fractions_built(monkeypatch, lambda: linalg.scalar_ratio(a, b)) == 1
+    assert min(found.values()) >= 40
+
+
 def test_matmul_over_ints_and_fractions():
     a = [[1, 2], [3, 4], [5, 6]]
     b = [[Fraction(1, 2), -1, 0], [2, Fraction(1, 3), 1]]
@@ -424,22 +472,6 @@ def _sympy_value(x):
     return int(x) if x.q == 1 else Fraction(int(x.p), int(x.q))
 
 
-def _random_entry(rng, fractions):
-    num = rng.choice((0, rng.randint(-9, 9)))
-    return Fraction(num, rng.randint(1, 6)) if fractions and rng.random() < 0.5 else num
-
-
-def _random_rows(rng, m, n, fractions=False):
-    """A seeded m x n matrix; about a third of them have rank below min(m, n)."""
-    if m and n and rng.random() < 0.35:
-        r = rng.randint(0, min(m, n) - 1)
-        left = [[_random_entry(rng, fractions) for _ in range(r)] for _ in range(m)]
-        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
-        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if r else [0] * n
-                for row in left]
-    return [[_random_entry(rng, fractions) for _ in range(n)] for _ in range(m)]
-
-
 def _matrix(rows, m, n):
     return Matrix(m, n, [x for row in rows for x in row])
 
@@ -455,7 +487,7 @@ class TestEliminationAgainstSympy:
         for k in range(self.CASES):
             m = rng.randint(0, 6)
             n = m if square else rng.randint(1, 6)
-            yield rng, m, n, _random_rows(rng, m, n, fractions=k % 3 == 2)
+            yield rng, m, n, random_rows(rng, m, n, fractions=k % 3 == 2)
 
     def test_det(self):
         for _, n, _, rows in self.cases(101, True):
@@ -497,10 +529,10 @@ class TestEliminationAgainstSympy:
                 continue
             a = _matrix(rows, m, n)
             if rng.random() < 0.5:
-                x0 = [_random_entry(rng, True) for _ in range(n)]
+                x0 = [random_entry(rng, True) for _ in range(n)]
                 b = [sum(r * x for r, x in zip(row, x0)) for row in rows]
             else:
-                b = [_random_entry(rng, True) for _ in range(m)]
+                b = [random_entry(rng, True) for _ in range(m)]
             got = linalg.solve(rows, b)
             try:
                 sol, params = a.gauss_jordan_solve(Matrix(b))
@@ -523,7 +555,7 @@ def test_echelon_rows_are_minors():
     checked = 0
     for _ in range(120):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        rows = _random_rows(rng, m, n)
+        rows = random_rows(rng, m, n)
         a, pivots, swaps, den = linalg.echelon(rows)
         assert den == 1 and len(pivots) == _matrix(rows, m, n).rank()
         assert all(not any(row) for row in a[len(pivots):])
@@ -539,67 +571,6 @@ def test_echelon_rows_are_minors():
     assert checked > 40
 
 
-def _block_hyperbolic(rng):
-    """A direct sum of 1-3 even binary blocks, most of them U(k)."""
-    blocks = []
-    for _ in range(rng.randint(1, 3)):
-        if rng.random() < 0.7:
-            k = rng.randint(1, 5)
-            blocks.append([[0, k], [k, 0]])
-        else:
-            b = rng.randint(-3, 3)
-            blocks.append([[2 * rng.randint(-2, 2), b], [b, 2 * rng.randint(-2, 2)]])
-    n = 2 * len(blocks)
-    gram = [[0] * n for _ in range(n)]
-    for k, block in enumerate(blocks):
-        for i in range(2):
-            for j in range(2):
-                gram[2 * k + i][2 * k + j] = block[i][j]
-    return gram
-
-
-def _mukai_shaped(rng):
-    """H0 + H2 + H4 over a hyperbolic H2: the H0/H4 corner pairs to -1."""
-    h2 = _block_hyperbolic(rng)
-    n = len(h2) + 2
-    gram = [[0] * n for _ in range(n)]
-    gram[0][-1] = gram[-1][0] = -1
-    for i, row in enumerate(h2):
-        gram[i + 1][1:-1] = row
-    return gram
-
-
-def _echelon_fixture(rng, k):
-    """Fixture kind k % 6 of the echelon oracle test."""
-    kind = k % 6
-    if kind == 0:
-        return _block_hyperbolic(rng)
-    if kind == 1:
-        return _mukai_shaped(rng)
-    if kind == 2:
-        # zero columns, anywhere, the first one included
-        m, n = rng.randint(1, 6), rng.randint(1, 6)
-        rows = _random_rows(rng, m, n)
-        for j in rng.sample(range(n), rng.randint(1, n)):
-            for row in rows:
-                row[j] = 0
-        return rows
-    if kind == 3:
-        # rank-deficient: a thin product, its rows permuted
-        m, n, r = rng.randint(2, 6), rng.randint(2, 6), rng.randint(1, 2)
-        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
-        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
-        rows = dense_matmul(left, right)
-        rng.shuffle(rows)
-        return rows
-    if kind == 4:
-        # a wide augmented system [G | B] on a sparse Gram
-        gram = rng.choice((_block_hyperbolic, _mukai_shaped))(rng)
-        extra = rng.randint(1, len(gram) + 2)
-        return [row + [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(extra)] for row in gram]
-    return _random_rows(rng, rng.randint(1, 6), rng.randint(1, 6), fractions=True)
-
-
 def test_echelon_against_dense_oracle():
     # the zero-skipping elimination returns exactly the dense one's
     # (a, pivots, swaps, den) on every fixture, and all three kinds of
@@ -607,7 +578,7 @@ def test_echelon_against_dense_oracle():
     rng = random.Random(131)
     kinds = Counter()
     for k in range(300):
-        rows = _echelon_fixture(rng, k)
+        rows = echelon_fixture(rng, k)
         if rng.random() < 0.3:
             rows = [tuple(row) for row in rows]
         got = linalg.echelon(rows)
@@ -624,8 +595,8 @@ def test_matmul_against_dense_oracle():
     for k in range(300):
         m, n, p = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
         fractions = k % 3 == 2
-        a = [[_random_entry(rng, fractions) for _ in range(n)] for _ in range(m)]
-        b = [[_random_entry(rng, fractions) for _ in range(p)] for _ in range(n)]
+        a = [[random_entry(rng, fractions) for _ in range(n)] for _ in range(m)]
+        b = [[random_entry(rng, fractions) for _ in range(p)] for _ in range(n)]
         if m and rng.random() < 0.3:
             a[rng.randrange(m)] = [0] * n
         got, want = linalg.matmul(a, b), dense_matmul(a, b)
@@ -637,6 +608,77 @@ def test_matmul_against_dense_oracle():
     zero = linalg.matmul([[0, 0], [1, 0]], [[5, 6], [7, 8]])
     assert zero == [[0, 0], [5, 6]] and all(type(x) is int for row in zero for x in row)
     assert linalg.matmul([[1, 0]], [[0, 0], [3, 4]]) == [[0, 0]]
+
+
+def _row_lists(out):
+    """Every list inside a kernel's output, at any depth."""
+    if isinstance(out, list):
+        yield out
+    if isinstance(out, (list, tuple)):
+        for x in out:
+            yield from _row_lists(x)
+
+
+def test_no_kernel_modifies_its_input():
+    # every kernel updates rows in place, so each must work on its own
+    # copy: after each call the input equals its deep copy, and no list
+    # returned is one of the input's rows
+    rng = random.Random(149)
+    calls = Counter()
+    for k in range(240):
+        kind = k % 3
+        if kind == 0:
+            rows = echelon_fixture(rng, k // 3)
+        elif kind == 1:
+            rows = random_rows(rng, rng.randint(1, 6), rng.randint(1, 6), fractions=k % 2 == 0)
+        else:
+            rows = mukai_shaped(rng)
+        m, n = len(rows), len(rows[0])
+        integral = all(type(x) is int for row in rows for x in row)
+        b = [[random_entry(rng, not integral) for _ in range(rng.randint(1, 3))] for _ in range(m)]
+        cases = [
+            (linalg.echelon, rows),
+            (linalg.rank, rows),
+            (linalg.solve, rows, [r[0] for r in b]),
+            (linalg.solve, rows, b),
+            (linalg.matmul, rows, [[random_entry(rng, False) for _ in range(3)] for _ in range(n)]),
+            (linalg.matmul, b, [[random_entry(rng, True) for _ in range(2)] for _ in b[0]]),
+        ]
+        if m == n:
+            cases += [(linalg.det, rows), (linalg.invert_unimodular, random_unimodular(rng, n))]
+            if integral:
+                cases += [(linalg.det_and_inertia, rows), (linalg.invert_unimodular, rows)]
+        if integral:
+            cases += [
+                (linalg.hnf, rows),
+                (linalg.right_kernel, rows, n),
+                (linalg.saturation, rows, n),
+                (linalg.snf_with_transforms, rows),
+            ]
+        for kernel, *args in cases:
+            before = copy.deepcopy(args)
+            try:
+                out = kernel(*args)
+            except (ZeroDivisionError, ValueError):
+                out = None
+            assert args == before, kernel.__name__
+            inputs = {id(row) for arg in args if isinstance(arg, list) for row in arg}
+            assert not any(id(row) in inputs for row in _row_lists(out)), kernel.__name__
+            calls[kernel.__name__] += 1
+    assert min(calls.values()) >= 30 and len(calls) == 11
+
+
+# util.linalg_corpus_digest at the commit before the kernels updated their
+# rows in place.
+LINALG_CORPUS_SHA256 = "e35cc1213bb05d71634b950032388f700c8dc617a73c3258cbf83ce08f6f45aa"
+
+
+class TestLinalgCorpus:
+    def test_digest(self):
+        # echelon, solve, hnf, right_kernel, saturation and Smith outputs
+        # of a seeded corpus, pinned byte for byte; util.linalg_corpus
+        # describes it
+        assert linalg_corpus_digest() == LINALG_CORPUS_SHA256
 
 
 def test_frac_mod():

@@ -744,6 +744,152 @@ def dense_matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def random_entry(rng, fractions):
+    num = rng.choice((0, rng.randint(-9, 9)))
+    return Fraction(num, rng.randint(1, 6)) if fractions and rng.random() < 0.5 else num
+
+
+def random_rows(rng, m, n, fractions=False):
+    """A seeded m x n matrix; about a third of them have rank below min(m, n)."""
+    if m and n and rng.random() < 0.35:
+        r = rng.randint(0, min(m, n) - 1)
+        left = [[random_entry(rng, fractions) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if r else [0] * n
+                for row in left]
+    return [[random_entry(rng, fractions) for _ in range(n)] for _ in range(m)]
+
+
+def block_hyperbolic(rng):
+    """A direct sum of 1-3 even binary blocks, most of them U(k)."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.7:
+            k = rng.randint(1, 5)
+            blocks.append([[0, k], [k, 0]])
+        else:
+            b = rng.randint(-3, 3)
+            blocks.append([[2 * rng.randint(-2, 2), b], [b, 2 * rng.randint(-2, 2)]])
+    n = 2 * len(blocks)
+    gram = [[0] * n for _ in range(n)]
+    for k, block in enumerate(blocks):
+        for i in range(2):
+            for j in range(2):
+                gram[2 * k + i][2 * k + j] = block[i][j]
+    return gram
+
+
+def mukai_shaped(rng):
+    """H0 + H2 + H4 over a hyperbolic H2: the H0/H4 corner pairs to -1."""
+    h2 = block_hyperbolic(rng)
+    n = len(h2) + 2
+    gram = [[0] * n for _ in range(n)]
+    gram[0][-1] = gram[-1][0] = -1
+    for i, row in enumerate(h2):
+        gram[i + 1][1:-1] = row
+    return gram
+
+
+def echelon_fixture(rng, k):
+    """Fixture kind k % 6 of the echelon oracle test."""
+    kind = k % 6
+    if kind == 0:
+        return block_hyperbolic(rng)
+    if kind == 1:
+        return mukai_shaped(rng)
+    if kind == 2:
+        # zero columns, anywhere, the first one included
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = random_rows(rng, m, n)
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            for row in rows:
+                row[j] = 0
+        return rows
+    if kind == 3:
+        # rank-deficient: a thin product, its rows permuted
+        m, n, r = rng.randint(2, 6), rng.randint(2, 6), rng.randint(1, 2)
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        rows = dense_matmul(left, right)
+        rng.shuffle(rows)
+        return rows
+    if kind == 4:
+        # a wide augmented system [G | B] on a sparse Gram
+        gram = rng.choice((block_hyperbolic, mukai_shaped))(rng)
+        extra = rng.randint(1, len(gram) + 2)
+        return [row + [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(extra)] for row in gram]
+    return random_rows(rng, rng.randint(1, 6), rng.randint(1, 6), fractions=True)
+
+
+def linalg_corpus():
+    """300 seeded (rows, rhs) pairs for linalg_corpus_digest, of 1-8 rows and columns.
+
+    Matrix i is, by i % 6, a random square matrix; a wide one; a tall
+    one; a rank-deficient product of two thin factors, its rows shuffled;
+    a Mukai-shaped Gram; or a matrix holding Fractions. About a third of
+    the random ones are rank-deficient too (random_rows). rhs is a block
+    of 1-3 right-hand-side columns, one row per matrix row: rows * X0 for
+    a random X0, or random entries, which are mostly inconsistent.
+    """
+    rng = random.Random(2929)
+    out = []
+    for i in range(300):
+        kind = i % 6
+        if kind == 0:
+            n = rng.randint(1, 8)
+            rows = random_rows(rng, n, n)
+        elif kind == 1:
+            m = rng.randint(1, 7)
+            rows = random_rows(rng, m, rng.randint(m + 1, 8))
+        elif kind == 2:
+            n = rng.randint(1, 7)
+            rows = random_rows(rng, rng.randint(n + 1, 8), n)
+        elif kind == 3:
+            m, n, r = rng.randint(2, 8), rng.randint(2, 8), rng.randint(1, 3)
+            left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(m)]
+            right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+            rows = dense_matmul(left, right)
+            rng.shuffle(rows)
+        elif kind == 4:
+            rows = mukai_shaped(rng)
+        else:
+            rows = random_rows(rng, rng.randint(1, 8), rng.randint(1, 8), fractions=True)
+        k = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            x0 = [[random_entry(rng, kind == 5) for _ in range(k)] for _ in rows[0]]
+            rhs = dense_matmul(rows, x0)
+        else:
+            rhs = [[random_entry(rng, kind == 5) for _ in range(k)] for _ in rows]
+        out.append((rows, rhs))
+    return out
+
+
+def linalg_corpus_digest():
+    """SHA-256 of the exact kernels' outputs on linalg_corpus, each in repr.
+
+    Per matrix: echelon's (a, pivots, swaps, den); solve's (x, d), or
+    None, for the first right-hand-side column alone and for the whole
+    block; then, on the rows cleared of their denominators, hnf,
+    right_kernel, saturation and snf_with_transforms' (diagonal, T).
+    """
+    h = hashlib.sha256()
+    for rows, rhs in linalg_corpus():
+        ncols = len(rows[0])
+        ints = [linalg.clear_denominators(row)[0] if Fraction in map(type, row) else row
+                for row in rows]
+        for out in (
+            linalg.echelon(rows),
+            linalg.solve(rows, [r[0] for r in rhs]),
+            linalg.solve(rows, rhs),
+            linalg.hnf(ints),
+            linalg.right_kernel(ints, ncols),
+            linalg.saturation(ints, ncols),
+            linalg.snf_with_transforms(ints),
+        ):
+            h.update(repr(out).encode() + b"\n")
+    return h.hexdigest()
+
+
 def scaled_diagonal(rng, p, scales):
     """diag(p^k u) over the given scales k, each unit u prime to p and in [-20, 20]."""
     units = [rng.choice([u for u in range(-20, 21) if u % p]) for _ in scales]
